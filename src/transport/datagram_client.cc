@@ -37,8 +37,7 @@ bool DatagramClientChannel::BindEpochSocket(std::string* error) {
                            "." + std::to_string(epoch_);
   sockaddr_un self{};
   if (!FillAddr(path, &self, error)) return false;
-  sockaddr_un server{};
-  if (!FillAddr(options_.server_path, &server, error)) return false;
+  if (!FillAddr(options_.server_path, &server_, error)) return false;
 
   const int fd = ::socket(AF_UNIX, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
@@ -48,9 +47,18 @@ bool DatagramClientChannel::BindEpochSocket(std::string* error) {
     }
     return false;
   }
-  ::unlink(path.c_str());
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&self), sizeof(self)) !=
-      0) {
+  // Bind first; a file left at the path by a crashed run is unlinked only
+  // when it is in the way.
+  const auto bind_path = [&] {
+    return ::bind(fd, reinterpret_cast<const sockaddr*>(&self),
+                  sizeof(self)) == 0;
+  };
+  bool bound = bind_path();
+  if (!bound && errno == EADDRINUSE) {
+    ::unlink(path.c_str());
+    bound = bind_path();
+  }
+  if (!bound) {
     if (error != nullptr) {
       *error = "cannot bind client socket '" + path +
                "': " + std::strerror(errno);
@@ -58,21 +66,34 @@ bool DatagramClientChannel::BindEpochSocket(std::string* error) {
     ::close(fd);
     return false;
   }
-  // connect() fixes the peer so send() suffices and a vanished server
-  // surfaces as ECONNREFUSED instead of silence.
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&server),
-                sizeof(server)) != 0) {
-    if (error != nullptr) {
-      *error = "cannot reach serve socket '" + options_.server_path +
-               "' (is bdisk_serve running?): " + std::strerror(errno);
-    }
-    ::close(fd);
-    ::unlink(path.c_str());
-    return false;
-  }
   fd_ = fd;
   path_ = path;
+  sender_len_ = 0;
   return true;
+}
+
+bool DatagramClientChannel::SendToServer(const std::string& payload) const {
+  return ::sendto(fd_, payload.data(), payload.size(),
+                  MSG_DONTWAIT | MSG_NOSIGNAL,
+                  reinterpret_cast<const sockaddr*>(&server_),
+                  sizeof(server_)) == static_cast<ssize_t>(payload.size());
+}
+
+bool DatagramClientChannel::Admit(const wire::Message& msg,
+                                  const sockaddr_un& from,
+                                  socklen_t from_len) {
+  if (sender_len_ == 0) {
+    if (msg.type == wire::MsgType::kFin) return true;
+    if (msg.type != wire::MsgType::kWelcome ||
+        ::connect(fd_, reinterpret_cast<const sockaddr*>(&from), from_len) !=
+            0) {
+      return false;
+    }
+    sender_ = from;
+    sender_len_ = from_len;
+    return true;
+  }
+  return from_len == sender_len_ && std::memcmp(&from, &sender_, from_len) == 0;
 }
 
 bool DatagramClientChannel::Connect(const DatagramClientOptions& options,
@@ -100,10 +121,17 @@ bool DatagramClientChannel::Connect(const DatagramClientOptions& options,
   for (std::uint32_t attempt = 0; attempt < options_.max_connect_attempts;
        ++attempt) {
     wire::FormatHello(options_.client_id, &scratch_);
-    if (::send(fd_, scratch_.data(), scratch_.size(),
-               MSG_DONTWAIT | MSG_NOSIGNAL) ==
-        static_cast<ssize_t>(scratch_.size())) {
+    if (SendToServer(scratch_)) {
       ++counters_.hellos_sent;
+    } else if (errno == ENOENT || errno == ECONNREFUSED) {
+      // Nothing is bound at the server path: fail now, not after every
+      // backoff step.
+      if (error != nullptr) {
+        *error = "cannot reach serve socket '" + options_.server_path +
+                 "' (is bdisk_serve running?): " + std::strerror(errno);
+      }
+      CloseSocket();
+      return false;
     }
     const double wait_s =
         fault::JitteredBackoffDelay(options_.backoff, attempt, rng);
@@ -132,8 +160,7 @@ void DatagramClientChannel::Crash() { CloseSocket(); }
 bool DatagramClientChannel::Goodbye(wire::PeerStats* stats, int timeout_ms) {
   if (fd_ < 0) return false;
   wire::FormatBye(options_.client_id, &scratch_);
-  (void)::send(fd_, scratch_.data(), scratch_.size(),
-               MSG_DONTWAIT | MSG_NOSIGNAL);
+  (void)SendToServer(scratch_);
   // Drain until STATS or the deadline: slots already in flight arrive
   // first (FIFO per pair), then the server's closing STATS.
   bool got_stats = false;
@@ -157,9 +184,7 @@ bool DatagramClientChannel::Goodbye(wire::PeerStats* stats, int timeout_ms) {
 bool DatagramClientChannel::SendPull(PageId page) {
   if (fd_ < 0) return false;
   wire::FormatPull(options_.client_id, page, &scratch_);
-  if (::send(fd_, scratch_.data(), scratch_.size(),
-             MSG_DONTWAIT | MSG_NOSIGNAL) ==
-      static_cast<ssize_t>(scratch_.size())) {
+  if (SendToServer(scratch_)) {
     ++counters_.pulls_sent;
     return true;
   }
@@ -170,11 +195,7 @@ bool DatagramClientChannel::SendPull(PageId page) {
 void DatagramClientChannel::SendPing() {
   if (fd_ < 0) return;
   wire::FormatPing(options_.client_id, &scratch_);
-  if (::send(fd_, scratch_.data(), scratch_.size(),
-             MSG_DONTWAIT | MSG_NOSIGNAL) ==
-      static_cast<ssize_t>(scratch_.size())) {
-    ++counters_.pings_sent;
-  }
+  if (SendToServer(scratch_)) ++counters_.pings_sent;
 }
 
 int DatagramClientChannel::PollMessages(int timeout_ms,
@@ -187,12 +208,17 @@ int DatagramClientChannel::PollMessages(int timeout_ms,
   char buf[kMaxDatagram];
   int consumed = 0;
   while (fd_ >= 0) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
+    sockaddr_un from{};
+    socklen_t from_len = sizeof(from);
+    const ssize_t n =
+        ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
+                   reinterpret_cast<sockaddr*>(&from), &from_len);
     if (n < 0) break;
     ++consumed;
     wire::Message msg;
     if (!wire::ParseMessage(std::string_view(buf, static_cast<std::size_t>(n)),
-                            &msg, nullptr)) {
+                            &msg, nullptr) ||
+        !Admit(msg, from, from_len)) {
       ++counters_.malformed_rx;
       continue;
     }

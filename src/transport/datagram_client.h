@@ -1,6 +1,9 @@
 #ifndef BDISK_TRANSPORT_DATAGRAM_CLIENT_H_
 #define BDISK_TRANSPORT_DATAGRAM_CLIENT_H_
 
+#include <sys/socket.h>
+#include <sys/un.h>
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,7 +43,8 @@ struct ClientCounters {
   std::uint64_t welcomes_rx = 0;
   std::uint64_t stats_rx = 0;
   std::uint64_t fins_rx = 0;
-  std::uint64_t malformed_rx = 0;
+  std::uint64_t malformed_rx = 0;      // Unparsable, or not from the
+                                       // sender this reply socket trusts.
   std::uint64_t reconnects = 0;        // Connects beyond the first.
 };
 
@@ -49,6 +53,14 @@ struct ClientCounters {
 /// and reconnect as first-class operations (Crash() drops the socket but
 /// keeps the counters, exactly what a restarting process observes;
 /// Connect() after it starts a new epoch on a fresh reply path).
+///
+/// The socket is never connect()ed to the serving socket: HELLO / PULL /
+/// PING / BYE go out with sendto() to the server path. Until the epoch's
+/// first WELCOME it accepts only WELCOME or FIN, from anyone who can reach
+/// the reply path; that WELCOME's source is the server's sender for this
+/// peer, and the socket connect()s to it. From then on the kernel refuses
+/// every other sender, and a datagram queued from one before the
+/// connect() is dropped. Every drop counts in malformed_rx.
 ///
 /// Single-threaded, wall-clock driven; all waiting is bounded poll().
 class DatagramClientChannel {
@@ -99,10 +111,18 @@ class DatagramClientChannel {
 
  private:
   bool BindEpochSocket(std::string* error);
+  bool SendToServer(const std::string& payload) const;
+  /// The reply socket's trust rule (see the class comment); true when
+  /// `msg` from `from` may be taken.
+  bool Admit(const wire::Message& msg, const sockaddr_un& from,
+             socklen_t from_len);
   void CloseSocket();
 
   int fd_ = -1;
   std::string path_;       // This epoch's bound reply path.
+  sockaddr_un server_{};   // The serving socket every request goes to.
+  sockaddr_un sender_{};   // The WELCOME's source: this epoch's sender.
+  socklen_t sender_len_ = 0;  // 0 until this epoch's first WELCOME.
   DatagramClientOptions options_;
   std::uint64_t epoch_ = 0;  // Bumped per Connect for distinct bind paths.
   bool connected_once_ = false;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "obs/frame_sink.h"
 
@@ -24,6 +25,40 @@ bool RefusedBackpressure(int err) {
 }
 
 }  // namespace
+
+DatagramServerTransport::SenderSocket::SenderSocket(
+    SenderSocket&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)) {}
+
+DatagramServerTransport::SenderSocket&
+DatagramServerTransport::SenderSocket::operator=(
+    SenderSocket&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+  }
+  return *this;
+}
+
+DatagramServerTransport::SenderSocket::~SenderSocket() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool DatagramServerTransport::SenderSocket::Open() {
+  const int fd = ::socket(AF_UNIX, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) return false;
+  // An address of bare sa_family asks the kernel to autobind.
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(sa_family_t)) != 0) {
+    ::close(fd);
+    return false;
+  }
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  return true;
+}
 
 DatagramServerTransport::~DatagramServerTransport() {
   Shutdown("shutdown");
@@ -45,7 +80,10 @@ bool DatagramServerTransport::Bind(const DatagramServerOptions& options,
     if (error != nullptr) *error = invalid;
     return false;
   }
-  const int fd = ::socket(AF_UNIX, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+  // The spare goes first, so the path appears only with a sender ready.
+  SenderSocket spare;
+  const int fd =
+      spare.Open() ? ::socket(AF_UNIX, SOCK_DGRAM | SOCK_NONBLOCK, 0) : -1;
   if (fd < 0) {
     if (error != nullptr) {
       *error = std::string("socket(AF_UNIX, SOCK_DGRAM): ") +
@@ -57,9 +95,18 @@ bool DatagramServerTransport::Bind(const DatagramServerOptions& options,
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, options.socket_path.c_str(),
               options.socket_path.size() + 1);
-  ::unlink(options.socket_path.c_str());  // Replace a stale socket file.
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
+  // Bind first; a socket file already at the path (a dead server's, or a
+  // live one's) is unlinked only when it is in the way.
+  const auto bind_path = [&] {
+    return ::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0;
+  };
+  bool bound = bind_path();
+  if (!bound && errno == EADDRINUSE) {
+    ::unlink(options.socket_path.c_str());
+    bound = bind_path();
+  }
+  if (!bound) {
     if (error != nullptr) {
       *error = "cannot bind serve socket '" + options.socket_path +
                "': " + std::strerror(errno);
@@ -69,6 +116,7 @@ bool DatagramServerTransport::Bind(const DatagramServerOptions& options,
   }
   fd_ = fd;
   path_ = options.socket_path;
+  spare_ = std::move(spare);
   options_ = options;
   server_ = server;
   server_->AddListener(this);
@@ -171,35 +219,49 @@ void DatagramServerTransport::OnHello(const std::string& client_id,
                                       const sockaddr_un& from,
                                       socklen_t from_len, double wall_now) {
   auto it = peers_.find(client_id);
-  if (it == peers_.end()) {
-    if (peers_.size() >= options_.max_peers) {
-      ++counters_.peers_rejected;
-      Peer stranger;
-      stranger.addr = from;
-      stranger.addr_len = from_len;
-      wire::FormatFin("full", &scratch_);
-      (void)SendTo(stranger, scratch_);
-      return;
-    }
-    it = peers_.emplace(client_id, Peer{}).first;
-    it->second.trace_client = next_trace_client_++;
-  } else {
+  const bool known = it != peers_.end();
+  // A known peer re-aims its own sender, never a new one: a client still
+  // connected to that sender (a duplicate HELLO) keeps receiving, and a
+  // reconnect moves it to the new epoch path. A new peer takes the spare.
+  int sender = -1;
+  if (known) {
+    sender = it->second.sender.fd();
+  } else if (peers_.size() < options_.max_peers &&
+             (spare_.fd() >= 0 || spare_.Open())) {
+    sender = spare_.fd();
+  }
+  if (sender < 0 ||
+      ::connect(sender, reinterpret_cast<const sockaddr*>(&from),
+                from_len) != 0) {
+    ++counters_.peers_rejected;
+    wire::FormatFin("full", &scratch_);
+    (void)::sendto(fd_, scratch_.data(), scratch_.size(),
+                   MSG_DONTWAIT | MSG_NOSIGNAL,
+                   reinterpret_cast<const sockaddr*>(&from), from_len);
+    return;
+  }
+  if (known) {
     // Reconnect (or duplicate HELLO — indistinguishable, handled the
-    // same): new reply address, new slot epoch. The client zeroes its
-    // received-slot tally on the WELCOME this triggers, so both epoch
-    // counters restart together even after a client crash.
+    // same): new slot epoch. The client zeroes its received-slot tally on
+    // the WELCOME this triggers, so both epoch counters restart together
+    // even after a client crash.
     ++it->second.stats.reconnects;
     ++counters_.reconnects;
     it->second.stats.slots_tx_epoch = 0;
+  } else {
+    it = peers_.emplace(client_id, Peer{}).first;
+    it->second.sender = std::move(spare_);
+    it->second.trace_client = next_trace_client_++;
   }
   ++counters_.hellos;
   Peer& peer = it->second;
-  peer.addr = from;
-  peer.addr_len = from_len;
   peer.last_heard = wall_now;
   wire::FormatWelcome(options_.db_size, options_.cycle_len, options_.slot_us,
                       &scratch_);
   (void)SendTo(peer, scratch_);
+  // The next peer's sender, opened now that this WELCOME is out. If the
+  // kernel refuses, the next new peer's HELLO tries once more.
+  if (spare_.fd() < 0) (void)spare_.Open();
 }
 
 void DatagramServerTransport::OnPull(const wire::Message& msg,
@@ -262,6 +324,7 @@ void DatagramServerTransport::Shutdown(const std::string& reason) {
     (void)SendFinal(peer, scratch_);
   }
   peers_.clear();
+  spare_ = SenderSocket();
   ::close(fd_);
   fd_ = -1;
   ::unlink(path_.c_str());
@@ -281,9 +344,8 @@ const wire::PeerStats* DatagramServerTransport::FindPeerStats(
 
 DatagramServerTransport::SendOutcome DatagramServerTransport::SendTo(
     const Peer& peer, const std::string& payload) const {
-  const ssize_t sent = ::sendto(
-      fd_, payload.data(), payload.size(), MSG_DONTWAIT | MSG_NOSIGNAL,
-      reinterpret_cast<const sockaddr*>(&peer.addr), peer.addr_len);
+  const ssize_t sent = ::send(peer.sender.fd(), payload.data(),
+                              payload.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
   if (sent == static_cast<ssize_t>(payload.size())) return SendOutcome::kOk;
   return RefusedBackpressure(errno) ? SendOutcome::kBackpressure
                                     : SendOutcome::kDeadPeer;
@@ -294,9 +356,8 @@ bool DatagramServerTransport::SendFinal(const Peer& peer,
   // Same ~200ms bounded retry as obs::DatagramFrameSink::WriteFinal: the
   // goodbye handshake is worth a short wait, but never an unbounded one.
   for (int attempt = 0; attempt < 100; ++attempt) {
-    const ssize_t sent = ::sendto(
-        fd_, payload.data(), payload.size(), MSG_DONTWAIT | MSG_NOSIGNAL,
-        reinterpret_cast<const sockaddr*>(&peer.addr), peer.addr_len);
+    const ssize_t sent = ::send(peer.sender.fd(), payload.data(),
+                                payload.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
     if (sent == static_cast<ssize_t>(payload.size())) return true;
     if (!RefusedBackpressure(errno)) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -54,7 +54,8 @@ struct DatagramServerOptions {
 struct TransportCounters {
   std::uint64_t hellos = 0;          // HELLOs accepted (first + reconnects).
   std::uint64_t reconnects = 0;      // HELLOs beyond a peer's first.
-  std::uint64_t peers_rejected = 0;  // HELLOs refused: at max_peers.
+  std::uint64_t peers_rejected = 0;  // HELLOs refused: no sender (cap,
+                                     // fds, or an unreachable source).
   std::uint64_t pulls_rx = 0;        // PULLs received (pre fault judge).
   std::uint64_t pulls_fault_dropped = 0;  // PULLs judged lost on the wire.
   std::uint64_t pulls_unknown_peer = 0;   // PULLs from unconnected peers.
@@ -69,13 +70,24 @@ struct TransportCounters {
   std::uint64_t evictions = 0;       // Peers forgotten by heartbeat deadline.
 };
 
-/// The live backend: a nonblocking AF_UNIX SOCK_DGRAM serving socket.
+/// The live backend: a nonblocking AF_UNIX SOCK_DGRAM serving socket that
+/// only receives, plus one sender socket per peer.
 ///
-/// Pull direction (Transport): PULL datagrams arrive on the socket, are
-/// fault-judged, and enter the server's queue via SubmitRequest under the
-/// peer's stable trace client id. Broadcast direction (BroadcastListener):
-/// every delivered slot is relayed as one datagram per connected peer —
-/// the wire realization of the paper's "all clients snoop the broadcast".
+/// Pull direction (Transport): PULL datagrams arrive on the serving
+/// socket, are fault-judged, and enter the server's queue via
+/// SubmitRequest under the peer's stable trace client id. Broadcast
+/// direction (BroadcastListener): every delivered slot is relayed as one
+/// datagram per connected peer — the wire realization of the paper's "all
+/// clients snoop the broadcast".
+///
+/// Each peer's sender is autobound (the kernel names it in the abstract
+/// namespace) and connect()ed to the peer's reply path when its HELLO
+/// arrives, so WELCOME / SLOT / STATS / FIN leave with send() and the
+/// kernel resolves the reply path once per HELLO, not once per datagram.
+/// The client connect()s its reply socket back to the WELCOME's sender,
+/// which keeps strangers out and exempts the sender from the receiver's
+/// max_dgram_qlen. The serving socket sends only `FIN full` to a HELLO it
+/// refuses.
 ///
 /// Single-threaded by design: the serve loop alternates Poll / slot ticks
 /// / EvictDeadPeers, and every call takes the wall-clock explicitly so
@@ -86,13 +98,20 @@ struct TransportCounters {
 /// bounded ~200ms retry as obs::DatagramFrameSink::WriteFinal, because
 /// those are the reconciliation handshake).
 ///
-/// Peer lifecycle: HELLO binds the peer id to the datagram's source
-/// address and resets that peer's slot epoch (slots_tx_epoch = 0, matched
-/// by the client zeroing its tally on WELCOME) — so after a crash and
-/// reconnect both sides agree on the epoch even though the dead client's
-/// last epoch count died with it. A send refused with ECONNREFUSED does
-/// NOT evict: the peer keeps its identity (and cumulative counters) so a
-/// quick restart reconciles; only the heartbeat deadline forgets a peer.
+/// Peer lifecycle: the first HELLO of an id gives the peer a sender (the
+/// spare one Bind opened; a new spare is opened once the WELCOME is out,
+/// keeping socket() off the handshake). Every HELLO connect()s that same
+/// sender to the datagram's source address and resets the peer's slot
+/// epoch (slots_tx_epoch = 0, matched by the client zeroing its tally on
+/// WELCOME) — so after a crash and reconnect both sides agree on the
+/// epoch even though the dead client's last epoch count died with it. The
+/// sender is never replaced while the peer lives: a client connected to
+/// it keeps receiving across a duplicate HELLO. A HELLO that gets no
+/// sender (at max_peers, no socket to open, or a source it cannot
+/// connect() to) is refused with `FIN full`. A send refused with
+/// ECONNREFUSED does NOT evict: the peer keeps its identity (and
+/// cumulative counters) so a quick restart reconciles; only the heartbeat
+/// deadline forgets a peer, and forgetting closes its sender.
 class DatagramServerTransport final : public Transport,
                                       public server::BroadcastListener {
  public:
@@ -102,7 +121,8 @@ class DatagramServerTransport final : public Transport,
   DatagramServerTransport(const DatagramServerTransport&) = delete;
   DatagramServerTransport& operator=(const DatagramServerTransport&) = delete;
 
-  /// Creates, binds (unlinking any stale socket file) and registers with
+  /// Opens the spare sender, creates and binds the serving socket
+  /// (replacing a socket file already at the path) and registers with
   /// `server` as a broadcast listener. `server` must outlive this object.
   /// Returns false and sets `error` on any socket failure or an oversized
   /// socket path.
@@ -128,7 +148,8 @@ class DatagramServerTransport final : public Transport,
   int EvictDeadPeers(double wall_now);
 
   /// Orderly drain: sends `FIN <reason>` to every peer (bounded retry),
-  /// forgets them all, closes and unlinks the socket. Idempotent.
+  /// forgets them all, closes every socket and unlinks the serving path.
+  /// Idempotent.
   void Shutdown(const std::string& reason);
 
   /// Blocks until the socket is readable or `timeout_ms` passes. Returns
@@ -155,9 +176,28 @@ class DatagramServerTransport final : public Transport,
   void SnapshotMetrics(obs::MetricsRegistry* registry) const;
 
  private:
+  /// Owns one sender socket; closes it when destroyed. Move-only.
+  class SenderSocket {
+   public:
+    SenderSocket() = default;
+    SenderSocket(SenderSocket&& other) noexcept;
+    SenderSocket& operator=(SenderSocket&& other) noexcept;
+    SenderSocket(const SenderSocket&) = delete;
+    SenderSocket& operator=(const SenderSocket&) = delete;
+    ~SenderSocket();
+
+    /// Opens a nonblocking datagram socket autobound to a kernel-chosen
+    /// abstract name (only a named socket can be connect()ed to). Returns
+    /// false, holding nothing, when the kernel refuses.
+    bool Open();
+    int fd() const { return fd_; }
+
+   private:
+    int fd_ = -1;
+  };
+
   struct Peer {
-    sockaddr_un addr{};
-    socklen_t addr_len = 0;
+    SenderSocket sender;  // Connected to the peer's reply path.
     double last_heard = 0.0;
     std::uint32_t trace_client = 0;
     wire::PeerStats stats;
@@ -174,8 +214,9 @@ class DatagramServerTransport final : public Transport,
   /// Bounded-retry send for the goodbye handshake (STATS / FIN).
   bool SendFinal(const Peer& peer, const std::string& payload) const;
 
-  int fd_ = -1;
+  int fd_ = -1;  // The serving socket.
   std::string path_;
+  SenderSocket spare_;  // The next new peer's sender, opened in advance.
   DatagramServerOptions options_;
   server::BroadcastServer* server_ = nullptr;  // Not owned.
   // Keyed by client id; std::map for deterministic fan-out order.

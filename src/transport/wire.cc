@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -25,16 +23,17 @@ char SlotKindChar(server::SlotKind kind) {
 
 void AppendU64(std::uint64_t v, std::string* out) {
   char buf[24];
-  const int n = std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf, static_cast<std::size_t>(n));
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
 }
 
 void AppendDouble(double v, std::string* out) {
-  // %.17g round-trips; slot times are integers in practice so this stays
-  // short on the wire.
+  // The bytes of %.17g, which round-trips; slot times are integers in
+  // practice so this stays short on the wire.
   char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf, static_cast<std::size_t>(n));
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
 }
 
 /// Splits on single spaces into at most `max_fields` views. Returns the

@@ -18,8 +18,10 @@
 //   - drop-newest backpressure: a slot send the kernel refuses is dropped
 //     and counted by cause (transport.drop_*), never retried, never
 //     blocking the slot cadence;
-//   - reconnect: HELLO from a known client re-keys its reply address and
-//     restarts the slot epoch — counters reconcile across client crashes;
+//   - one sender socket per peer: a HELLO connect()s the peer's own
+//     sender to its reply path, so slots leave with send(); a reconnect
+//     re-aims that sender and restarts the slot epoch — counters
+//     reconcile across client crashes;
 //   - graceful drain: SIGTERM/SIGINT sends FIN to every peer, then exits
 //     with a summary (and --metrics-json snapshot).
 //
@@ -29,6 +31,9 @@
 // request_delay) stays inside the server — each fault applies exactly
 // once.
 
+#include <sys/resource.h>
+
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -62,6 +67,10 @@ namespace {
 // deterministic per seed and perturb nothing else.
 constexpr std::uint64_t kTransportSalt = 0x7247'A11C'5EEDULL;
 
+// Descriptors kept back from --max-peers: stdio, the serving socket, the
+// spare sender, the frame sink and the metrics file, with room to spare.
+constexpr std::uint64_t kReservedFds = 16;
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void OnSignal(int) { g_stop = 1; }
@@ -75,7 +84,8 @@ void PrintUsage() {
       "  --max-slots N      stop after N slots (default 0: until SIGTERM)\n"
       "  --heartbeat-s S    evict peers silent for S wall seconds\n"
       "                     (default 5; 0 disables eviction)\n"
-      "  --max-peers N      refuse HELLOs beyond N peers (default 64)\n"
+      "  --max-peers N      refuse HELLOs beyond N peers (default 64;\n"
+      "                     each peer holds one socket)\n"
       "  --set KEY=VALUE    override one config key (repeatable)\n"
       "  --config FILE      load key=value config file\n"
       "  --seed N           root RNG seed\n"
@@ -87,6 +97,16 @@ void PrintUsage() {
       "0.\n");
 }
 
+/// Parses a decimal integer in [1, UINT32_MAX] with nothing after it.
+bool ParsePositiveU32(const char* text, std::uint32_t* out) {
+  const char* end = text + std::strlen(text);
+  std::uint32_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value == 0) return false;
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,10 +116,10 @@ int main(int argc, char** argv) {
   std::string socket_path;
   std::string frames_dest;
   std::string metrics_json;
-  std::uint64_t slot_us = 1000;
+  std::uint32_t slot_us = 1000;
   std::uint64_t max_slots = 0;
   double heartbeat_s = 5.0;
-  std::uint64_t max_peers = 64;
+  std::uint32_t max_peers = 64;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -110,16 +130,25 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto positive_u32 = [&](const char* flag, std::uint32_t* out) {
+      const char* value = next_value(flag);
+      if (!ParsePositiveU32(value, out)) {
+        std::fprintf(stderr,
+                     "%s wants an integer in [1, 4294967295], got '%s'\n",
+                     flag, value);
+        std::exit(2);
+      }
+    };
     if (arg == "--socket") {
       socket_path = next_value("--socket");
     } else if (arg == "--slot-us") {
-      slot_us = std::strtoull(next_value("--slot-us"), nullptr, 10);
+      positive_u32("--slot-us", &slot_us);
     } else if (arg == "--max-slots") {
       max_slots = std::strtoull(next_value("--max-slots"), nullptr, 10);
     } else if (arg == "--heartbeat-s") {
       heartbeat_s = std::strtod(next_value("--heartbeat-s"), nullptr);
     } else if (arg == "--max-peers") {
-      max_peers = std::strtoull(next_value("--max-peers"), nullptr, 10);
+      positive_u32("--max-peers", &max_peers);
     } else if (arg == "--set") {
       const std::string kv = next_value("--set");
       const std::size_t eq = kv.find('=');
@@ -167,9 +196,23 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  if (slot_us == 0) {
-    std::fprintf(stderr, "--slot-us must be positive\n");
-    return 2;
+  {
+    // Each peer holds one sender socket for its lifetime.
+    rlimit nofile{};
+    if (::getrlimit(RLIMIT_NOFILE, &nofile) == 0 &&
+        nofile.rlim_cur != RLIM_INFINITY &&
+        max_peers + kReservedFds > nofile.rlim_cur) {
+      std::fprintf(stderr,
+                   "--max-peers %u: each peer holds a socket, and the "
+                   "RLIMIT_NOFILE soft limit of %llu leaves room for at "
+                   "most %llu peers\n",
+                   max_peers, static_cast<unsigned long long>(nofile.rlim_cur),
+                   static_cast<unsigned long long>(
+                       nofile.rlim_cur > kReservedFds
+                           ? nofile.rlim_cur - kReservedFds
+                           : 0));
+      return 2;
+    }
   }
   {
     const std::string error = config.Validate();
@@ -215,10 +258,10 @@ int main(int argc, char** argv) {
   transport::DatagramServerOptions options;
   options.socket_path = socket_path;
   options.heartbeat_deadline = heartbeat_s;
-  options.max_peers = static_cast<std::uint32_t>(max_peers);
+  options.max_peers = max_peers;
   options.db_size = config.server_db_size;
   options.cycle_len = server.program().Length();
-  options.slot_us = static_cast<std::uint32_t>(slot_us);
+  options.slot_us = slot_us;
   options.injector = wire_injector ? &*wire_injector : nullptr;
 
   transport::DatagramServerTransport transport;
