@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/backoff.h"
@@ -20,9 +21,9 @@ struct DatagramClientOptions {
   std::string server_path;  // The serve socket to talk to.
   std::string client_id;    // Wire identity (wire::ValidClientId).
   /// Directory for this client's own bound reply sockets. Each connection
-  /// epoch binds a fresh `<dir>/<client_id>.<epoch>` path — a crashed
-  /// epoch's socket is gone, so the server's sends to it fail fast
-  /// (ECONNREFUSED → drop_dead_peer) instead of landing in a dead buffer.
+  /// epoch binds a fresh `<dir>/<client_id>.<epoch>` path, the HELLO's
+  /// source and where its WELCOME lands, so a reply meant for a crashed
+  /// epoch never reaches the next one.
   std::string socket_dir = ".";
   /// HELLO retry pacing (wall seconds). Bounded exponential backoff with
   /// deterministic jitter from `rng` — the PR-5 retry engine on real time.
@@ -43,24 +44,33 @@ struct ClientCounters {
   std::uint64_t welcomes_rx = 0;
   std::uint64_t stats_rx = 0;
   std::uint64_t fins_rx = 0;
-  std::uint64_t malformed_rx = 0;      // Unparsable, or not from the
-                                       // sender this reply socket trusts.
+  std::uint64_t malformed_rx = 0;      // Refused: unparsable, not from the
+                                       // serving path, a descriptor where
+                                       // none belongs, or no pipe read end
+                                       // on a WELCOME.
   std::uint64_t reconnects = 0;        // Connects beyond the first.
 };
 
 /// One client endpoint of the bdisk-wire-v1 protocol: a bound nonblocking
-/// AF_UNIX datagram socket plus the HELLO/WELCOME handshake, with crash
-/// and reconnect as first-class operations (Crash() drops the socket but
-/// keeps the counters, exactly what a restarting process observes;
-/// Connect() after it starts a new epoch on a fresh reply path).
+/// AF_UNIX datagram socket for the handshake and the uplink, plus the
+/// read end of the downlink pipe the server hands over in each WELCOME.
+/// Crash and reconnect are first-class operations (Crash() drops the
+/// socket and the pipe but keeps the counters, exactly what a restarting
+/// process observes; Connect() after it starts a new epoch on a fresh
+/// reply path).
 ///
-/// The socket is never connect()ed to the serving socket: HELLO / PULL /
-/// PING / BYE go out with sendto() to the server path. Until the epoch's
-/// first WELCOME it accepts only WELCOME or FIN, from anyone who can reach
-/// the reply path; that WELCOME's source is the server's sender for this
-/// peer, and the socket connect()s to it. From then on the kernel refuses
-/// every other sender, and a datagram queued from one before the
-/// connect() is dropped. Every drop counts in malformed_rx.
+/// HELLO / PULL / PING / BYE go out with sendto() to the server path. The
+/// socket takes only WELCOME and FIN datagrams whose source is that path
+/// (compared as a string, so name the serving socket as the server bound
+/// it), and a descriptor only on such a WELCOME: exactly one, a pipe read
+/// end.
+/// Every other received descriptor is closed. The pipe carries SLOT,
+/// STATS and FIN lines; it is read in bulk and split on '\n', with at
+/// most one partial line carried between reads. A later WELCOME drains
+/// the old pipe into the old epoch before the new one starts. EOF on the
+/// pipe with no newer WELCOME queued means the server dropped the peer,
+/// and closes the channel as a FIN does. Every refusal, on either
+/// carrier, counts once in malformed_rx.
 ///
 /// Single-threaded, wall-clock driven; all waiting is bounded poll().
 class DatagramClientChannel {
@@ -81,13 +91,13 @@ class DatagramClientChannel {
   /// True between a successful Connect and Crash/Close/FIN.
   bool Connected() const { return fd_ >= 0; }
 
-  /// Simulates (or implements) process death: closes and unlinks the
-  /// epoch socket without BYE. Counters survive — they belong to the
-  /// measuring harness, not the dead connection.
+  /// Simulates (or implements) process death: closes the pipe, and closes
+  /// and unlinks the epoch socket, without BYE. Counters survive — they
+  /// belong to the measuring harness, not the dead connection.
   void Crash();
 
   /// Orderly goodbye: sends BYE, then waits up to `timeout_ms` for the
-  /// server's STATS (into `*stats` when non-null). Closes the socket
+  /// server's STATS (into `*stats` when non-null). Closes the channel
   /// either way; returns true when STATS arrived.
   bool Goodbye(wire::PeerStats* stats, int timeout_ms);
 
@@ -98,11 +108,12 @@ class DatagramClientChannel {
   /// Sends one heartbeat PING (best-effort).
   void SendPing();
 
-  /// Drains every datagram currently queued, waiting up to `timeout_ms`
-  /// for the first. SLOT/WELCOME/STATS/FIN are tallied (and WELCOME
-  /// resets the epoch slot count); every parsed message is appended to
-  /// `out` when non-null. Returns the number of datagrams consumed. A
-  /// FIN closes the channel.
+  /// Drains every message currently queued on the pipe and the socket,
+  /// waiting up to `timeout_ms` for either to become readable.
+  /// SLOT/WELCOME/STATS/FIN are tallied (and WELCOME resets the epoch
+  /// slot count); every accepted message is appended to `out` when
+  /// non-null. Returns the number of messages consumed, refused ones
+  /// included. A FIN, or the pipe's EOF, closes the channel.
   int PollMessages(int timeout_ms, std::vector<wire::Message>* out);
 
   const wire::Message& welcome() const { return welcome_; }
@@ -112,17 +123,28 @@ class DatagramClientChannel {
  private:
   bool BindEpochSocket(std::string* error);
   bool SendToServer(const std::string& payload) const;
-  /// The reply socket's trust rule (see the class comment); true when
-  /// `msg` from `from` may be taken.
-  bool Admit(const wire::Message& msg, const sockaddr_un& from,
-             socklen_t from_len);
-  void CloseSocket();
+  /// True when a datagram's source address is the serving path.
+  bool FromServer(const sockaddr_un& from, socklen_t from_len) const;
+  /// Takes one datagram from the socket; false when none is queued.
+  bool TakeDatagram(std::vector<wire::Message>* out, int* consumed);
+  /// Reads `pipe` until it would block; true when it reached EOF.
+  bool DrainPipe(int pipe, std::vector<wire::Message>* out, int* consumed);
+  /// Splits one read's bytes into lines, carrying a partial one.
+  void TakeBytes(std::string_view bytes, std::vector<wire::Message>* out,
+                 int* consumed);
+  void TakeLine(std::string_view line, std::vector<wire::Message>* out);
+  /// Counts a carried partial line as malformed and drops it.
+  void DropPartialLine(int* consumed);
+  /// A new WELCOME's pipe: drains the old one into the old epoch first.
+  void SwitchPipe(int pipe, std::vector<wire::Message>* out, int* consumed);
+  void Close();
 
-  int fd_ = -1;
+  int fd_ = -1;            // This epoch's reply socket.
+  int pipe_ = -1;          // The downlink's read end; -1 until a WELCOME.
+  std::string line_;       // A partial downlink line, carried between reads.
+  bool discarding_ = false;  // Skipping an overlong line up to its '\n'.
   std::string path_;       // This epoch's bound reply path.
   sockaddr_un server_{};   // The serving socket every request goes to.
-  sockaddr_un sender_{};   // The WELCOME's source: this epoch's sender.
-  socklen_t sender_len_ = 0;  // 0 until this epoch's first WELCOME.
   DatagramClientOptions options_;
   std::uint64_t epoch_ = 0;  // Bumped per Connect for distinct bind paths.
   bool connected_once_ = false;

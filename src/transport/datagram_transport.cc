@@ -1,5 +1,7 @@
 #include "transport/datagram_transport.h"
 
+#include <fcntl.h>
+#include <limits.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -7,6 +9,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -15,24 +18,16 @@
 
 namespace bdisk::transport {
 
-namespace {
+// The kernel takes a pipe write of at most PIPE_BUF bytes whole or not
+// at all, which keeps drop-newest per message.
+static_assert(wire::kMaxMessage <= PIPE_BUF,
+              "a downlink line must be written atomically");
 
-/// Datagrams are short text lines; 512 bytes dwarfs the longest STATS.
-constexpr std::size_t kMaxDatagram = 512;
-
-bool RefusedBackpressure(int err) {
-  return err == EAGAIN || err == EWOULDBLOCK || err == ENOBUFS;
-}
-
-}  // namespace
-
-DatagramServerTransport::SenderSocket::SenderSocket(
-    SenderSocket&& other) noexcept
+DatagramServerTransport::Downlink::Downlink(Downlink&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)) {}
 
-DatagramServerTransport::SenderSocket&
-DatagramServerTransport::SenderSocket::operator=(
-    SenderSocket&& other) noexcept {
+DatagramServerTransport::Downlink&
+DatagramServerTransport::Downlink::operator=(Downlink&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
@@ -40,24 +35,8 @@ DatagramServerTransport::SenderSocket::operator=(
   return *this;
 }
 
-DatagramServerTransport::SenderSocket::~SenderSocket() {
+DatagramServerTransport::Downlink::~Downlink() {
   if (fd_ >= 0) ::close(fd_);
-}
-
-bool DatagramServerTransport::SenderSocket::Open() {
-  const int fd = ::socket(AF_UNIX, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) return false;
-  // An address of bare sa_family asks the kernel to autobind.
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(sa_family_t)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = fd;
-  return true;
 }
 
 DatagramServerTransport::~DatagramServerTransport() {
@@ -80,10 +59,11 @@ bool DatagramServerTransport::Bind(const DatagramServerOptions& options,
     if (error != nullptr) *error = invalid;
     return false;
   }
-  // The spare goes first, so the path appears only with a sender ready.
-  SenderSocket spare;
-  const int fd =
-      spare.Open() ? ::socket(AF_UNIX, SOCK_DGRAM | SOCK_NONBLOCK, 0) : -1;
+  // Process-wide, and on purpose: a write to a pipe whose reader died
+  // raises SIGPIPE, and nothing narrower than the disposition stops it.
+  // Ignored, the write fails with EPIPE and counts as drop_dead_peer.
+  std::signal(SIGPIPE, SIG_IGN);
+  const int fd = ::socket(AF_UNIX, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     if (error != nullptr) {
       *error = std::string("socket(AF_UNIX, SOCK_DGRAM): ") +
@@ -116,7 +96,6 @@ bool DatagramServerTransport::Bind(const DatagramServerOptions& options,
   }
   fd_ = fd;
   path_ = options.socket_path;
-  spare_ = std::move(spare);
   options_ = options;
   server_ = server;
   server_->AddListener(this);
@@ -150,9 +129,10 @@ void DatagramServerTransport::OnBroadcast(PageId page, server::SlotKind kind,
     return;
   }
   wire::FormatSlot(seq, page, kind, now, &scratch_);
+  scratch_.push_back('\n');
   for (auto& [id, peer] : peers_) {
     (void)id;
-    switch (SendTo(peer, scratch_)) {
+    switch (WriteLine(peer, scratch_)) {
       case SendOutcome::kOk:
         ++peer.stats.slots_tx_epoch;
         ++counters_.slots_tx;
@@ -173,7 +153,7 @@ void DatagramServerTransport::OnBroadcast(PageId page, server::SlotKind kind,
 
 int DatagramServerTransport::Poll(double wall_now) {
   if (fd_ < 0) return 0;
-  char buf[kMaxDatagram];
+  char buf[wire::kMaxMessage];
   int consumed = 0;
   for (;;) {
     sockaddr_un from{};
@@ -220,19 +200,20 @@ void DatagramServerTransport::OnHello(const std::string& client_id,
                                       socklen_t from_len, double wall_now) {
   auto it = peers_.find(client_id);
   const bool known = it != peers_.end();
-  // A known peer re-aims its own sender, never a new one: a client still
-  // connected to that sender (a duplicate HELLO) keeps receiving, and a
-  // reconnect moves it to the new epoch path. A new peer takes the spare.
-  int sender = -1;
-  if (known) {
-    sender = it->second.sender.fd();
-  } else if (peers_.size() < options_.max_peers &&
-             (spare_.fd() >= 0 || spare_.Open())) {
-    sender = spare_.fd();
+  // Every HELLO gets a fresh pipe. The WELCOME goes out first; only then
+  // is a known peer's old write end closed (by the move below), so the
+  // old pipe holds exactly what was written before the new WELCOME.
+  int ends[2] = {-1, -1};
+  bool welcomed = false;
+  if ((known || peers_.size() < options_.max_peers) &&
+      ::pipe2(ends, O_NONBLOCK | O_CLOEXEC) == 0) {
+    wire::FormatWelcome(options_.db_size, options_.cycle_len,
+                        options_.slot_us, &scratch_);
+    welcomed = SendWelcome(ends[0], from, from_len);
+    ::close(ends[0]);  // In flight with the WELCOME, or refused.
   }
-  if (sender < 0 ||
-      ::connect(sender, reinterpret_cast<const sockaddr*>(&from),
-                from_len) != 0) {
+  Downlink downlink(ends[1]);
+  if (!welcomed) {
     ++counters_.peers_rejected;
     wire::FormatFin("full", &scratch_);
     (void)::sendto(fd_, scratch_.data(), scratch_.size(),
@@ -243,25 +224,39 @@ void DatagramServerTransport::OnHello(const std::string& client_id,
   if (known) {
     // Reconnect (or duplicate HELLO — indistinguishable, handled the
     // same): new slot epoch. The client zeroes its received-slot tally on
-    // the WELCOME this triggers, so both epoch counters restart together
+    // the WELCOME this sent, so both epoch counters restart together
     // even after a client crash.
     ++it->second.stats.reconnects;
     ++counters_.reconnects;
     it->second.stats.slots_tx_epoch = 0;
   } else {
     it = peers_.emplace(client_id, Peer{}).first;
-    it->second.sender = std::move(spare_);
     it->second.trace_client = next_trace_client_++;
   }
   ++counters_.hellos;
-  Peer& peer = it->second;
-  peer.last_heard = wall_now;
-  wire::FormatWelcome(options_.db_size, options_.cycle_len, options_.slot_us,
-                      &scratch_);
-  (void)SendTo(peer, scratch_);
-  // The next peer's sender, opened now that this WELCOME is out. If the
-  // kernel refuses, the next new peer's HELLO tries once more.
-  if (spare_.fd() < 0) (void)spare_.Open();
+  it->second.downlink = std::move(downlink);
+  it->second.last_heard = wall_now;
+}
+
+bool DatagramServerTransport::SendWelcome(int pipe_read,
+                                          const sockaddr_un& to,
+                                          socklen_t to_len) const {
+  iovec iov{const_cast<char*>(scratch_.data()), scratch_.size()};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_name = const_cast<sockaddr_un*>(&to);
+  msg.msg_namelen = to_len;
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof(control);
+  cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
+  cmsg->cmsg_level = SOL_SOCKET;
+  cmsg->cmsg_type = SCM_RIGHTS;
+  cmsg->cmsg_len = CMSG_LEN(sizeof(int));
+  std::memcpy(CMSG_DATA(cmsg), &pipe_read, sizeof(int));
+  return ::sendmsg(fd_, &msg, MSG_DONTWAIT | MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(scratch_.size());
 }
 
 void DatagramServerTransport::OnPull(const wire::Message& msg,
@@ -290,12 +285,13 @@ void DatagramServerTransport::OnPull(const wire::Message& msg,
 void DatagramServerTransport::OnBye(const std::string& client_id) {
   auto it = peers_.find(client_id);
   if (it == peers_.end()) return;
-  // FIFO ordering per sender/receiver pair means this STATS lands after
-  // every slot datagram already sent to the peer, and the BYE that
-  // triggered it arrived after every PULL the client sent — so the
-  // counters are a consistent cut, and reconciliation can demand equality.
+  // The pipe is FIFO, so this STATS lands after every slot line already
+  // written to the peer, and the BYE that triggered it arrived after every
+  // PULL the client sent — so the counters are a consistent cut, and
+  // reconciliation can demand equality. Erasing the peer closes its pipe.
   wire::FormatStats(it->second.stats, &scratch_);
-  (void)SendFinal(it->second, scratch_);
+  scratch_.push_back('\n');
+  (void)WriteFinal(it->second, scratch_);
   peers_.erase(it);
 }
 
@@ -305,7 +301,8 @@ int DatagramServerTransport::EvictDeadPeers(double wall_now) {
   for (auto it = peers_.begin(); it != peers_.end();) {
     if (wall_now - it->second.last_heard > options_.heartbeat_deadline) {
       wire::FormatFin("evicted", &scratch_);
-      (void)SendTo(it->second, scratch_);
+      scratch_.push_back('\n');
+      (void)WriteLine(it->second, scratch_);
       it = peers_.erase(it);
       ++counters_.evictions;
       ++evicted;
@@ -319,12 +316,12 @@ int DatagramServerTransport::EvictDeadPeers(double wall_now) {
 void DatagramServerTransport::Shutdown(const std::string& reason) {
   if (fd_ < 0) return;
   wire::FormatFin(reason, &scratch_);
+  scratch_.push_back('\n');
   for (auto& [id, peer] : peers_) {
     (void)id;
-    (void)SendFinal(peer, scratch_);
+    (void)WriteFinal(peer, scratch_);
   }
   peers_.clear();
-  spare_ = SenderSocket();
   ::close(fd_);
   fd_ = -1;
   ::unlink(path_.c_str());
@@ -342,25 +339,30 @@ const wire::PeerStats* DatagramServerTransport::FindPeerStats(
   return it == peers_.end() ? nullptr : &it->second.stats;
 }
 
-DatagramServerTransport::SendOutcome DatagramServerTransport::SendTo(
-    const Peer& peer, const std::string& payload) const {
-  const ssize_t sent = ::send(peer.sender.fd(), payload.data(),
-                              payload.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
-  if (sent == static_cast<ssize_t>(payload.size())) return SendOutcome::kOk;
-  return RefusedBackpressure(errno) ? SendOutcome::kBackpressure
-                                    : SendOutcome::kDeadPeer;
+DatagramServerTransport::SendOutcome DatagramServerTransport::WriteLine(
+    const Peer& peer, const std::string& line) {
+  if (::write(peer.downlink.fd(), line.data(), line.size()) ==
+      static_cast<ssize_t>(line.size())) {
+    return SendOutcome::kOk;
+  }
+  return errno == EAGAIN ? SendOutcome::kBackpressure
+                         : SendOutcome::kDeadPeer;
 }
 
-bool DatagramServerTransport::SendFinal(const Peer& peer,
-                                        const std::string& payload) const {
+bool DatagramServerTransport::WriteFinal(const Peer& peer,
+                                         const std::string& line) {
   // Same ~200ms bounded retry as obs::DatagramFrameSink::WriteFinal: the
   // goodbye handshake is worth a short wait, but never an unbounded one.
   for (int attempt = 0; attempt < 100; ++attempt) {
-    const ssize_t sent = ::send(peer.sender.fd(), payload.data(),
-                                payload.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
-    if (sent == static_cast<ssize_t>(payload.size())) return true;
-    if (!RefusedBackpressure(errno)) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    switch (WriteLine(peer, line)) {
+      case SendOutcome::kOk:
+        return true;
+      case SendOutcome::kDeadPeer:
+        return false;
+      case SendOutcome::kBackpressure:
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        break;
+    }
   }
   return false;
 }

@@ -54,64 +54,61 @@ struct DatagramServerOptions {
 struct TransportCounters {
   std::uint64_t hellos = 0;          // HELLOs accepted (first + reconnects).
   std::uint64_t reconnects = 0;      // HELLOs beyond a peer's first.
-  std::uint64_t peers_rejected = 0;  // HELLOs refused: no sender (cap,
-                                     // fds, or an unreachable source).
+  std::uint64_t peers_rejected = 0;  // HELLOs refused: no downlink (cap,
+                                     // fds, or a WELCOME the kernel refused).
   std::uint64_t pulls_rx = 0;        // PULLs received (pre fault judge).
   std::uint64_t pulls_fault_dropped = 0;  // PULLs judged lost on the wire.
   std::uint64_t pulls_unknown_peer = 0;   // PULLs from unconnected peers.
   std::uint64_t pings_rx = 0;
   std::uint64_t byes_rx = 0;
   std::uint64_t malformed_rx = 0;    // Datagrams ParseMessage rejected.
-  std::uint64_t slots_tx = 0;        // Slot datagrams the kernel accepted.
-  std::uint64_t drop_backpressure = 0;  // Slot sends refused EAGAIN/ENOBUFS.
-  std::uint64_t drop_dead_peer = 0;  // Slot sends refused: peer socket gone.
+  std::uint64_t slots_tx = 0;        // Slot lines the kernel accepted.
+  std::uint64_t drop_backpressure = 0;  // Slot writes refused EAGAIN.
+  std::uint64_t drop_dead_peer = 0;  // Slot writes refused: reader gone.
   std::uint64_t drop_fault = 0;      // Slot fan-outs withheld by injection
                                      // (counted per peer that missed it).
   std::uint64_t evictions = 0;       // Peers forgotten by heartbeat deadline.
 };
 
-/// The live backend: a nonblocking AF_UNIX SOCK_DGRAM serving socket that
-/// only receives, plus one sender socket per peer.
+/// The live backend: a nonblocking AF_UNIX SOCK_DGRAM serving socket for
+/// the handshake and the uplink, plus one downlink pipe per peer.
 ///
 /// Pull direction (Transport): PULL datagrams arrive on the serving
 /// socket, are fault-judged, and enter the server's queue via
 /// SubmitRequest under the peer's stable trace client id. Broadcast
 /// direction (BroadcastListener): every delivered slot is relayed as one
-/// datagram per connected peer — the wire realization of the paper's "all
-/// clients snoop the broadcast".
+/// `\n`-terminated line written to each connected peer's pipe — the wire
+/// realization of the paper's "all clients snoop the broadcast".
 ///
-/// Each peer's sender is autobound (the kernel names it in the abstract
-/// namespace) and connect()ed to the peer's reply path when its HELLO
-/// arrives, so WELCOME / SLOT / STATS / FIN leave with send() and the
-/// kernel resolves the reply path once per HELLO, not once per datagram.
-/// The client connect()s its reply socket back to the WELCOME's sender,
-/// which keeps strangers out and exempts the sender from the receiver's
-/// max_dgram_qlen. The serving socket sends only `FIN full` to a HELLO it
-/// refuses.
+/// Every HELLO gets a fresh nonblocking pipe: the WELCOME datagram, sent
+/// from the serving socket to the HELLO's source, carries the read end as
+/// its one SCM_RIGHTS descriptor, and the server keeps only the write end.
+/// SLOT, STATS and FIN then leave as one write() each. A line is far below
+/// PIPE_BUF, so the kernel takes it whole or refuses it with EAGAIN, and a
+/// pipe is FIFO, so STATS follows the peer's last SLOT. The serving socket
+/// sends only WELCOME and the `FIN full` of a refused HELLO.
 ///
 /// Single-threaded by design: the serve loop alternates Poll / slot ticks
 /// / EvictDeadPeers, and every call takes the wall-clock explicitly so
 /// tests drive deadlines without sleeping. Failure discipline is
-/// drop-newest everywhere: a send the kernel refuses is dropped *and
+/// drop-newest everywhere: a write the kernel refuses is dropped *and
 /// counted by cause*, never retried and never blocking the slot cadence
 /// (the one exception: STATS / FIN during an orderly goodbye get the same
 /// bounded ~200ms retry as obs::DatagramFrameSink::WriteFinal, because
 /// those are the reconciliation handshake).
 ///
-/// Peer lifecycle: the first HELLO of an id gives the peer a sender (the
-/// spare one Bind opened; a new spare is opened once the WELCOME is out,
-/// keeping socket() off the handshake). Every HELLO connect()s that same
-/// sender to the datagram's source address and resets the peer's slot
-/// epoch (slots_tx_epoch = 0, matched by the client zeroing its tally on
+/// Peer lifecycle: every HELLO resets the peer's slot epoch
+/// (slots_tx_epoch = 0, matched by the client zeroing its tally on
 /// WELCOME) — so after a crash and reconnect both sides agree on the
-/// epoch even though the dead client's last epoch count died with it. The
-/// sender is never replaced while the peer lives: a client connected to
-/// it keeps receiving across a duplicate HELLO. A HELLO that gets no
-/// sender (at max_peers, no socket to open, or a source it cannot
-/// connect() to) is refused with `FIN full`. A send refused with
-/// ECONNREFUSED does NOT evict: the peer keeps its identity (and
-/// cumulative counters) so a quick restart reconciles; only the heartbeat
-/// deadline forgets a peer, and forgetting closes its sender.
+/// epoch even though the dead client's last epoch count died with it. A
+/// later HELLO from a known id (a duplicate or a reconnect) sends its new
+/// WELCOME before closing the old write end, so nothing reaches the old
+/// pipe after the new WELCOME leaves. A HELLO that gets no pipe (at
+/// max_peers, or out of descriptors) or whose WELCOME the kernel refuses
+/// is answered with `FIN full`. A write refused with EPIPE (the reader is
+/// gone) does NOT evict: the peer keeps its identity (and cumulative
+/// counters) so a quick restart reconciles; only the heartbeat deadline
+/// forgets a peer, and forgetting closes its pipe.
 class DatagramServerTransport final : public Transport,
                                       public server::BroadcastListener {
  public:
@@ -121,11 +118,14 @@ class DatagramServerTransport final : public Transport,
   DatagramServerTransport(const DatagramServerTransport&) = delete;
   DatagramServerTransport& operator=(const DatagramServerTransport&) = delete;
 
-  /// Opens the spare sender, creates and binds the serving socket
-  /// (replacing a socket file already at the path) and registers with
-  /// `server` as a broadcast listener. `server` must outlive this object.
-  /// Returns false and sets `error` on any socket failure or an oversized
-  /// socket path.
+  /// Creates and binds the serving socket (replacing a socket file
+  /// already at the path) and registers with `server` as a broadcast
+  /// listener. `server` must outlive this object. Also sets SIGPIPE to
+  /// SIG_IGN for the whole process: Linux has no per-call or
+  /// per-descriptor way to keep a pipe write to a vanished reader from
+  /// raising it, and its default action would kill the server when a
+  /// client dies. Returns false and sets `error` on any socket failure or
+  /// an oversized socket path.
   bool Bind(const DatagramServerOptions& options,
             server::BroadcastServer* server, std::string* error);
 
@@ -144,16 +144,17 @@ class DatagramServerTransport final : public Transport,
   int Poll(double wall_now);
 
   /// Forgets peers not heard from within the heartbeat deadline (a
-  /// best-effort `FIN evicted` is sent first). Returns evictions.
+  /// best-effort `FIN evicted` is written first). Returns evictions.
   int EvictDeadPeers(double wall_now);
 
-  /// Orderly drain: sends `FIN <reason>` to every peer (bounded retry),
-  /// forgets them all, closes every socket and unlinks the serving path.
-  /// Idempotent.
+  /// Orderly drain: writes `FIN <reason>` to every peer (bounded retry),
+  /// forgets them all, closes every pipe and the serving socket, and
+  /// unlinks the serving path. Idempotent.
   void Shutdown(const std::string& reason);
 
-  /// Blocks until the socket is readable or `timeout_ms` passes. Returns
-  /// true when readable — the serve loop's idle wait between slot ticks.
+  /// Blocks until the serving socket is readable or `timeout_ms` passes.
+  /// Returns true when readable — the serve loop's idle wait between slot
+  /// ticks.
   bool WaitReadable(int timeout_ms) const;
 
   std::size_t PeerCount() const { return peers_.size(); }
@@ -176,20 +177,18 @@ class DatagramServerTransport final : public Transport,
   void SnapshotMetrics(obs::MetricsRegistry* registry) const;
 
  private:
-  /// Owns one sender socket; closes it when destroyed. Move-only.
-  class SenderSocket {
+  /// Owns the write end of one peer's downlink pipe; closes it when
+  /// destroyed. Move-only.
+  class Downlink {
    public:
-    SenderSocket() = default;
-    SenderSocket(SenderSocket&& other) noexcept;
-    SenderSocket& operator=(SenderSocket&& other) noexcept;
-    SenderSocket(const SenderSocket&) = delete;
-    SenderSocket& operator=(const SenderSocket&) = delete;
-    ~SenderSocket();
+    Downlink() = default;
+    explicit Downlink(int fd) : fd_(fd) {}
+    Downlink(Downlink&& other) noexcept;
+    Downlink& operator=(Downlink&& other) noexcept;
+    Downlink(const Downlink&) = delete;
+    Downlink& operator=(const Downlink&) = delete;
+    ~Downlink();
 
-    /// Opens a nonblocking datagram socket autobound to a kernel-chosen
-    /// abstract name (only a named socket can be connect()ed to). Returns
-    /// false, holding nothing, when the kernel refuses.
-    bool Open();
     int fd() const { return fd_; }
 
    private:
@@ -197,7 +196,7 @@ class DatagramServerTransport final : public Transport,
   };
 
   struct Peer {
-    SenderSocket sender;  // Connected to the peer's reply path.
+    Downlink downlink;  // The write end of the peer's current pipe.
     double last_heard = 0.0;
     std::uint32_t trace_client = 0;
     wire::PeerStats stats;
@@ -210,13 +209,16 @@ class DatagramServerTransport final : public Transport,
   void OnPull(const wire::Message& msg, double wall_now);
   void OnBye(const std::string& client_id);
 
-  SendOutcome SendTo(const Peer& peer, const std::string& payload) const;
-  /// Bounded-retry send for the goodbye handshake (STATS / FIN).
-  bool SendFinal(const Peer& peer, const std::string& payload) const;
+  /// Sends the WELCOME in scratch_ to `to` with `pipe_read` attached.
+  bool SendWelcome(int pipe_read, const sockaddr_un& to,
+                   socklen_t to_len) const;
+  /// One write() of `line` (a formatted message plus its '\n').
+  static SendOutcome WriteLine(const Peer& peer, const std::string& line);
+  /// Bounded-retry write for the goodbye handshake (STATS / FIN).
+  static bool WriteFinal(const Peer& peer, const std::string& line);
 
   int fd_ = -1;  // The serving socket.
   std::string path_;
-  SenderSocket spare_;  // The next new peer's sender, opened in advance.
   DatagramServerOptions options_;
   server::BroadcastServer* server_ = nullptr;  // Not owned.
   // Keyed by client id; std::map for deterministic fan-out order.
@@ -224,7 +226,7 @@ class DatagramServerTransport final : public Transport,
   std::uint32_t next_trace_client_ = kFirstPeerTraceClient;
   std::uint64_t slot_seq_ = 0;
   TransportCounters counters_;
-  std::string scratch_;  // Reused datagram format buffer.
+  std::string scratch_;  // Reused message format buffer.
 };
 
 }  // namespace bdisk::transport

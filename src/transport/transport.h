@@ -19,15 +19,16 @@ using broadcast::PageId;
 /// transport, which carries it to the server's pull queue. Frontchannel
 /// direction: the server's `BroadcastListener` fan-out *is* the broadcast
 /// medium — an in-process listener hears slots directly (the sim backend),
-/// while the datagram backend registers itself as a listener and relays
-/// each slot onto the wire as one datagram per connected peer
-/// (datagram_transport.h).
+/// while the live backend registers itself as a listener and relays each
+/// slot onto the wire as one line written to each connected peer's
+/// downlink pipe (datagram_transport.h).
 ///
 /// Two backends exist:
 ///   - SimTransport (below): in-process forwarding, bit-identical to the
 ///     pre-seam call chain — the simulation default.
-///   - DatagramServerTransport / DatagramClientChannel: real nonblocking
-///     UNIX-datagram sockets with heartbeat deadlines, dead-peer eviction,
+///   - DatagramServerTransport / DatagramClientChannel: a real nonblocking
+///     UNIX-datagram socket for the handshake and the pulls, one pipe per
+///     peer for the slots, with heartbeat deadlines, dead-peer eviction,
 ///     and reconnect (the `bdisk_serve` / `bdisk_load` pair).
 class Transport {
  public:

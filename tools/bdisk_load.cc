@@ -11,13 +11,13 @@
 //   bdisk_load --socket bd.sock --rounds 100 --restart-after 50 --reconcile
 //   BDISK_BENCH_ALLOW_DEBUG=1 bdisk_load --socket bd.sock --report load.json
 //
-// --restart-after K crashes the connection (socket dropped, no BYE — the
-// transport-level peer-kill fault) after K completed rounds and
-// reconnects under backoff on a fresh epoch path.
+// --restart-after K crashes the connection (socket and downlink pipe
+// dropped, no BYE — the transport-level peer-kill fault) after K completed
+// rounds and reconnects under backoff on a fresh epoch path.
 //
 // --reconcile ends the run with the BYE -> STATS handshake and demands
-// EXACT counter agreement with the server (AF_UNIX datagram FIFO per
-// sender/receiver pair makes the cut consistent):
+// EXACT counter agreement with the server (STATS follows the last SLOT on
+// the FIFO downlink pipe, which makes the cut consistent):
 //   - server pulls_rx        == pulls the client's kernel accepted,
 //   - server slots_tx_epoch  == slots received since the last WELCOME.
 // Exits 1 on any mismatch — this is the drop-accounting gate the CI
@@ -25,12 +25,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "core/provenance.h"
 #include "fault/backoff.h"
 #include "sim/rng.h"
@@ -94,6 +95,10 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](const char* flag, std::uint64_t lo,
+                            std::uint64_t hi) {
+      return cli::UnsignedFlag(flag, next_value(flag), lo, hi);
+    };
     if (arg == "--socket") {
       socket_path = next_value("--socket");
     } else if (arg == "--client-id") {
@@ -101,21 +106,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--dir") {
       socket_dir = next_value("--dir");
     } else if (arg == "--rounds") {
-      rounds = std::strtoull(next_value("--rounds"), nullptr, 10);
+      rounds = number("--rounds", 1, UINT64_MAX);
     } else if (arg == "--think-ms") {
-      think_ms = std::strtoull(next_value("--think-ms"), nullptr, 10);
+      // A poll() timeout.
+      think_ms = number("--think-ms", 0, INT_MAX);
     } else if (arg == "--timeout-ms") {
-      timeout_ms = std::strtoull(next_value("--timeout-ms"), nullptr, 10);
+      // The jittered backoff cap, under 32x this, is a poll() timeout too.
+      timeout_ms = number("--timeout-ms", 1, INT_MAX / 32);
     } else if (arg == "--retries") {
-      retries = static_cast<std::uint32_t>(
-          std::strtoul(next_value("--retries"), nullptr, 10));
+      retries = static_cast<std::uint32_t>(number("--retries", 0, UINT32_MAX));
     } else if (arg == "--restart-after") {
-      restart_after =
-          std::strtoull(next_value("--restart-after"), nullptr, 10);
+      restart_after = number("--restart-after", 0, UINT64_MAX);
     } else if (arg == "--reconcile") {
       reconcile = true;
     } else if (arg == "--seed") {
-      seed = std::strtoull(next_value("--seed"), nullptr, 10);
+      seed = number("--seed", 0, UINT64_MAX);
     } else if (arg == "--report") {
       report_path = next_value("--report");
     } else if (arg == "--help") {
@@ -130,10 +135,6 @@ int main(int argc, char** argv) {
   if (socket_path.empty()) {
     std::fprintf(stderr, "--socket is required\n");
     PrintUsage();
-    return 2;
-  }
-  if (timeout_ms == 0) {
-    std::fprintf(stderr, "--timeout-ms must be positive\n");
     return 2;
   }
   if (!report_path.empty()) {
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
   std::uint64_t failed = 0;
   std::uint64_t restarts = 0;
   std::vector<double> rtts_ms;
-  rtts_ms.reserve(rounds);
+  rtts_ms.reserve(std::min<std::uint64_t>(rounds, 1 << 16));
   std::vector<transport::wire::Message> messages;
 
   for (std::uint64_t round = 0; round < rounds; ++round) {
@@ -197,8 +198,8 @@ int main(int argc, char** argv) {
         static_cast<broadcast::PageId>(rng.NextBounded(db_size));
     const double t0 = wall_s();
     bool answered = false;
-    for (std::uint32_t attempt = 0; attempt <= retries && !answered;
-         ++attempt) {
+    // Counted without a bound check, so that --retries 4294967295 ends.
+    for (std::uint32_t attempt = 0; !answered; ++attempt) {
       if (!channel.SendPull(page)) channel.SendPing();  // Keep liveness.
       const double deadline =
           wall_s() +
@@ -223,6 +224,7 @@ int main(int argc, char** argv) {
                      "bdisk_load: server closed the channel mid-run\n");
         return 2;
       }
+      if (attempt == retries) break;
     }
     if (answered) {
       ++completed;

@@ -2,9 +2,10 @@
 //
 // Runs the same event kernel the simulations use, but paced by the wall
 // clock: one broadcast slot every --slot-us microseconds, each delivered
-// slot fanned out as one bdisk-wire-v1 datagram per connected client over
-// a nonblocking AF_UNIX datagram socket. Pull requests arrive as PULL
-// datagrams and enter the very pull queue the paper's MUX serves.
+// slot fanned out as one bdisk-wire-v1 line written to each connected
+// client's downlink pipe. The handshake and the pull requests travel as
+// datagrams on a nonblocking AF_UNIX socket; PULLs enter the very pull
+// queue the paper's MUX serves.
 // Examples:
 //
 //   bdisk_serve --socket /tmp/bd.sock
@@ -15,13 +16,14 @@
 // Robustness semantics (ROBUSTNESS.md, Transport):
 //   - heartbeat deadlines: any datagram from a peer refreshes it; peers
 //     silent past --heartbeat-s are evicted;
-//   - drop-newest backpressure: a slot send the kernel refuses is dropped
+//   - drop-newest backpressure: a slot line the kernel refuses is dropped
 //     and counted by cause (transport.drop_*), never retried, never
 //     blocking the slot cadence;
-//   - one sender socket per peer: a HELLO connect()s the peer's own
-//     sender to its reply path, so slots leave with send(); a reconnect
-//     re-aims that sender and restarts the slot epoch — counters
-//     reconcile across client crashes;
+//   - one downlink pipe per peer: each HELLO's WELCOME hands the peer the
+//     read end of a fresh pipe, and every slot reaches it as one write();
+//     a reconnect gets a new pipe and restarts the slot epoch — counters
+//     reconcile across client crashes, and a client that dies costs
+//     drop_dead_peer counts, never the server (SIGPIPE is ignored);
 //   - graceful drain: SIGTERM/SIGINT sends FIN to every peer, then exits
 //     with a summary (and --metrics-json snapshot).
 //
@@ -33,11 +35,9 @@
 
 #include <sys/resource.h>
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "core/config_io.h"
 #include "core/provenance.h"
 #include "core/system.h"
@@ -68,7 +69,8 @@ namespace {
 constexpr std::uint64_t kTransportSalt = 0x7247'A11C'5EEDULL;
 
 // Descriptors kept back from --max-peers: stdio, the serving socket, the
-// spare sender, the frame sink and the metrics file, with room to spare.
+// pipe of a HELLO in progress, the frame sink and the metrics file, with
+// room to spare.
 constexpr std::uint64_t kReservedFds = 16;
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -85,7 +87,7 @@ void PrintUsage() {
       "  --heartbeat-s S    evict peers silent for S wall seconds\n"
       "                     (default 5; 0 disables eviction)\n"
       "  --max-peers N      refuse HELLOs beyond N peers (default 64;\n"
-      "                     each peer holds one socket)\n"
+      "                     each peer holds one pipe descriptor)\n"
       "  --set KEY=VALUE    override one config key (repeatable)\n"
       "  --config FILE      load key=value config file\n"
       "  --seed N           root RNG seed\n"
@@ -95,16 +97,6 @@ void PrintUsage() {
       "  --help             this message\n"
       "SIGTERM/SIGINT drains gracefully: FIN to every peer, summary, exit "
       "0.\n");
-}
-
-/// Parses a decimal integer in [1, UINT32_MAX] with nothing after it.
-bool ParsePositiveU32(const char* text, std::uint32_t* out) {
-  const char* end = text + std::strlen(text);
-  std::uint32_t value = 0;
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || value == 0) return false;
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -130,25 +122,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto positive_u32 = [&](const char* flag, std::uint32_t* out) {
-      const char* value = next_value(flag);
-      if (!ParsePositiveU32(value, out)) {
-        std::fprintf(stderr,
-                     "%s wants an integer in [1, 4294967295], got '%s'\n",
-                     flag, value);
-        std::exit(2);
-      }
+    const auto positive_u32 = [&](const char* flag) {
+      return static_cast<std::uint32_t>(
+          cli::UnsignedFlag(flag, next_value(flag), 1, UINT32_MAX));
     };
     if (arg == "--socket") {
       socket_path = next_value("--socket");
     } else if (arg == "--slot-us") {
-      positive_u32("--slot-us", &slot_us);
+      slot_us = positive_u32("--slot-us");
     } else if (arg == "--max-slots") {
-      max_slots = std::strtoull(next_value("--max-slots"), nullptr, 10);
+      max_slots = cli::UnsignedFlag("--max-slots", next_value("--max-slots"),
+                                    0, UINT64_MAX);
     } else if (arg == "--heartbeat-s") {
-      heartbeat_s = std::strtod(next_value("--heartbeat-s"), nullptr);
+      heartbeat_s =
+          cli::SecondsFlag("--heartbeat-s", next_value("--heartbeat-s"));
     } else if (arg == "--max-peers") {
-      positive_u32("--max-peers", &max_peers);
+      max_peers = positive_u32("--max-peers");
     } else if (arg == "--set") {
       const std::string kv = next_value("--set");
       const std::size_t eq = kv.find('=');
@@ -177,7 +166,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(next_value("--seed"), nullptr, 10);
+      config.seed =
+          cli::UnsignedFlag("--seed", next_value("--seed"), 0, UINT64_MAX);
     } else if (arg == "--frames") {
       frames_dest = next_value("--frames");
     } else if (arg == "--metrics-json") {
@@ -197,13 +187,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   {
-    // Each peer holds one sender socket for its lifetime.
+    // Each peer holds the write end of its pipe for its lifetime.
     rlimit nofile{};
     if (::getrlimit(RLIMIT_NOFILE, &nofile) == 0 &&
         nofile.rlim_cur != RLIM_INFINITY &&
         max_peers + kReservedFds > nofile.rlim_cur) {
       std::fprintf(stderr,
-                   "--max-peers %u: each peer holds a socket, and the "
+                   "--max-peers %u: each peer holds a pipe, and the "
                    "RLIMIT_NOFILE soft limit of %llu leaves room for at "
                    "most %llu peers\n",
                    max_peers, static_cast<unsigned long long>(nofile.rlim_cur),
