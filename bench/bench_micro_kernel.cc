@@ -23,11 +23,10 @@ using namespace bdisk;
 
 // Steady-state hold-and-replace at a fixed depth. The schedule horizon
 // mirrors the simulation's real event mix: events land within a bounded
-// window ahead of the clock, which is exactly the distribution the
-// calendar wheel is tuned for.
-void ScheduleAndPop(benchmark::State& state, sim::QueueKind kind) {
+// window ahead of the clock.
+void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const std::size_t depth = static_cast<std::size_t>(state.range(0));
-  sim::EventQueue queue(kind);
+  sim::EventQueue queue;
   sim::Rng rng(1);
   double t = 0.0;
   for (std::size_t i = 0; i < depth; ++i) {
@@ -41,29 +40,16 @@ void ScheduleAndPop(benchmark::State& state, sim::QueueKind kind) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-// The unsuffixed name is the default backend (the wheel, unless
-// BDISK_KERNEL_QUEUE overrides it); the Heap arm is the explicit pairing
-// partner for speedup ratios at every depth.
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  ScheduleAndPop(state, sim::DefaultQueueKind());
-}
 BENCHMARK(BM_EventQueueScheduleAndPop)
-    ->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_EventQueueScheduleAndPopHeap(benchmark::State& state) {
-  ScheduleAndPop(state, sim::QueueKind::kHeap);
-}
-BENCHMARK(BM_EventQueueScheduleAndPopHeap)
     ->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
 
 // Mixed churn: every iteration pops one event, schedules one replacement,
 // and cancels-then-reschedules one random live event — the lazy-deletion
 // worst case, where a constant stream of stale carcasses flows through
-// the backend.
-void ScheduleCancelChurn(benchmark::State& state, sim::QueueKind kind) {
+// the heap.
+void BM_EventQueueChurn(benchmark::State& state) {
   const std::size_t depth = static_cast<std::size_t>(state.range(0));
-  sim::EventQueue queue(kind);
+  sim::EventQueue queue;
   sim::Rng rng(1);
   std::vector<sim::EventId> live(depth);
   double t = 0.0;
@@ -88,16 +74,7 @@ void ScheduleCancelChurn(benchmark::State& state, sim::QueueKind kind) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_EventQueueChurn(benchmark::State& state) {
-  ScheduleCancelChurn(state, sim::DefaultQueueKind());
-}
 BENCHMARK(BM_EventQueueChurn)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_EventQueueChurnHeap(benchmark::State& state) {
-  ScheduleCancelChurn(state, sim::QueueKind::kHeap);
-}
-BENCHMARK(BM_EventQueueChurnHeap)->Arg(256)->Arg(4096)->Arg(65536);
 
 // The slot-loop fast path: a periodic timer popped and re-armed against a
 // backdrop of `depth` pending one-shots, without touching the heap.
@@ -170,15 +147,13 @@ void BM_DistanceToNext(benchmark::State& state) {
 BENCHMARK(BM_DistanceToNext);
 
 // End-to-end: simulated broadcast units per second of wall-clock for a
-// full-scale IPP system under heavy backchannel load.
-void EndToEndSlots(benchmark::State& state, core::KernelQueue queue,
-                   bool batch) {
+// full-scale IPP system, at light (TTR 10) and heavy (TTR 250) backchannel
+// load.
+void BM_EndToEndSlots(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     core::SystemConfig config;
     config.think_time_ratio = static_cast<double>(state.range(0));
-    config.kernel_queue = queue;
-    config.kernel_batch_slots = batch;
     core::System system(config);
     system.mc().Start();
     if (system.vc() != nullptr) system.vc()->Start();
@@ -189,19 +164,7 @@ void EndToEndSlots(benchmark::State& state, core::KernelQueue queue,
   state.SetItemsProcessed(state.iterations() * 20000);
   state.SetLabel("items = broadcast units");
 }
-
-// Default kernel (wheel + batched spans) vs. the PR 1 configuration (heap,
-// per-event stepping): the pairing behind the end-to-end speedup claim.
-void BM_EndToEndSlots(benchmark::State& state) {
-  EndToEndSlots(state, core::KernelQueue::kAuto, true);
-}
 BENCHMARK(BM_EndToEndSlots)->Arg(10)->Arg(250)->Unit(benchmark::kMillisecond);
-
-void BM_EndToEndSlotsHeapStepped(benchmark::State& state) {
-  EndToEndSlots(state, core::KernelQueue::kHeap, false);
-}
-BENCHMARK(BM_EndToEndSlotsHeapStepped)
-    ->Arg(10)->Arg(250)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -29,18 +29,9 @@ core::SystemConfig BenchConfig(double think_time_ratio) {
   return config;
 }
 
-core::SystemConfig BenchConfigWithQueue(double think_time_ratio,
-                                        core::KernelQueue queue) {
-  core::SystemConfig config = BenchConfig(think_time_ratio);
-  config.kernel_queue = queue;
-  return config;
-}
-
 // Baseline: observability fully detached. All hook pointers stay null, so
-// the hot path pays one branch per hook site and nothing else. The
-// unsuffixed arm runs the default kernel (calendar wheel) and is the
-// baseline for every attach arm; DetachedHeap pins the heap backend so
-// ProfilerHeap has a like-for-like partner.
+// the hot path pays one branch per hook site and nothing else. This is the
+// baseline for every attach arm.
 void BM_EndToEndSlots_Detached(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
@@ -55,25 +46,6 @@ void BM_EndToEndSlots_Detached(benchmark::State& state) {
   state.SetLabel("items = broadcast units");
 }
 BENCHMARK(BM_EndToEndSlots_Detached)
-    ->Arg(10)
-    ->Arg(250)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EndToEndSlots_DetachedHeap(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::System system(BenchConfigWithQueue(
-        static_cast<double>(state.range(0)), core::KernelQueue::kHeap));
-    system.mc().Start();
-    if (system.vc() != nullptr) system.vc()->Start();
-    state.ResumeTiming();
-    system.simulator().RunUntil(20000.0);
-    benchmark::DoNotOptimize(system.server().TotalSlots());
-  }
-  state.SetItemsProcessed(state.iterations() * 20000);
-  state.SetLabel("items = broadcast units");
-}
-BENCHMARK(BM_EndToEndSlots_DetachedHeap)
     ->Arg(10)
     ->Arg(250)
     ->Unit(benchmark::kMillisecond);
@@ -165,16 +137,13 @@ BENCHMARK(BM_EndToEndSlots_Windows)
     ->Arg(250)
     ->Unit(benchmark::kMillisecond);
 
-// Wall-clock phase profiler attached, on each event-queue backend: every
-// instrumentation frame pays its counter bump, sampled frames pay the
-// timestamps. The acceptance bound (OBSERVABILITY.md §7) is < 5% over
-// Detached at EndToEndSlots/250.
-template <core::KernelQueue kQueue>
+// Wall-clock phase profiler attached: every instrumentation frame pays its
+// counter bump, sampled frames pay the timestamps. The acceptance bound
+// (OBSERVABILITY.md §7) is < 5% over Detached at EndToEndSlots/250.
 void BM_EndToEndSlots_Profiler(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    core::System system(BenchConfigWithQueue(
-        static_cast<double>(state.range(0)), kQueue));
+    core::System system(BenchConfig(static_cast<double>(state.range(0))));
     obs::PhaseProfiler profiler;
     system.AttachProfiler(&profiler);
     system.mc().Start();
@@ -189,13 +158,7 @@ void BM_EndToEndSlots_Profiler(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20000);
   state.SetLabel("items = broadcast units");
 }
-BENCHMARK_TEMPLATE(BM_EndToEndSlots_Profiler, core::KernelQueue::kHeap)
-    ->Name("BM_EndToEndSlots_ProfilerHeap")
-    ->Arg(10)
-    ->Arg(250)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_EndToEndSlots_Profiler, core::KernelQueue::kWheel)
-    ->Name("BM_EndToEndSlots_ProfilerWheel")
+BENCHMARK(BM_EndToEndSlots_Profiler)
     ->Arg(10)
     ->Arg(250)
     ->Unit(benchmark::kMillisecond);

@@ -1,11 +1,11 @@
-// Virtual-client event fusion A/B/C: the same configuration run with the
-// batched arrival spine (vc_fusion on + sim.arrival_spine on, the
-// default), fused scalar (spine off), and unfused, interleaved back to
-// back per EXPERIMENTS.md wall-clock methodology, across the light/
-// medium/heavy loads TTR {10, 50, 250}. Reports the heap-event reduction
-// (exact, deterministic) and the wall-clock ratios (indicative on a
-// contended box). The trajectory itself must not change: the bench
-// aborts if any pair of arms disagrees on any response statistic.
+// Virtual-client event fusion A/B: the same configuration run on the fused
+// production path (the batched arrival spine, vc_fusion on) and on the
+// unfused oracle, interleaved back to back per EXPERIMENTS.md wall-clock
+// methodology, across the light/medium/heavy loads TTR {10, 50, 250}.
+// Reports the heap-event reduction (exact, deterministic) and the
+// wall-clock ratio (indicative on a contended box). The trajectory itself
+// must not change: the bench aborts if the arms disagree on any response
+// statistic.
 
 #include <algorithm>
 #include <chrono>
@@ -17,20 +17,14 @@
 
 namespace {
 
-enum class Arm { kSpine, kScalar, kUnfused };
-
 struct Sample {
   double wall_ms = 0.0;
   bdisk::core::RunResult result;
 };
 
-Sample RunOnce(bdisk::core::SystemConfig config, Arm arm,
+Sample RunOnce(bdisk::core::SystemConfig config, bool fused,
                const bdisk::core::SteadyStateProtocol& protocol) {
-  config.vc_fusion = arm != Arm::kUnfused;
-  // Pin the spine explicitly so the bench is immune to the
-  // BDISK_ARRIVAL_SPINE environment override.
-  config.arrival_spine = arm == Arm::kSpine ? bdisk::core::ArrivalSpine::kOn
-                                            : bdisk::core::ArrivalSpine::kOff;
+  config.vc_fusion = fused;
   bdisk::core::System system(config);
   const auto start = std::chrono::steady_clock::now();
   Sample sample;
@@ -58,55 +52,47 @@ bool SameTrajectory(const bdisk::core::RunResult& a,
 int main() {
   using namespace bdisk;
 
-  bench::PrintBanner("VC fusion A/B/C",
-                     "Heap events and wall-clock: spine vs fused-scalar vs "
-                     "unfused.");
+  bench::PrintBanner("VC fusion A/B",
+                     "Heap events and wall-clock: fused vs unfused.");
 
   const core::SteadyStateProtocol protocol = bench::BenchSteadyProtocol();
   const int reps = bench::QuickMode() ? 3 : 5;
 
   core::TablePrinter table({"TTR", "heap ev fused", "heap ev unfused",
-                            "event ratio", "arrivals fused", "wall spine ms",
-                            "wall scalar ms", "wall unfused ms",
-                            "spine speedup", "total speedup"});
+                            "event ratio", "arrivals fused", "wall fused ms",
+                            "wall unfused ms", "speedup"});
   for (const double ttr : {10.0, 50.0, 250.0}) {
     core::SystemConfig config;  // Table 3 defaults.
     config.mode = core::DeliveryMode::kIpp;
     config.pull_bw = 0.5;
     config.think_time_ratio = ttr;
 
-    std::vector<double> spine_ms;
-    std::vector<double> scalar_ms;
+    std::vector<double> fused_ms;
     std::vector<double> unfused_ms;
-    core::RunResult spine_result;
-    core::RunResult scalar_result;
+    core::RunResult fused_result;
     core::RunResult unfused_result;
     for (int rep = 0; rep < reps; ++rep) {
-      // Interleave the arms within each rep so all of them share the same
+      // Interleave the arms within each rep so both share the same
       // background load.
-      Sample spine = RunOnce(config, Arm::kSpine, protocol);
-      Sample scalar = RunOnce(config, Arm::kScalar, protocol);
-      Sample unfused = RunOnce(config, Arm::kUnfused, protocol);
-      spine_ms.push_back(spine.wall_ms);
-      scalar_ms.push_back(scalar.wall_ms);
+      Sample fused = RunOnce(config, true, protocol);
+      Sample unfused = RunOnce(config, false, protocol);
+      fused_ms.push_back(fused.wall_ms);
       unfused_ms.push_back(unfused.wall_ms);
-      spine_result = spine.result;
-      scalar_result = scalar.result;
+      fused_result = fused.result;
       unfused_result = unfused.result;
     }
 
-    if (!SameTrajectory(spine_result, scalar_result) ||
-        !SameTrajectory(spine_result, unfused_result)) {
+    if (!SameTrajectory(fused_result, unfused_result)) {
       std::fprintf(stderr,
-                   "FUSION BROKE THE TRAJECTORY at TTR=%.0f: spine mean %.17g"
-                   " vs scalar %.17g vs unfused %.17g\n",
-                   ttr, spine_result.mean_response,
-                   scalar_result.mean_response, unfused_result.mean_response);
+                   "FUSION BROKE THE TRAJECTORY at TTR=%.0f: fused mean %.17g"
+                   " vs unfused %.17g\n",
+                   ttr, fused_result.mean_response,
+                   unfused_result.mean_response);
       return 1;
     }
 
     const double fused_events =
-        static_cast<double>(spine_result.kernel.events_executed);
+        static_cast<double>(fused_result.kernel.events_executed);
     const double unfused_events =
         static_cast<double>(unfused_result.kernel.events_executed);
     table.AddRow(
@@ -115,20 +101,16 @@ int main() {
          core::TablePrinter::Fmt(unfused_events, 0),
          core::TablePrinter::Fmt(unfused_events / fused_events, 2),
          core::TablePrinter::Fmt(
-             static_cast<double>(spine_result.kernel.lazy_arrivals_fused), 0),
-         core::TablePrinter::Fmt(Median(spine_ms), 1),
-         core::TablePrinter::Fmt(Median(scalar_ms), 1),
+             static_cast<double>(fused_result.kernel.lazy_arrivals_fused), 0),
+         core::TablePrinter::Fmt(Median(fused_ms), 1),
          core::TablePrinter::Fmt(Median(unfused_ms), 1),
-         core::TablePrinter::Fmt(Median(scalar_ms) / Median(spine_ms), 2),
-         core::TablePrinter::Fmt(Median(unfused_ms) / Median(spine_ms), 2)});
+         core::TablePrinter::Fmt(Median(unfused_ms) / Median(fused_ms), 2)});
   }
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\nEvent ratios are deterministic; wall-clock ratios drift with the\n"
       "box (EXPERIMENTS.md). The heavier the load (higher TTR), the larger\n"
       "the share of time spent in VC arrivals, so both the fusion event\n"
-      "ratio and the spine speedup grow to the right. `spine speedup` is\n"
-      "fused-scalar/spine (the batched-drain win alone); `total speedup`\n"
-      "is unfused/spine.\n");
+      "ratio and the speedup (unfused/fused) grow to the right.\n");
   return 0;
 }

@@ -19,7 +19,6 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
       warm_cached_(pattern.DbSize(), false),
       ideal_warm_(pattern.DbSize(), false),
       rng_(rng),
-      spine_(options.fused && options.spine),
       snapshot_(server->program()) {
   BDISK_CHECK_MSG(simulator != nullptr, "client needs a simulator");
   BDISK_CHECK_MSG(server != nullptr, "client needs a server");
@@ -35,7 +34,7 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
     warm_cached_[p] = true;
     ideal_warm_[p] = true;
   }
-  if (spine_) {
+  if (options.fused) {
     // Whole-cycle threshold-decision table: one bit test per arrival
     // instead of an occurrence search. Null (empty program, or a
     // degenerate cycle too large for the bitset) falls back to the
@@ -73,29 +72,9 @@ void VirtualClient::OnInvalidate(PageId page, sim::SimTime /*now*/) {
 std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   if (next_arrival_ > horizon) return 0;
   // The VC arrival hot path (ROADMAP): one frame per non-empty drain,
-  // arrivals as ops — never a per-arrival timestamp. The frame semantics
-  // are identical for the scalar and spine drains.
+  // arrivals as ops — never a per-arrival timestamp.
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
-  const std::uint64_t processed =
-      spine_ ? DrainSpine(horizon) : DrainScalar(horizon);
-  prof.AddOps(processed);
-  return processed;
-}
-
-std::uint64_t VirtualClient::DrainScalar(sim::SimTime horizon) {
-  std::uint64_t processed = 0;
-  while (next_arrival_ <= horizon) {
-    const sim::SimTime at = next_arrival_;
-    ProcessArrival(at);
-    next_arrival_ = at + think_.Next(rng_);
-    ++processed;
-  }
-  return processed;
-}
-
-std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
-  ++spine_batches_;
   // Barrier-frozen snapshot: the cursor cannot move during a drain (it
   // only advances in the server's slot decision, which runs after the
   // CatchUpLazySources barrier), so one position serves the whole batch —
@@ -111,11 +90,8 @@ std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
   // branch without touching the draw stream.
   const double think_mean = think_.Mean();
   // Fused draw+classify pass. The RNG state and the arrival clock live in
-  // locals (registers) for the whole drain — FillArrivalBatch's bulk-draw
-  // loop with the classify folded in, which measures faster than filling
-  // SoA scratch and re-walking it (the columns' store/reload round-trip
-  // costs more than the classify saves; the draw order per arrival —
-  // page, steady coin, think — is the same either way). Arrivals stay
+  // locals (registers) for the whole drain; per arrival the draw order is
+  // page, steady coin, think — the oracle's order. Arrivals stay
   // sequential because warm re-fetches are order-dependent: an arrival
   // can re-warm a page a later arrival in the same drain then hits. Only
   // the rare submit arrivals (typically a few percent) take the call into
@@ -142,7 +118,7 @@ std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
     filtered += miss & (pull ^ 1U);
     // Steady misses re-fetch: the page re-enters the represented warm
     // caches iff it belongs to the warm set. (warm ⊆ ideal always, so
-    // OR-ing the re-fetch bit equals the scalar path's assignment.)
+    // OR-ing the re-fetch bit equals the oracle's assignment.)
     warm[page] = static_cast<std::uint8_t>(w | (miss & s & ideal[page]));
     if ((miss & pull) != 0U) {
       // SubmitRequestAt never re-enters the VC (it does not drain lazy
@@ -157,6 +133,7 @@ std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
   generated_ += processed;
   cache_hits_ += hits;
   filtered_ += filtered;
+  prof.AddOps(processed);
   return processed;
 }
 
@@ -164,12 +141,6 @@ void VirtualClient::OnEvent() {
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
   prof.AddOps(1);
-  const sim::SimTime now = simulator_->Now();
-  ProcessArrival(now);
-  wakeup_ = simulator_->ScheduleAfter(think_.Next(rng_), this);
-}
-
-void VirtualClient::ProcessArrival(sim::SimTime now) {
   const PageId page = generator_.Next(rng_);
   ++generated_;
   // SteadyStatePerc coin: does this arrival come from a warmed-up client
@@ -181,12 +152,11 @@ void VirtualClient::ProcessArrival(sim::SimTime now) {
     ++filtered_;
     if (steady) warm_cached_[page] = ideal_warm_[page];  // Re-fetched.
   } else {
-    // SubmitRequestAt: a fused arrival is drained at a later barrier, but
-    // its trace record must carry its own arrival time.
-    server_->SubmitRequestAt(page, obs::kVirtualClientId, now);
+    server_->SubmitRequestAt(page, obs::kVirtualClientId, simulator_->Now());
     ++submitted_;
     if (steady) warm_cached_[page] = ideal_warm_[page];  // Re-fetched.
   }
+  wakeup_ = simulator_->ScheduleAfter(think_.Next(rng_), this);
 }
 
 }  // namespace bdisk::client

@@ -7,7 +7,6 @@
 
 #include "broadcast/distance_snapshot.h"
 #include "broadcast/span_table.h"
-#include "client/arrival_spine.h"
 #include "client/threshold_filter.h"
 #include "server/broadcast_server.h"
 #include "server/update_generator.h"
@@ -44,20 +43,15 @@ struct VirtualClientOptions {
   /// Cache size used to derive the warmed-cache contents.
   std::uint32_t cache_size = 100;
 
-  /// Fused (default): arrivals are batched through the simulator's
-  /// lazy-source drain instead of costing one heap event each. Unfused
-  /// reproduces the one-heap-event-per-arrival schedule exactly — kept as
-  /// an A/B escape hatch (SystemConfig::vc_fusion). Either way the
-  /// trajectory is bit-identical; see DESIGN.md, "The lazy-source
-  /// contract".
-  bool fused = true;
-
-  /// Batched arrival spine (fused path only): drain arrivals through one
+  /// Fused (default, the production path): arrivals are drained in
+  /// batches through the simulator's lazy-source barrier — one
   /// register-resident draw+classify pass against a barrier-frozen
-  /// distance snapshot instead of one-at-a-time. Bit-identical either way
-  /// (SystemConfig::arrival_spine is the A/B knob); see DESIGN.md, "The
-  /// batched arrival spine".
-  bool spine = true;
+  /// distance snapshot — instead of costing one heap event each. Unfused
+  /// is the semantic oracle: a separately written evented path that
+  /// schedules one heap event per arrival (SystemConfig::vc_fusion, and
+  /// forced by fault.request_delay). Either way the trajectory is
+  /// bit-identical; see DESIGN.md, "The lazy-source contract".
+  bool fused = true;
 };
 
 /// The Virtual Client (VC, §3.1): a single open-loop process standing in
@@ -115,26 +109,15 @@ class VirtualClient : public sim::LazySource,
   std::uint64_t FilteredByThreshold() const { return filtered_; }
   std::uint64_t RequestsSubmitted() const { return submitted_; }
 
-  /// Introspection for the spine-bypass invariants: whether this VC runs
-  /// fused, whether the batched spine is engaged (fused + spine option),
-  /// and how many spine drains have run (0 whenever the spine is off or
-  /// bypassed — e.g. fault.request_delay forcing the unfused path).
+  /// Whether this VC runs the fused path (false when the configuration
+  /// asked for the unfused oracle or fault.request_delay forced it).
   bool Fused() const { return options_.fused; }
-  bool SpineActive() const { return spine_; }
-  std::uint64_t SpineBatches() const { return spine_batches_; }
 
  private:
-  /// EventHandler: one unfused heap wakeup (escape-hatch path).
+  /// EventHandler: one unfused arrival (the oracle path): draw the page
+  /// and the steady-state coin, route through warm cache / threshold
+  /// filter / backchannel, and schedule the next wakeup.
   void OnEvent() override;
-
-  /// One arrival at time `now`: draw the page, the steady-state coin, and
-  /// route through warm cache / threshold filter / backchannel.
-  void ProcessArrival(sim::SimTime now);
-
-  /// The two drain bodies behind CatchUp: the scalar reference loop and
-  /// the batched spine (bit-identical; see DESIGN.md).
-  std::uint64_t DrainScalar(sim::SimTime horizon);
-  std::uint64_t DrainSpine(sim::SimTime horizon);
 
   sim::Simulator* simulator_;
   server::BroadcastServer* server_;
@@ -148,15 +131,13 @@ class VirtualClient : public sim::LazySource,
 
   sim::SimTime next_arrival_ = sim::kTimeNever;   // Fused path.
   bool registered_ = false;                       // Fused path.
-  sim::EventId wakeup_ = sim::kInvalidEventId;    // Unfused path.
+  sim::EventId wakeup_ = sim::kInvalidEventId;    // Unfused oracle.
 
-  // Spine state (only touched when spine_): the barrier-frozen distance
-  // snapshot and the optional whole-cycle threshold-decision table (null
-  // → fall back to the snapshot's memoized search).
-  bool spine_ = false;
+  // Fused-drain state: the barrier-frozen distance snapshot and the
+  // optional whole-cycle threshold-decision table (null → fall back to the
+  // snapshot's memoized search).
   broadcast::DistanceSnapshot snapshot_;
   std::unique_ptr<const broadcast::CycleSpanTable> span_table_;
-  std::uint64_t spine_batches_ = 0;
 
   std::uint64_t generated_ = 0;
   std::uint64_t cache_hits_ = 0;

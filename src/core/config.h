@@ -30,22 +30,6 @@ enum class DeliveryMode {
 /// Name of a delivery mode ("Push", "Pull", "IPP").
 const char* DeliveryModeName(DeliveryMode mode);
 
-/// One-shot event-queue backend selection (`kernel.queue`). Heap and wheel
-/// produce bit-identical trajectories — the kernel-matrix CI leg pins that
-/// — so this only moves wall-clock time. kAuto defers to
-/// sim::DefaultQueueKind(): the calendar wheel, unless the
-/// BDISK_KERNEL_QUEUE environment variable says otherwise.
-enum class KernelQueue { kAuto, kHeap, kWheel };
-
-/// Batched-arrival-spine selection (`sim.arrival_spine`). On and off
-/// produce bit-identical trajectories — the kernel-matrix spine axis pins
-/// that — so this only moves wall-clock time. kAuto defers to
-/// client::DefaultArrivalSpineOn(): on, unless the BDISK_ARRIVAL_SPINE
-/// environment variable says "off". Only meaningful on the fused VC path;
-/// anything that forces unfused (vc_fusion=false, fault.request_delay>0)
-/// bypasses the spine regardless.
-enum class ArrivalSpine { kAuto, kOn, kOff };
-
 /// Complete description of one simulated configuration. Field defaults are
 /// the paper's Table 3 settings.
 struct SystemConfig {
@@ -93,7 +77,8 @@ struct SystemConfig {
   bool vc_enabled = true;
   /// Virtual-client event fusion: batch VC arrivals through the kernel's
   /// lazy-source drain instead of one heap event each. Bit-identical
-  /// trajectory either way (see DESIGN.md); off is the A/B escape hatch.
+  /// trajectory either way (see DESIGN.md); off runs the evented VC, the
+  /// semantic oracle the fused drain is checked against.
   bool vc_fusion = true;
   /// Measured-client retry interval for pulls of unscheduled pages; 0 picks
   /// an automatic default (one major cycle, or ServerDBSize slots for
@@ -118,17 +103,6 @@ struct SystemConfig {
   /// Measured client opportunistically prefetches high p*t pages from the
   /// broadcast. Requires a push program (not kPurePull).
   bool mc_prefetch = false;
-
-  // --- Simulation kernel (no effect on the simulated trajectory) ---
-  /// Event-queue backend; see KernelQueue above.
-  KernelQueue kernel_queue = KernelQueue::kAuto;
-  /// Batched periodic slot execution: run spans of broadcast-slot
-  /// occurrences in a tight loop instead of one queue pop each
-  /// (sim::Simulator::SetBatchedPeriodic). Bit-identical either way; off
-  /// is the A/B escape hatch.
-  bool kernel_batch_slots = true;
-  /// Batched virtual-client arrival drains; see ArrivalSpine above.
-  ArrivalSpine arrival_spine = ArrivalSpine::kAuto;
 
   // --- Observability (no effect on the simulated trajectory) ---
   /// Windowed-telemetry window width in broadcast units

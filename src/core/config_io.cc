@@ -1,10 +1,12 @@
 #include "core/config_io.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.h"
@@ -20,26 +22,27 @@ std::string Trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+// Numbers fail closed: the whole value must be one finite double, or one
+// unsigned decimal integer that fits the field (no sign, no wraparound),
+// and nothing is written unless it is.
 bool ParseDouble(const std::string& value, double* out) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') return false;
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    return false;
+  }
   *out = parsed;
   return true;
 }
 
-bool ParseU32(const std::string& value, std::uint32_t* out) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return false;
-  *out = static_cast<std::uint32_t>(parsed);
-  return true;
-}
-
-bool ParseU64(const std::string& value, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return false;
+// T is std::uint32_t or std::uint64_t; from_chars refuses a sign and
+// reports values past T's range.
+template <typename T>
+bool ParseUnsigned(const std::string& value, T* out) {
+  T parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
   *out = parsed;
   return true;
 }
@@ -57,15 +60,17 @@ bool ParseBool(const std::string& value, bool* out) {
 }
 
 bool ParseU32List(const std::string& value, std::vector<std::uint32_t>* out) {
-  out->clear();
+  std::vector<std::uint32_t> list;
   std::stringstream stream(value);
   std::string item;
   while (std::getline(stream, item, ',')) {
     std::uint32_t parsed = 0;
-    if (!ParseU32(Trim(item), &parsed)) return false;
-    out->push_back(parsed);
+    if (!ParseUnsigned(Trim(item), &parsed)) return false;
+    list.push_back(parsed);
   }
-  return !out->empty();
+  if (list.empty()) return false;
+  *out = std::move(list);
+  return true;
 }
 
 }  // namespace
@@ -115,30 +120,6 @@ std::string ApplyConfigOption(const std::string& raw_key,
     }
     return "";
   }
-  if (key == "kernel.queue") {
-    if (value == "auto") {
-      config->kernel_queue = KernelQueue::kAuto;
-    } else if (value == "heap") {
-      config->kernel_queue = KernelQueue::kHeap;
-    } else if (value == "wheel") {
-      config->kernel_queue = KernelQueue::kWheel;
-    } else {
-      return "kernel.queue must be auto, heap, or wheel";
-    }
-    return "";
-  }
-  if (key == "sim.arrival_spine") {
-    if (value == "auto") {
-      config->arrival_spine = ArrivalSpine::kAuto;
-    } else if (value == "on") {
-      config->arrival_spine = ArrivalSpine::kOn;
-    } else if (value == "off") {
-      config->arrival_spine = ArrivalSpine::kOff;
-    } else {
-      return "sim.arrival_spine must be auto, on, or off";
-    }
-    return "";
-  }
   if (key == "disk_sizes") {
     return ParseU32List(value, &config->disks.sizes) ? "" : bad_value();
   }
@@ -151,7 +132,7 @@ std::string ApplyConfigOption(const std::string& raw_key,
       config->offset.reset();
       return "";
     }
-    if (!ParseU32(value, &parsed)) return bad_value();
+    if (!ParseUnsigned(value, &parsed)) return bad_value();
     config->offset = parsed;
     return "";
   }
@@ -183,7 +164,7 @@ std::string ApplyConfigOption(const std::string& raw_key,
   }
   if (key == "flight_recorder_max_dumps") {
     std::uint32_t parsed = 0;
-    if (!ParseU32(value, &parsed)) return bad_value();
+    if (!ParseUnsigned(value, &parsed)) return bad_value();
     if (parsed < 1) return "flight_recorder_max_dumps must be >= 1";
     config->flight_recorder_max_dumps = parsed;
     return "";
@@ -246,16 +227,6 @@ std::string ApplyConfigOption(const std::string& raw_key,
       return "";
     }
   }
-  if (key == "fault.mc_max_retries") {
-    return ParseU32(value, &config->fault.mc_max_retries) ? "" : bad_value();
-  }
-  if (key == "fault.mc_dead_threshold") {
-    return ParseU32(value, &config->fault.mc_dead_threshold) ? ""
-                                                            : bad_value();
-  }
-  if (key == "fault.shed_distance") {
-    return ParseU32(value, &config->fault.shed_distance) ? "" : bad_value();
-  }
   if (key == "fault.brownout") {
     return ParseBool(value, &config->fault.brownout) ? "" : bad_value();
   }
@@ -290,10 +261,13 @@ std::string ApplyConfigOption(const std::string& raw_key,
       {"server_queue_size", &config->server_queue_size},
       {"chop_count", &config->chop_count},
       {"cache_size", &config->cache_size},
+      {"fault.mc_max_retries", &config->fault.mc_max_retries},
+      {"fault.mc_dead_threshold", &config->fault.mc_dead_threshold},
+      {"fault.shed_distance", &config->fault.shed_distance},
   };
   for (const U32Key& entry : u32s) {
     if (key == entry.name) {
-      return ParseU32(value, entry.field) ? "" : bad_value();
+      return ParseUnsigned(value, entry.field) ? "" : bad_value();
     }
   }
 
@@ -305,7 +279,6 @@ std::string ApplyConfigOption(const std::string& raw_key,
       {"vc_enabled", &config->vc_enabled},
       {"vc_fusion", &config->vc_fusion},
       {"mc_prefetch", &config->mc_prefetch},
-      {"kernel.batch_slots", &config->kernel_batch_slots},
       {"adaptive_pull_bw", &config->adaptive_pull_bw},
       {"adaptive_threshold", &config->adaptive_threshold},
   };
@@ -316,7 +289,7 @@ std::string ApplyConfigOption(const std::string& raw_key,
   }
 
   if (key == "seed") {
-    return ParseU64(value, &config->seed) ? "" : bad_value();
+    return ParseUnsigned(value, &config->seed) ? "" : bad_value();
   }
   return "unknown key: " + key;
 }
@@ -401,18 +374,6 @@ std::string ConfigToText(const SystemConfig& config) {
       << (config.adaptive_pull_bw ? "true" : "false") << "\n";
   out << "adaptive_threshold = "
       << (config.adaptive_threshold ? "true" : "false") << "\n";
-  out << "kernel.queue = "
-      << (config.kernel_queue == KernelQueue::kHeap    ? "heap"
-          : config.kernel_queue == KernelQueue::kWheel ? "wheel"
-                                                       : "auto")
-      << "\n";
-  out << "kernel.batch_slots = "
-      << (config.kernel_batch_slots ? "true" : "false") << "\n";
-  out << "sim.arrival_spine = "
-      << (config.arrival_spine == ArrivalSpine::kOn    ? "on"
-          : config.arrival_spine == ArrivalSpine::kOff ? "off"
-                                                       : "auto")
-      << "\n";
   out << "obs_window = " << config.obs_window << "\n";
   if (!config.flight_recorder.empty()) {
     out << "flight_recorder = " << config.flight_recorder << "\n";

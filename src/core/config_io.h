@@ -22,7 +22,9 @@ namespace bdisk::core {
 ///   the full key list and semantics are in ROBUSTNESS.md).
 
 /// Applies one assignment to `config`. Returns an error description, or
-/// empty on success. Unknown keys are errors.
+/// empty on success. Unknown keys are errors. Numbers fail closed: a double
+/// must be finite, an integer an unsigned decimal that fits its field, and
+/// a rejected value leaves `config` untouched.
 std::string ApplyConfigOption(const std::string& key,
                               const std::string& value, SystemConfig* config);
 

@@ -21,7 +21,6 @@ namespace {
 // Fault streams are salted (not Split() from the root) so enabling a
 // FaultPlan never shifts the streams existing components draw from.
 constexpr std::uint64_t kNoiseSalt = 0xBD15C01F5EEDULL;
-constexpr std::uint64_t kFaultSalt = 0xFA017'1A7EC7EDULL;
 constexpr std::uint64_t kRetrySalt = 0x2E72'BAC0FF5EULL;
 
 workload::AccessPattern MakeMcPattern(const workload::AccessPattern& canonical,
@@ -141,17 +140,11 @@ std::vector<broadcast::PageId> TopValuedPages(
 System::System(const SystemConfig& config,
                std::shared_ptr<const SystemArtifacts> artifacts)
     : config_(config),
-      simulator_(config.kernel_queue == KernelQueue::kHeap
-                     ? sim::QueueKind::kHeap
-                 : config.kernel_queue == KernelQueue::kWheel
-                     ? sim::QueueKind::kWheel
-                     : sim::DefaultQueueKind()),
       artifacts_(artifacts != nullptr ? std::move(artifacts)
                                       : BuildArtifacts(config)),
       mc_pattern_(MakeMcPattern(artifacts_->canonical_pattern, config)) {
   const std::string error = config.Validate();
   BDISK_CHECK_MSG(error.empty(), error.c_str());
-  simulator_.SetBatchedPeriodic(config.kernel_batch_slots);
   BDISK_CHECK_MSG(
       artifacts_->canonical_pattern.DbSize() == config.server_db_size,
       "shared artifacts built from a different configuration");
@@ -222,12 +215,6 @@ System::System(const SystemConfig& config,
     // fault.request_delay re-times submissions through the event heap; the
     // fused batch path cannot represent that, so delay forces unfused.
     vc_options.fused = config.vc_fusion && config.fault.request_delay == 0.0;
-    // The batched spine rides the fused drain; unfused bypasses it. kAuto
-    // defers to the BDISK_ARRIVAL_SPINE environment variable (default on).
-    vc_options.spine =
-        config.arrival_spine == ArrivalSpine::kAuto
-            ? client::DefaultArrivalSpineOn()
-            : config.arrival_spine == ArrivalSpine::kOn;
     vc_ = std::make_unique<client::VirtualClient>(
         &simulator_, server_.get(), artifacts_->canonical_pattern,
         TopValuedPages(vc_values, config.cache_size), vc_options, vc_rng);
@@ -309,9 +296,6 @@ void System::AttachProfiler(obs::PhaseProfiler* profiler) {
   BDISK_CHECK_MSG(!ran_, "attach observability before running");
   BDISK_CHECK_MSG(profiler != nullptr, "AttachProfiler needs a profiler");
   profiler_ = profiler;
-  profiler->SetBackend(simulator_.queue_kind() == sim::QueueKind::kHeap
-                           ? "heap"
-                           : "wheel");
   simulator_.SetPhaseProfiler(profiler);
   server_->SetPhaseProfiler(profiler);
   // The clients read the profiler through the simulator pointer they
@@ -381,9 +365,9 @@ std::vector<obs::CounterSample> System::ProbeTelemetryCounters() const {
 
 std::vector<std::pair<std::string, std::string>> System::TelemetryProvenance()
     const {
-  // Only trajectory-relevant knobs: kernel backend / batching / spine
-  // selection is deliberately excluded so frame streams stay byte-identical
-  // across the kernel matrix.
+  // Only trajectory-relevant knobs: vc_fusion is deliberately excluded so
+  // frame streams stay byte-identical between the fused production path
+  // and the unfused oracle.
   std::vector<std::pair<std::string, std::string>> p;
   p.emplace_back("mode", DeliveryModeName(config_.mode));
   p.emplace_back("db_size", std::to_string(config_.server_db_size));

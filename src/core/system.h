@@ -97,6 +97,13 @@ class ArtifactCache {
       cache_;
 };
 
+/// Salt of the server-side fault injector's RNG stream (seed ^ kFaultSalt).
+/// A salted stream, not a Split() of the root, so enabling a FaultPlan never
+/// shifts the streams other components draw from. bdisk_serve seeds its
+/// server injector the same way, which keeps a serve-mode fault trajectory
+/// equal to the simulated one for the same seed.
+inline constexpr std::uint64_t kFaultSalt = 0xFA017'1A7EC7EDULL;
+
 /// One fully wired simulated system: broadcast program, server, measured
 /// client, and virtual client, built from a SystemConfig.
 ///

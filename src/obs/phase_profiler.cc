@@ -62,8 +62,8 @@ PhaseProfiler::PhaseProfiler(std::size_t slice_capacity) {
   // overhead lever: a timed span times every slot it covers, a hundred or
   // more frames per window at light load. The hottest counter-only sites
   // get the longest strides: server.queue rides every pull submit
-  // (several per slot), and on the unbatched (heap-stepped) kernel every
-  // slot rides queue.pop, whose sampled windows force the whole slot
+  // (several per slot), and whenever a one-shot event breaks a span the
+  // next slot rides queue.pop, whose sampled windows force the whole slot
   // subtree.
   static constexpr std::uint64_t kMasks[kPhaseCount] = {
       /*run*/ 0,
@@ -282,8 +282,6 @@ std::string PhaseProfiler::ToProfJson() {
   w.BeginObject();
   w.Key("schema");
   w.Value("bdisk-prof-v1");
-  w.Key("backend");
-  w.Value(backend_);
   w.Key("clock");
   w.Value(ClockName());
   w.Key("ns_per_tick");

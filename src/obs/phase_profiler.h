@@ -183,18 +183,13 @@ class PhaseProfiler {
   /// exports call it implicitly if it has not run yet.
   void Finalize();
 
-  /// Identifies the event-queue backend this profile ran against (stamped
-  /// into every export; one run = one backend).
-  void SetBackend(const std::string& backend) { backend_ = backend; }
-  const std::string& backend() const { return backend_; }
-
   /// --- Exports (phase_profiler.cc; require linking bdisk_obs) ---
 
   /// Merges `prof.<phase>.{calls,ops}` counters and
   /// `prof.<phase>.{total_ns,self_ns,ns_per_op}` gauges into `registry`.
   void MergeInto(MetricsRegistry* registry);
 
-  /// The `bdisk-prof-v1` JSON document (phases + folded stacks + backend).
+  /// The `bdisk-prof-v1` JSON document (phases + folded stacks).
   std::string ToProfJson();
 
   /// Folded-stack lines ("run;kernel.span;server.slot 123456\n"), self
@@ -343,7 +338,6 @@ class PhaseProfiler {
   std::size_t slice_capacity_ = 0;
   std::uint64_t slices_dropped_ = 0;
 
-  std::string backend_ = "unknown";
 
   // Calibration anchors.
   std::uint64_t anchor_ticks_ = 0;

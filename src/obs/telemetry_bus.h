@@ -48,7 +48,7 @@ struct CounterSample {
 /// no randomness and schedules no events, so attaching it (any sink)
 /// leaves the simulated trajectory bit-identical; wall_ms is the one
 /// host-dependent frame field and can be suppressed for byte-identical
-/// streams (EnableWallClock(false) — what kernel-matrix tests use).
+/// streams (EnableWallClock(false) — what kernel_matrix_test uses).
 class TelemetryBus {
  public:
   explicit TelemetryBus(std::unique_ptr<FrameSink> sink);
@@ -65,7 +65,8 @@ class TelemetryBus {
 
   /// Lifecycle edges. `provenance` is a list of key/value pairs describing
   /// the run (mode, seed, ...); keep it to trajectory-relevant fields so
-  /// kernel-backend knobs don't break cross-matrix frame identity.
+  /// the fused production path and the unfused oracle stream identical
+  /// frames.
   void EmitRunStart(
       sim::SimTime now,
       const std::vector<std::pair<std::string, std::string>>& provenance);

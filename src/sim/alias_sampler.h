@@ -25,35 +25,12 @@ class AliasSampler {
   std::size_t size() const { return prob_.size(); }
 
   /// Draws an index in [0, size()) with probability proportional to its
-  /// weight. Inline: the per-arrival page draw sits on the batched
-  /// arrival spine's fill loop, where the call overhead would rival the
+  /// weight. Inline: the per-arrival page draw sits in the virtual
+  /// client's fused drain loop, where the call overhead would rival the
   /// draw itself.
   std::size_t Sample(Rng& rng) const {
     const std::size_t bucket = rng.NextBounded(prob_.size());
     return rng.NextDouble() < prob_[bucket] ? bucket : alias_[bucket];
-  }
-
-  /// Bulk draw: fills `out[0..n)` with n outcomes, consuming the RNG
-  /// stream draw-for-draw exactly like n successive Sample() calls (same
-  /// values, same final RNG state). The batched form hoists the table
-  /// pointers and RNG state into registers — this is the population-scale
-  /// fill primitive for SoA client batches.
-  void NextN(Rng& rng, std::uint32_t* out, std::size_t n) const {
-    // Local RNG copy keeps the state in registers across the loop; the
-    // per-draw sequence (NextBounded, then NextDouble) is exactly
-    // Sample's, so the stream position after n draws matches n scalar
-    // calls.
-    Rng local = rng;
-    const std::size_t size = prob_.size();
-    const double* prob = prob_.data();
-    const std::uint32_t* alias = alias_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t bucket = local.NextBounded(size);
-      out[i] = local.NextDouble() < prob[bucket]
-                   ? static_cast<std::uint32_t>(bucket)
-                   : alias[bucket];
-    }
-    rng = local;
   }
 
   /// The normalized probability of outcome `i` (for tests/diagnostics).

@@ -1,10 +1,7 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 #include "sim/check.h"
 
@@ -39,47 +36,7 @@ inline std::uint32_t StoredSlotOf(unsigned __int128 key) {
   return static_cast<std::uint32_t>(key) & kMaxSlots;
 }
 
-// The wheel's calendar day of a fire time: floor(when), saturating far
-// beyond any reachable horizon for times too large for uint64. All clamped
-// times share one "day"; their relative order is still exact because the
-// staging run sorts by the full 128-bit key.
-inline std::uint64_t DayOf(SimTime when) {
-  constexpr std::uint64_t kMaxDay = std::uint64_t{1} << 62;
-  if (when >= static_cast<SimTime>(kMaxDay)) return kMaxDay;
-  return static_cast<std::uint64_t>(when);
-}
-
-inline void SetBit(std::uint64_t* bits, unsigned idx) {
-  bits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-}
-
-inline void ClearBit(std::uint64_t* bits, unsigned idx) {
-  bits[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-}
-
-inline bool TestBit(const std::uint64_t* bits, unsigned idx) {
-  return (bits[idx >> 6] >> (idx & 63)) & 1u;
-}
-
 }  // namespace
-
-QueueKind DefaultQueueKind() {
-  static const QueueKind kind = [] {
-    const char* env = std::getenv("BDISK_KERNEL_QUEUE");
-    if (env != nullptr && std::string_view(env) == "heap") {
-      return QueueKind::kHeap;
-    }
-    return QueueKind::kWheel;
-  }();
-  return kind;
-}
-
-EventQueue::EventQueue(QueueKind kind) : kind_(kind) {
-  if (kind_ == QueueKind::kWheel) {
-    l0_.resize(kWheelBuckets);
-    l1_.resize(kWheelBuckets);
-  }
-}
 
 // A single integer compare keeps the hot (serial, latency-bound) sift
 // comparisons branchless and short.
@@ -148,220 +105,6 @@ void EventQueue::HeapPopFront() {
   heap_[hole] = last;
 }
 
-void EventQueue::WheelInsert(unsigned __int128 key) {
-  ++wheel_stored_;
-  if (wheel_stored_ > high_water_) high_water_ = wheel_stored_;
-  const std::uint64_t day = DayOf(WhenOf(key));
-  if (day <= day_) {
-    // Due already: keep the unconsumed staging run [due_cursor_, end)
-    // sorted. The consumed prefix holds only keys smaller than anything
-    // still poppable, so searching the tail alone is safe.
-    const auto it = std::lower_bound(
-        due_.begin() + static_cast<std::ptrdiff_t>(due_cursor_), due_.end(),
-        key,
-        [](const HeapEntry& e, unsigned __int128 k) { return e.key < k; });
-    due_.insert(it, HeapEntry{key});
-    return;
-  }
-  if (day - day_ <= kWheelBuckets) {
-    const auto idx = static_cast<unsigned>(day & (kWheelBuckets - 1));
-    l0_[idx].push_back(HeapEntry{key});
-    SetBit(l0_bits_, idx);
-    return;
-  }
-  const std::uint64_t hour = day >> kWheelShift;
-  if (hour - (day_ >> kWheelShift) <= kWheelBuckets) {
-    const auto idx = static_cast<unsigned>(hour & (kWheelBuckets - 1));
-    l1_[idx].push_back(HeapEntry{key});
-    SetBit(l1_bits_, idx);
-    return;
-  }
-  overflow_.push_back(HeapEntry{key});
-  if (day < overflow_min_day_) overflow_min_day_ = day;
-}
-
-namespace {
-
-// Circular distance in [1, kBuckets] from `from` to the next set bit of a
-// kBuckets-wide bitmap, or 0 when no bit is set. Distance kBuckets means
-// the bit at `from` itself — one full revolution ahead.
-unsigned NextSetBitDistance(const std::uint64_t* bits, unsigned from,
-                            unsigned buckets) {
-  const unsigned mask = buckets - 1;
-  const unsigned words = buckets / 64;
-  const unsigned pos = (from + 1) & mask;
-  unsigned word = pos >> 6;
-  std::uint64_t w = bits[word] & (~std::uint64_t{0} << (pos & 63));
-  for (unsigned i = 0; i <= words; ++i) {
-    if (w != 0) {
-      const unsigned bit =
-          word * 64 + static_cast<unsigned>(std::countr_zero(w));
-      return ((bit - from - 1) & mask) + 1;
-    }
-    word = (word + 1) & (words - 1);
-    w = bits[word];
-  }
-  return 0;
-}
-
-}  // namespace
-
-void EventQueue::AppendLiveToDue(std::vector<HeapEntry>* bucket) {
-  for (const HeapEntry& e : *bucket) {
-    if (IsStale(e)) {
-      ++stale_discarded_;
-      --wheel_stored_;
-    } else {
-      due_.push_back(e);
-    }
-  }
-  bucket->clear();
-}
-
-void EventQueue::SortDue() {
-  std::sort(due_.begin(), due_.end(),
-            [](const HeapEntry& a, const HeapEntry& b) { return a.key < b.key; });
-}
-
-void EventQueue::HarvestDay(std::uint64_t day) {
-  day_ = day;
-  const auto idx = static_cast<unsigned>(day & (kWheelBuckets - 1));
-  ClearBit(l0_bits_, idx);
-  AppendLiveToDue(&l0_[idx]);
-  SortDue();
-}
-
-void EventQueue::CascadeHour(std::uint64_t hour) {
-  day_ = hour << kWheelShift;
-  // The level-0 bucket for the boundary day may already hold entries for
-  // it (inserted while the previous hour was current); merge them in.
-  const auto l0_idx = static_cast<unsigned>(day_ & (kWheelBuckets - 1));
-  if (TestBit(l0_bits_, l0_idx)) {
-    ClearBit(l0_bits_, l0_idx);
-    AppendLiveToDue(&l0_[l0_idx]);
-  }
-  const auto l1_idx = static_cast<unsigned>(hour & (kWheelBuckets - 1));
-  ClearBit(l1_bits_, l1_idx);
-  std::vector<HeapEntry>& bucket = l1_[l1_idx];
-  for (const HeapEntry& e : bucket) {
-    if (IsStale(e)) {
-      ++stale_discarded_;
-      --wheel_stored_;
-      continue;
-    }
-    const std::uint64_t day = DayOf(WhenOf(e.key));
-    if (day <= day_) {
-      due_.push_back(e);
-    } else {
-      // day - day_ <= kWheelBuckets - 1 by construction: the whole hour
-      // spans kWheelBuckets days starting at the boundary.
-      const auto idx = static_cast<unsigned>(day & (kWheelBuckets - 1));
-      l0_[idx].push_back(e);
-      SetBit(l0_bits_, idx);
-    }
-  }
-  bucket.clear();
-  SortDue();
-}
-
-void EventQueue::RedistributeOverflow() {
-  // Only reached when the staging run and both wheel levels are empty:
-  // jump the calendar straight to the earliest overflow day and scatter.
-  std::size_t kept = 0;
-  for (const HeapEntry& e : overflow_) {
-    if (IsStale(e)) {
-      ++stale_discarded_;
-      --wheel_stored_;
-    } else {
-      overflow_[kept++] = e;
-    }
-  }
-  overflow_.resize(kept);
-  overflow_min_day_ = kNoDay;
-  if (overflow_.empty()) return;
-  std::uint64_t min_day = kNoDay;
-  for (const HeapEntry& e : overflow_) {
-    min_day = std::min(min_day, DayOf(WhenOf(e.key)));
-  }
-  day_ = min_day;
-  kept = 0;
-  for (const HeapEntry& e : overflow_) {
-    const std::uint64_t day = DayOf(WhenOf(e.key));
-    if (day <= day_) {
-      due_.push_back(e);
-    } else if (day - day_ <= kWheelBuckets) {
-      const auto idx = static_cast<unsigned>(day & (kWheelBuckets - 1));
-      l0_[idx].push_back(e);
-      SetBit(l0_bits_, idx);
-    } else if ((day >> kWheelShift) - (day_ >> kWheelShift) <= kWheelBuckets) {
-      const auto idx =
-          static_cast<unsigned>((day >> kWheelShift) & (kWheelBuckets - 1));
-      l1_[idx].push_back(e);
-      SetBit(l1_bits_, idx);
-    } else {
-      overflow_[kept++] = e;
-      if (day < overflow_min_day_) overflow_min_day_ = day;
-    }
-  }
-  overflow_.resize(kept);
-  SortDue();
-}
-
-void EventQueue::WheelAdvance() {
-  // Precondition: the staging run is exhausted and cleared. Moves day_
-  // forward to the next day holding entries and refills due_ (sorted). May
-  // leave due_ empty when everything found was stale; the caller loops.
-  for (;;) {
-    const auto l0_from = static_cast<unsigned>(day_ & (kWheelBuckets - 1));
-    const std::uint64_t hour = day_ >> kWheelShift;
-    const auto l1_from = static_cast<unsigned>(hour & (kWheelBuckets - 1));
-    const unsigned d0 = NextSetBitDistance(
-        l0_bits_, l0_from, static_cast<unsigned>(kWheelBuckets));
-    const unsigned d1 = NextSetBitDistance(
-        l1_bits_, l1_from, static_cast<unsigned>(kWheelBuckets));
-    const std::uint64_t c0 = d0 != 0 ? day_ + d0 : kNoDay;
-    const std::uint64_t c1 = d1 != 0 ? (hour + d1) << kWheelShift : kNoDay;
-    // Overflow first on ties: once day_ reaches an overflow entry's day,
-    // the entry must leave overflow to preserve the "buckets hold only the
-    // future" invariant.
-    if (!overflow_.empty() && overflow_min_day_ <= c0 &&
-        overflow_min_day_ <= c1) {
-      RedistributeOverflow();
-      if (!due_.empty()) return;
-      continue;
-    }
-    // Cascade first when the hour boundary does not trail the next level-0
-    // day: the hour bucket may hold entries for that very day.
-    if (c0 != kNoDay && c0 < c1) {
-      HarvestDay(c0);
-      return;
-    }
-    if (c1 != kNoDay) {
-      CascadeHour(hour + d1);
-      if (!due_.empty()) return;
-      continue;
-    }
-    return;  // Nothing stored anywhere.
-  }
-}
-
-bool EventQueue::WheelPeek() {
-  if (live_events_ == 0) return false;
-  for (;;) {
-    while (due_cursor_ < due_.size()) {
-      if (!IsStale(due_[due_cursor_])) return true;
-      ++due_cursor_;
-      ++stale_discarded_;
-      --wheel_stored_;
-    }
-    due_.clear();
-    due_cursor_ = 0;
-    // live_events_ > 0 guarantees a live entry is stored somewhere, so the
-    // advance loop always makes progress toward it.
-    WheelAdvance();
-  }
-}
-
 EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   BDISK_CHECK_MSG(std::isfinite(when) && when >= 0.0,
                   "event time must be finite and nonnegative");
@@ -381,12 +124,7 @@ EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   s.fn = fn;
   s.live_seq = seq;
   s.next_free = kNilSlot;
-  const unsigned __int128 key = MakeKey(when, seq, slot);
-  if (kind_ == QueueKind::kHeap) {
-    HeapPush(HeapEntry{key});
-  } else {
-    WheelInsert(key);
-  }
+  HeapPush(HeapEntry{MakeKey(when, seq, slot)});
   ++live_events_;
   ++mutation_epoch_;
   return MakeId(slot, s.generation);
@@ -454,20 +192,8 @@ void EventQueue::SkipStale() {
 }
 
 const EventQueue::HeapEntry* EventQueue::PeekOneShot() {
-  if (kind_ == QueueKind::kHeap) {
-    SkipStale();
-    return heap_.empty() ? nullptr : &heap_.front();
-  }
-  return WheelPeek() ? &due_[due_cursor_] : nullptr;
-}
-
-void EventQueue::PopOneShot() {
-  if (kind_ == QueueKind::kHeap) {
-    HeapPopFront();
-    return;
-  }
-  ++due_cursor_;
-  --wheel_stored_;
+  SkipStale();
+  return heap_.empty() ? nullptr : &heap_.front();
 }
 
 int EventQueue::EarliestPeriodic() const {
@@ -512,9 +238,9 @@ bool EventQueue::Pop(Fired* fired) {
   const int p = EarliestPeriodic();
   if (top == nullptr && p < 0) return false;
   // FIFO among ties: the event with the smaller (when, seq) fires first,
-  // whether it lives in the one-shot store or in the periodic table.
-  // A periodic key with slot bits 0 compares against stored keys exactly
-  // as (when, seq) would: seqs are unique, so the slot bits never decide.
+  // whether it lives in the one-shot heap or in the periodic table.
+  // A periodic key with slot bits 0 compares against heap keys exactly as
+  // (when, seq) would: seqs are unique, so the slot bits never decide.
   const bool periodic_wins =
       p >= 0 &&
       (top == nullptr ||
@@ -531,7 +257,7 @@ bool EventQueue::Pop(Fired* fired) {
   fired->periodic = kNotPeriodic;
   FreeSlot(slot);
   --live_events_;
-  PopOneShot();
+  HeapPopFront();
   return true;
 }
 
@@ -543,7 +269,7 @@ void EventQueue::Rearm(PeriodicId id) {
   p.next += p.interval;
   // Drawing the sequence number here — after the action ran — gives the
   // next occurrence exactly the FIFO position a hand-rescheduled event
-  // would get, so same-time tie-breaks are bit-identical to the heap path.
+  // would get.
   p.seq = next_seq_++;
 }
 
@@ -555,18 +281,6 @@ void EventQueue::Clear() {
   live_events_ = 0;
   live_periodic_ = 0;
   ++mutation_epoch_;
-  due_.clear();
-  due_cursor_ = 0;
-  for (std::vector<HeapEntry>& b : l0_) b.clear();
-  for (std::vector<HeapEntry>& b : l1_) b.clear();
-  overflow_.clear();
-  for (std::size_t i = 0; i < kBitmapWords; ++i) {
-    l0_bits_[i] = 0;
-    l1_bits_[i] = 0;
-  }
-  day_ = 0;
-  overflow_min_day_ = kNoDay;
-  wheel_stored_ = 0;
 }
 
 }  // namespace bdisk::sim

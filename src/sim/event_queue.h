@@ -102,24 +102,6 @@ static_assert(std::is_trivially_copyable_v<EventFn>);
 /// Handle to a periodic timer registered with SchedulePeriodic().
 using PeriodicId = std::uint32_t;
 
-/// One-shot queue backend. Both backends order events by the same 128-bit
-/// (when, seq, slot) key, so pop order — including the FIFO tie-break at
-/// equal timestamps — is bit-identical between them; the choice is purely a
-/// performance trade (see DESIGN.md, "The event kernel").
-enum class QueueKind : std::uint8_t {
-  /// 4-ary min-heap: O(log n) push/pop, no assumptions about time.
-  kHeap,
-  /// Hierarchical calendar (timing-wheel) queue tuned to the broadcast-unit
-  /// clock: amortized O(1) insert and pop for the simulation's actual event
-  /// mix, where events cluster within a few hundred units of the clock.
-  kWheel,
-};
-
-/// Backend used by EventQueue instances that do not pass an explicit kind:
-/// kWheel, unless the BDISK_KERNEL_QUEUE environment variable is set to
-/// "heap" or "wheel" (the CI kernel-matrix escape hatch; read once).
-QueueKind DefaultQueueKind();
-
 /// A time-ordered priority queue of events, allocation-free in steady
 /// state.
 ///
@@ -130,7 +112,7 @@ QueueKind DefaultQueueKind();
 /// generation compare (no hashing), and cancellation stays lazy — stale
 /// entries are skipped when the queue reaches them, so Cancel() is O(1).
 ///
-/// Periodic timers (SchedulePeriodic) bypass the one-shot structure
+/// Periodic timers (SchedulePeriodic) bypass the one-shot heap
 /// entirely: the next fire time of a periodic event is always known, so the
 /// dominant fixed-interval event class (the broadcast slot loop) costs no
 /// push/pop per occurrence. After a periodic event pops and its action
@@ -150,12 +132,9 @@ class EventQueue {
   /// Marks a Fired as a one-shot event.
   static constexpr PeriodicId kNotPeriodic = 0xFFFFFFFFu;
 
-  explicit EventQueue(QueueKind kind = DefaultQueueKind());
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  /// The backend this queue was constructed with.
-  QueueKind kind() const { return kind_; }
 
   /// Schedules `fn` to fire at absolute time `when`.
   /// Returns an id usable with Cancel(). `when` must be finite and
@@ -190,20 +169,19 @@ class EventQueue {
   /// Time of the earliest live event, or kTimeNever when empty.
   SimTime NextTime();
 
-  /// Kernel profiling: the most entries the one-shot structure (heap, or
-  /// wheel buckets + staging run) has ever held, stale entries included —
-  /// this bounds memory and per-operation cost, which is what matters.
+  /// Kernel profiling: the most entries the one-shot heap has ever held,
+  /// stale entries included — this bounds memory and per-operation cost,
+  /// which is what matters.
   std::size_t HeapHighWater() const { return high_water_; }
 
   /// Kernel profiling: lifetime count of periodic-timer re-arms — the
-  /// occurrences that rode the fast path instead of the one-shot structure.
+  /// occurrences that rode the fast path instead of the one-shot heap.
   std::uint64_t PeriodicRearms() const { return periodic_rearms_; }
 
   /// Kernel profiling: lazily-cancelled entries physically discarded so
-  /// far. Every cancelled event leaves one stale entry behind, and each is
-  /// counted exactly once — when the heap pops it or the wheel filters it
-  /// out of a bucket — never again when buckets are recycled, so after a
-  /// full drain this equals the number of effective Cancel() calls.
+  /// far. Every cancelled event leaves one stale entry behind, counted
+  /// exactly once when the heap pops it, so after a full drain this equals
+  /// the number of effective Cancel() calls.
   std::uint64_t StaleDiscarded() const { return stale_discarded_; }
 
   /// Incremented whenever the set of live events changes shape: Schedule,
@@ -244,9 +222,9 @@ class EventQueue {
   void Clear();
 
  private:
-  // One-shot events live in a slab indexed by the low id bits; the
-  // ordering structures hold only a 16-byte key per event, so sift/sort
-  // operations never touch the action payload.
+  // One-shot events live in a slab indexed by the low id bits; the heap
+  // holds only a 16-byte key per event, so sift operations never touch the
+  // action payload.
   //
   // `live_seq` is the sequence number of the event currently occupying the
   // slot (0 when free: real sequence numbers start at 1). A stored entry is
@@ -265,9 +243,7 @@ class EventQueue {
   // so `when`'s bits go in the high 64 bits, the sequence number above the
   // slot index in the low 64. One integer compare per sift step keeps the
   // (serial, latency-bound) sift dependency chain as short as possible.
-  // The slot bits can never decide an ordering — seqs are unique. Both
-  // backends order by this same key, which is why their pop streams agree
-  // to the bit.
+  // The slot bits can never decide an ordering — seqs are unique.
   struct HeapEntry {
     unsigned __int128 key;
   };
@@ -288,32 +264,10 @@ class EventQueue {
   // order — so arity is purely a performance choice.
   static constexpr std::size_t kHeapArity = 4;
 
-  // Calendar wheel geometry: two levels of 1024 buckets. Level 0 buckets
-  // are one broadcast unit ("day") wide; level 1 buckets are 1024 days
-  // ("hour") wide; anything farther than ~2^20 days out waits in an
-  // overflow list. Think times and retry intervals are tens-to-hundreds of
-  // units, so in practice every event lands in level 0 and never cascades.
-  static constexpr unsigned kWheelShift = 10;
-  static constexpr std::uint64_t kWheelBuckets = 1u << kWheelShift;
-  static constexpr std::size_t kBitmapWords = kWheelBuckets / 64;
-  static constexpr std::uint64_t kNoDay = ~std::uint64_t{0};
-
   static bool Before(const HeapEntry& a, const HeapEntry& b);
   bool IsStale(const HeapEntry& entry) const;
   void HeapPush(const HeapEntry& entry);
   void HeapPopFront();
-
-  // Wheel backend. Invariants: the staging run due_[due_cursor_..] is
-  // sorted by key and holds exactly the stored entries whose day (floor of
-  // the fire time) is <= day_; every bucket/overflow entry has day > day_.
-  void WheelInsert(unsigned __int128 key);
-  bool WheelPeek();          // Ensures due_[due_cursor_] is the live min.
-  void WheelAdvance();       // Moves day_ to the next stored day; refills due_.
-  void HarvestDay(std::uint64_t day);
-  void CascadeHour(std::uint64_t hour);
-  void RedistributeOverflow();
-  void AppendLiveToDue(std::vector<HeapEntry>* bucket);
-  void SortDue();
 
   static std::uint32_t SlotOf(EventId id) {
     return static_cast<std::uint32_t>(id);
@@ -333,17 +287,13 @@ class EventQueue {
   // sitting at the top of the heap.
   void SkipStale();
 
-  // Earliest live one-shot entry, or nullptr. For the heap this is the
-  // (stale-skipped) root; for the wheel, the staging-run cursor.
+  // Earliest live one-shot entry (the stale-skipped heap root), or
+  // nullptr.
   const HeapEntry* PeekOneShot();
-  // Removes the entry PeekOneShot() returned. Slot bookkeeping is the
-  // caller's job.
-  void PopOneShot();
 
   // Index of the earliest live periodic timer, or -1.
   int EarliestPeriodic() const;
 
-  QueueKind kind_;
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<Periodic> periodic_;
@@ -355,18 +305,6 @@ class EventQueue {
   std::uint64_t periodic_rearms_ = 0;  // Fast-path re-arms (profiling).
   std::uint64_t stale_discarded_ = 0;  // Cancelled entries retired (once).
   std::uint64_t mutation_epoch_ = 0;   // See MutationEpoch().
-
-  // Wheel backend state (empty vectors for kHeap).
-  std::vector<HeapEntry> due_;  // Sorted staging run for days <= day_.
-  std::size_t due_cursor_ = 0;  // First unconsumed due_ entry.
-  std::vector<std::vector<HeapEntry>> l0_;  // kWheelBuckets day buckets.
-  std::vector<std::vector<HeapEntry>> l1_;  // kWheelBuckets hour buckets.
-  std::vector<HeapEntry> overflow_;         // Beyond the level-1 horizon.
-  std::uint64_t l0_bits_[kBitmapWords] = {};  // Bucket-occupancy bitmaps:
-  std::uint64_t l1_bits_[kBitmapWords] = {};  // next-nonempty-day in O(1).
-  std::uint64_t day_ = 0;
-  std::uint64_t overflow_min_day_ = kNoDay;  // Min day stored in overflow_.
-  std::size_t wheel_stored_ = 0;  // Entries in due_ run + buckets + overflow.
 };
 
 }  // namespace bdisk::sim

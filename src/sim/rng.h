@@ -17,7 +17,7 @@ namespace bdisk::sim {
 ///
 /// The draw methods are defined inline: the batched arrival spine copies
 /// the generator into a local and draws millions of times per run, and
-/// keeping the state in registers across a fill loop is worth more than
+/// keeping the state in registers across the drain loop is worth more than
 /// any single algorithmic change in that path (DESIGN.md § "The batched
 /// arrival spine").
 class Rng {

@@ -84,37 +84,34 @@ void Simulator::RunUntil(SimTime deadline) {
   obs::PhaseScope prof(profiler_, obs::Phase::kRun);
   stop_requested_ = false;
   while (!stop_requested_) {
-    if (batch_periodic_) {
-      // Batched periodic span: when a sole live periodic timer fires
-      // strictly before every one-shot event, run its occurrences
-      // back-to-back without touching the queue. Bit-identical to
-      // stepping — each iteration performs exactly what Step() would
-      // (advance clock, count, OnEvent, Rearm) — and bails out to the
-      // generic path the moment a handler mutates the event set, the
-      // barrier is reached (ties need Pop()'s seq tie-break), or the
-      // deadline arrives.
-      PeriodicId pid;
-      EventHandler* handler;
-      SimTime barrier;
-      if (queue_.PeriodicSpan(&pid, &handler, &barrier)) {
-        obs::PhaseScope span_prof(profiler_, obs::Phase::kKernelSpan);
-        const std::uint64_t epoch = queue_.MutationEpoch();
-        SimTime next = queue_.PeriodicNextTime(pid);
-        std::uint64_t fired = 0;
-        while (next < barrier && next <= deadline) {
-          now_ = next;
-          ++events_executed_;
-          handler->OnEvent();
-          queue_.Rearm(pid);
-          ++fired;
-          if (stop_requested_ || queue_.MutationEpoch() != epoch) break;
-          next = queue_.PeriodicNextTime(pid);  // kTimeNever if cancelled.
-        }
-        if (fired > 0) {
-          ++periodic_spans_;
-          span_prof.AddOps(fired);
-          continue;
-        }
+    // Batched periodic span: when a sole live periodic timer fires
+    // strictly before every one-shot event, run its occurrences
+    // back-to-back without touching the queue. Bit-identical to stepping —
+    // each iteration performs exactly what Step() would (advance clock,
+    // count, OnEvent, Rearm) — and bails out to the generic path the
+    // moment a handler mutates the event set, the barrier is reached (ties
+    // need Pop()'s seq tie-break), or the deadline arrives.
+    PeriodicId pid;
+    EventHandler* handler;
+    SimTime barrier;
+    if (queue_.PeriodicSpan(&pid, &handler, &barrier)) {
+      obs::PhaseScope span_prof(profiler_, obs::Phase::kKernelSpan);
+      const std::uint64_t epoch = queue_.MutationEpoch();
+      SimTime next = queue_.PeriodicNextTime(pid);
+      std::uint64_t fired = 0;
+      while (next < barrier && next <= deadline) {
+        now_ = next;
+        ++events_executed_;
+        handler->OnEvent();
+        queue_.Rearm(pid);
+        ++fired;
+        if (stop_requested_ || queue_.MutationEpoch() != epoch) break;
+        next = queue_.PeriodicNextTime(pid);  // kTimeNever if cancelled.
+      }
+      if (fired > 0) {
+        ++periodic_spans_;
+        span_prof.AddOps(fired);
+        continue;
       }
     }
     const SimTime next = queue_.NextTime();
@@ -137,8 +134,7 @@ bool Simulator::Step() {
   ++events_executed_;
   fired.fn();
   // Re-arming after the action ran draws the next occurrence's FIFO
-  // sequence number at the same point a hand-rescheduling handler would,
-  // keeping same-time tie-breaks identical to the heap path.
+  // sequence number at the same point a hand-rescheduling handler would.
   if (fired.periodic != EventQueue::kNotPeriodic) queue_.Rearm(fired.periodic);
   return true;
 }

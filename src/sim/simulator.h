@@ -25,23 +25,9 @@ namespace bdisk::sim {
 /// expirations), which an event-driven kernel reproduces exactly.
 class Simulator {
  public:
-  /// `kind` picks the one-shot queue backend (heap or calendar wheel);
-  /// both produce bit-identical trajectories. See sim/event_queue.h.
-  explicit Simulator(QueueKind kind = DefaultQueueKind()) : queue_(kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// The event-queue backend this simulator runs on.
-  QueueKind queue_kind() const { return queue_.kind(); }
-
-  /// Toggles batched periodic execution (default on): RunUntil() fires
-  /// consecutive occurrences of a sole live periodic timer in a tight loop
-  /// instead of one Pop() per occurrence, re-deriving the span whenever a
-  /// handler schedules or cancels anything. Bit-identical either way (the
-  /// span never crosses the earliest one-shot event); off is the A/B
-  /// escape hatch.
-  void SetBatchedPeriodic(bool on) { batch_periodic_ = on; }
-  bool BatchedPeriodic() const { return batch_periodic_; }
 
   /// Current simulation time in broadcast units.
   SimTime Now() const { return now_; }
@@ -122,10 +108,16 @@ class Simulator {
   void Run();
 
   /// Runs until the clock would pass `deadline`, the queue empties, or
-  /// Stop() is called. Events at exactly `deadline` are executed.
+  /// Stop() is called. Events at exactly `deadline` are executed. While a
+  /// sole live periodic timer fires strictly before every one-shot event,
+  /// its occurrences run back-to-back in a batched span instead of one
+  /// Pop() each; the span re-derives itself whenever a handler schedules
+  /// or cancels anything, so the trajectory is exactly that of calling
+  /// Step() event by event.
   void RunUntil(SimTime deadline);
 
-  /// Executes at most one event; returns false if none was available.
+  /// Executes at most one event; returns false if none was available. The
+  /// reference semantics RunUntil()'s batched spans reproduce.
   bool Step();
 
   /// Requests that the current Run()/RunUntil() return after the in-flight
@@ -140,7 +132,6 @@ class Simulator {
   SimTime now_ = 0.0;
   std::uint64_t events_executed_ = 0;
   bool stop_requested_ = false;
-  bool batch_periodic_ = true;
   std::uint64_t periodic_spans_ = 0;  // Batched spans entered (profiling).
 
   std::vector<LazySource*> lazy_sources_;

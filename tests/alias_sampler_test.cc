@@ -77,52 +77,6 @@ TEST(AliasSamplerTest, LargeDistribution) {
               0.005);
 }
 
-TEST(AliasSamplerTest, NextNMatchesSampleDrawForDraw) {
-  // NextN is the bulk form of n Sample() calls: identical outputs AND the
-  // identical final RNG state, for any seed and any n (the batched arrival
-  // spine depends on this to keep trajectories bit-identical).
-  const std::vector<double> weights = {10.0, 5.0, 2.5, 1.0, 0.5, 1.0};
-  AliasSampler sampler(weights);
-  for (std::uint64_t seed : {1ULL, 42ULL, 20260809ULL}) {
-    for (std::size_t n : {0UL, 1UL, 7UL, 256UL, 1000UL}) {
-      Rng scalar_rng(seed);
-      Rng bulk_rng(seed);
-      std::vector<std::uint32_t> expected(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        expected[i] = sampler.Sample(scalar_rng);
-      }
-      std::vector<std::uint32_t> got(n);
-      sampler.NextN(bulk_rng, got.data(), n);
-      EXPECT_EQ(got, expected) << "seed " << seed << " n " << n;
-      // Final state equal: the next draw after the batch agrees too.
-      EXPECT_EQ(bulk_rng.Next(), scalar_rng.Next())
-          << "seed " << seed << " n " << n;
-    }
-  }
-}
-
-TEST(AliasSamplerTest, NextNSplitAnywhereIsOneStream) {
-  // Chunking invariance: NextN(a) then NextN(b) over one RNG equals
-  // NextN(a+b) — bulk draws can be split at any batch boundary.
-  std::vector<double> weights(100);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = 1.0 / static_cast<double>(i + 1);
-  }
-  AliasSampler sampler(weights);
-  const std::size_t total = 512;
-  Rng whole_rng(99);
-  std::vector<std::uint32_t> whole(total);
-  sampler.NextN(whole_rng, whole.data(), total);
-  for (std::size_t split : {1UL, 63UL, 256UL, 511UL}) {
-    Rng split_rng(99);
-    std::vector<std::uint32_t> parts(total);
-    sampler.NextN(split_rng, parts.data(), split);
-    sampler.NextN(split_rng, parts.data() + split, total - split);
-    EXPECT_EQ(parts, whole) << "split " << split;
-    EXPECT_EQ(split_rng.Next(), Rng(whole_rng).Next()) << "split " << split;
-  }
-}
-
 TEST(AliasSamplerDeathTest, RejectsAllZeroWeights) {
   EXPECT_DEATH(AliasSampler({0.0, 0.0}), "positive");
 }

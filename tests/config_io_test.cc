@@ -1,5 +1,9 @@
 #include "core/config_io.h"
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace bdisk::core {
@@ -13,6 +17,11 @@ TEST(ConfigIoTest, AppliesScalarOptions) {
   EXPECT_EQ(config.cache_size, 50U);
   EXPECT_EQ(ApplyConfigOption("seed", "12345", &config), "");
   EXPECT_EQ(config.seed, 12345U);
+  // Integers keep their field's full range.
+  EXPECT_EQ(ApplyConfigOption("seed", "18446744073709551615", &config), "");
+  EXPECT_EQ(config.seed, 18446744073709551615ULL);
+  EXPECT_EQ(ApplyConfigOption("cache_size", "4294967295", &config), "");
+  EXPECT_EQ(config.cache_size, 4294967295U);
   EXPECT_EQ(ApplyConfigOption("vc_enabled", "false", &config), "");
   EXPECT_FALSE(config.vc_enabled);
 }
@@ -135,23 +144,112 @@ TEST(ConfigIoTest, ObservabilityKeysApplyAndRoundTrip) {
   EXPECT_EQ(parsed.flight_recorder, "p99>120");
 }
 
-TEST(ConfigIoTest, ArrivalSpineKeyAppliesAndRoundTrips) {
+TEST(ConfigIoTest, RemovedKernelKeysAreUnknown) {
+  // The kernel has one production path; its former selection knobs are
+  // not aliases for it but unknown keys, and the default text no longer
+  // mentions them.
   SystemConfig config;
-  EXPECT_EQ(ApplyConfigOption("sim.arrival_spine", "on", &config), "");
-  EXPECT_EQ(config.arrival_spine, ArrivalSpine::kOn);
-  EXPECT_EQ(ApplyConfigOption("sim.arrival_spine", "off", &config), "");
-  EXPECT_EQ(config.arrival_spine, ArrivalSpine::kOff);
-  EXPECT_EQ(ApplyConfigOption("sim.arrival_spine", "auto", &config), "");
-  EXPECT_EQ(config.arrival_spine, ArrivalSpine::kAuto);
-  EXPECT_EQ(ApplyConfigOption("sim.arrival_spine", "fast", &config),
-            "sim.arrival_spine must be auto, on, or off");
+  for (const char* key :
+       {"kernel.queue", "kernel.batch_slots", "sim.arrival_spine"}) {
+    for (const char* value : {"auto", "heap", "true", "on"}) {
+      EXPECT_EQ(ApplyConfigOption(key, value, &config),
+                std::string("unknown key: ") + key);
+    }
+    EXPECT_EQ(ConfigToText(config).find(key), std::string::npos) << key;
+  }
+}
 
-  for (const ArrivalSpine value :
-       {ArrivalSpine::kAuto, ArrivalSpine::kOn, ArrivalSpine::kOff}) {
-    config.arrival_spine = value;
-    SystemConfig parsed;
-    ASSERT_EQ(ParseConfigText(ConfigToText(config), &parsed), "");
-    EXPECT_EQ(parsed.arrival_spine, value);
+// Every numeric key with one value it accepts. Integers are unsigned
+// 32-bit fields unless `u64`; doubles carry no range of their own here
+// (fault.* and obs_window add theirs on top).
+struct NumericKey {
+  const char* name;
+  enum Kind { kU32, kU64, kU32List, kDouble } kind;
+  const char* good;
+};
+
+const NumericKey kNumericKeys[] = {
+    {"server_db_size", NumericKey::kU32, "500"},
+    {"server_queue_size", NumericKey::kU32, "4294967295"},
+    {"chop_count", NumericKey::kU32, "0"},
+    {"cache_size", NumericKey::kU32, "50"},
+    {"offset", NumericKey::kU32, "7"},
+    {"flight_recorder_max_dumps", NumericKey::kU32, "3"},
+    {"fault.mc_max_retries", NumericKey::kU32, "4"},
+    {"fault.mc_dead_threshold", NumericKey::kU32, "2"},
+    {"fault.shed_distance", NumericKey::kU32, "9"},
+    {"disk_sizes", NumericKey::kU32List, "10,40,50"},
+    {"disk_freqs", NumericKey::kU32List, "3, 2, 1"},
+    {"seed", NumericKey::kU64, "18446744073709551615"},
+    {"pull_bw", NumericKey::kDouble, "0.25"},
+    {"thres_perc", NumericKey::kDouble, "0.1"},
+    {"zipf_theta", NumericKey::kDouble, "0.8"},
+    {"noise", NumericKey::kDouble, "0.15"},
+    {"mc_think_time", NumericKey::kDouble, "12.5"},
+    {"think_time_ratio", NumericKey::kDouble, "25"},
+    {"steady_state_perc", NumericKey::kDouble, "0.9"},
+    {"mc_retry_interval", NumericKey::kDouble, "30"},
+    {"update_rate", NumericKey::kDouble, "0.05"},
+    {"update_zipf_theta", NumericKey::kDouble, "0.5"},
+    {"obs_window", NumericKey::kDouble, "250"},
+    {"fault.slot_loss", NumericKey::kDouble, "0.05"},
+    {"fault.slot_corruption", NumericKey::kDouble, "0.01"},
+    {"fault.request_loss", NumericKey::kDouble, "0.05"},
+    {"fault.request_delay", NumericKey::kDouble, "2"},
+    {"fault.outage_start", NumericKey::kDouble, "100"},
+    {"fault.outage_duration", NumericKey::kDouble, "10"},
+    {"fault.outage_period", NumericKey::kDouble, "400"},
+    {"fault.mc_timeout", NumericKey::kDouble, "50"},
+    {"fault.mc_backoff", NumericKey::kDouble, "2"},
+    {"fault.mc_backoff_cap", NumericKey::kDouble, "500"},
+    {"fault.mc_jitter", NumericKey::kDouble, "0.5"},
+    {"fault.mc_probe_interval", NumericKey::kDouble, "20"},
+    {"fault.shed_hi", NumericKey::kDouble, "0.9"},
+    {"fault.shed_lo", NumericKey::kDouble, "0.5"},
+    {"fault.degraded_pull_bw", NumericKey::kDouble, "0.3"},
+};
+
+TEST(ConfigIoTest, NumericKeysFailClosed) {
+  // Wraparound, signs, non-finite doubles and trailing garbage are refused
+  // on every numeric key, and a refused value leaves the config untouched
+  // (compared through ConfigToText, with every optional line switched on
+  // so each field is rendered).
+  const char* const bad_everywhere[] = {
+      "", "x", "1x", "nan", "NaN", "inf", "-inf", "infinity", "1e999",
+  };
+  const char* const bad_integers[] = {
+      "-1", "+1", "-0", "1.5", "1e3", "0x10", " 1 2",
+      "99999999999999999999999",  // Past UINT64_MAX.
+  };
+  const char* const bad_u32[] = {"4294967296", "4294967396",
+                                 "18446744073709551615"};
+  for (const NumericKey& key : kNumericKeys) {
+    SCOPED_TRACE(key.name);
+    SystemConfig config;
+    config.fault.slot_loss = 0.01;
+    config.flight_recorder_max_dumps = 2;
+    config.update_zipf_theta = 0.7;
+    config.offset = 5;
+    const std::string before = ConfigToText(config);
+    std::vector<const char*> bad(std::begin(bad_everywhere),
+                                 std::end(bad_everywhere));
+    if (key.kind != NumericKey::kDouble) {
+      bad.insert(bad.end(), std::begin(bad_integers), std::end(bad_integers));
+    }
+    if (key.kind == NumericKey::kU32 || key.kind == NumericKey::kU32List) {
+      bad.insert(bad.end(), std::begin(bad_u32), std::end(bad_u32));
+    }
+    if (key.kind == NumericKey::kU32List) {
+      bad.push_back("10,-1,50");
+      bad.push_back("10,4294967296");
+      bad.push_back("10,,50");
+    }
+    for (const char* value : bad) {
+      EXPECT_NE(ApplyConfigOption(key.name, value, &config), "")
+          << "accepted '" << value << "'";
+      EXPECT_EQ(ConfigToText(config), before) << "after '" << value << "'";
+    }
+    EXPECT_EQ(ApplyConfigOption(key.name, key.good, &config), "");
   }
 }
 

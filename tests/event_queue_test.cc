@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -12,19 +14,6 @@
 
 namespace bdisk::sim {
 namespace {
-
-// The whole suite runs against both queue backends: every behavioural
-// guarantee — ordering, FIFO ties, cancellation, id reuse — is
-// backend-independent by design, and the golden trajectory pins depend on
-// that.
-class EventQueueTest : public ::testing::TestWithParam<QueueKind> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Kernel, EventQueueTest,
-    ::testing::Values(QueueKind::kHeap, QueueKind::kWheel),
-    [](const ::testing::TestParamInfo<QueueKind>& param) {
-      return param.param == QueueKind::kHeap ? "Heap" : "Wheel";
-    });
 
 // Pops the next event and returns its fire time; fails the test if empty.
 SimTime PopTime(EventQueue& queue) {
@@ -40,8 +29,8 @@ void PopAndRun(EventQueue& queue) {
   fired.fn();
 }
 
-TEST_P(EventQueueTest, StartsEmpty) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, StartsEmpty) {
+  EventQueue queue;
   EXPECT_TRUE(queue.Empty());
   EXPECT_EQ(queue.Size(), 0U);
   EXPECT_EQ(queue.NextTime(), kTimeNever);
@@ -49,8 +38,8 @@ TEST_P(EventQueueTest, StartsEmpty) {
   EXPECT_FALSE(queue.Pop(&fired));
 }
 
-TEST_P(EventQueueTest, PopsInTimeOrder) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, PopsInTimeOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   queue.Schedule(3.0, [&fired] { fired.push_back(3); });
   queue.Schedule(1.0, [&fired] { fired.push_back(1); });
@@ -60,8 +49,8 @@ TEST_P(EventQueueTest, PopsInTimeOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueTest, SimultaneousEventsFireInScheduleOrder) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, SimultaneousEventsFireInScheduleOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
     queue.Schedule(5.0, [&fired, i] { fired.push_back(i); });
@@ -75,15 +64,15 @@ TEST_P(EventQueueTest, SimultaneousEventsFireInScheduleOrder) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST_P(EventQueueTest, NextTimeReportsEarliest) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, NextTimeReportsEarliest) {
+  EventQueue queue;
   queue.Schedule(7.0, [] {});
   queue.Schedule(4.0, [] {});
   EXPECT_EQ(queue.NextTime(), 4.0);
 }
 
-TEST_P(EventQueueTest, CancelPreventsFiring) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, CancelPreventsFiring) {
+  EventQueue queue;
   bool fired = false;
   const EventId id = queue.Schedule(1.0, [&fired] { fired = true; });
   queue.Schedule(2.0, [] {});
@@ -98,8 +87,8 @@ TEST_P(EventQueueTest, CancelPreventsFiring) {
   EXPECT_TRUE(queue.Empty());
 }
 
-TEST_P(EventQueueTest, CancelAfterFireIsHarmless) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, CancelAfterFireIsHarmless) {
+  EventQueue queue;
   const EventId id = queue.Schedule(1.0, [] {});
   PopAndRun(queue);
   queue.Cancel(id);  // Already fired: must be a no-op.
@@ -111,23 +100,23 @@ TEST_P(EventQueueTest, CancelAfterFireIsHarmless) {
   EXPECT_EQ(queue.Size(), 1U);
 }
 
-TEST_P(EventQueueTest, CancelInvalidIdIsHarmless) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, CancelInvalidIdIsHarmless) {
+  EventQueue queue;
   queue.Cancel(kInvalidEventId);
   queue.Cancel(~0ULL);  // Max generation, max slot: never issued.
   EXPECT_TRUE(queue.Empty());
 }
 
-TEST_P(EventQueueTest, DoubleCancelIsHarmless) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, DoubleCancelIsHarmless) {
+  EventQueue queue;
   const EventId id = queue.Schedule(1.0, [] {});
   queue.Cancel(id);
   queue.Cancel(id);
   EXPECT_TRUE(queue.Empty());
 }
 
-TEST_P(EventQueueTest, ClearDropsEverything) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, ClearDropsEverything) {
+  EventQueue queue;
   queue.Schedule(1.0, [] {});
   queue.Schedule(2.0, [] {});
   queue.Clear();
@@ -135,8 +124,8 @@ TEST_P(EventQueueTest, ClearDropsEverything) {
   EXPECT_EQ(queue.NextTime(), kTimeNever);
 }
 
-TEST_P(EventQueueTest, InterleavedScheduleAndPop) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, InterleavedScheduleAndPop) {
+  EventQueue queue;
   std::vector<double> times;
   queue.Schedule(1.0, [] {});
   queue.Schedule(5.0, [] {});
@@ -147,8 +136,8 @@ TEST_P(EventQueueTest, InterleavedScheduleAndPop) {
   EXPECT_EQ(times, (std::vector<double>{1.0, 3.0, 5.0}));
 }
 
-TEST_P(EventQueueTest, ManyEventsStressOrdering) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, ManyEventsStressOrdering) {
+  EventQueue queue;
   // Pseudo-random insertion order, ascending pop order.
   for (int i = 0; i < 1000; ++i) {
     queue.Schedule(static_cast<double>((i * 7919) % 1000), [] {});
@@ -163,8 +152,8 @@ TEST_P(EventQueueTest, ManyEventsStressOrdering) {
 
 // ------------------------------------------------ generation-tagged ids
 
-TEST_P(EventQueueTest, ReusedSlotDoesNotReviveOldId) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, ReusedSlotDoesNotReviveOldId) {
+  EventQueue queue;
   // The first event ever scheduled occupies slot 0; cancelling it frees
   // the slot, so the next Schedule reuses it under a bumped generation.
   const EventId first = queue.Schedule(1.0, [] {});
@@ -181,8 +170,8 @@ TEST_P(EventQueueTest, ReusedSlotDoesNotReviveOldId) {
   EXPECT_EQ(PopTime(queue), 2.0);
 }
 
-TEST_P(EventQueueTest, IdReuseStressKeepsIdsDistinct) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, IdReuseStressKeepsIdsDistinct) {
+  EventQueue queue;
   // Churn a single slot hard: every generation must produce a fresh id and
   // every stale id must stay dead.
   std::vector<EventId> ids;
@@ -200,8 +189,8 @@ TEST_P(EventQueueTest, IdReuseStressKeepsIdsDistinct) {
   }
 }
 
-TEST_P(EventQueueTest, CancelHeavyChurn) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, CancelHeavyChurn) {
+  EventQueue queue;
   Rng rng(11);
   std::vector<EventId> live;
   std::size_t cancelled = 0;
@@ -230,8 +219,8 @@ TEST_P(EventQueueTest, CancelHeavyChurn) {
   for (const EventId id : live) EXPECT_FALSE(queue.IsPending(id));
 }
 
-TEST_P(EventQueueTest, RescheduleHeavyChurn) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, RescheduleHeavyChurn) {
+  EventQueue queue;
   Rng rng(13);
   // One logical timer per lane, constantly cancel+rescheduled — the
   // Process::ScheduleWakeup pattern, which exercises slot reuse at the
@@ -257,8 +246,8 @@ TEST_P(EventQueueTest, RescheduleHeavyChurn) {
   EXPECT_EQ(drained, expected);
 }
 
-TEST_P(EventQueueTest, SameTimeFifoSurvivesChurnAndReuse) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, SameTimeFifoSurvivesChurnAndReuse) {
+  EventQueue queue;
   // Interleave same-time scheduling with cancels that free low slots, so
   // later events recycle earlier slots: FIFO order must follow schedule
   // order, not slot order.
@@ -287,8 +276,8 @@ struct CountingHandler : EventHandler {
   void OnEvent() override { ++count; }
 };
 
-TEST_P(EventQueueTest, PeriodicFiresEveryIntervalWhenRearmed) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, PeriodicFiresEveryIntervalWhenRearmed) {
+  EventQueue queue;
   CountingHandler handler;
   const PeriodicId timer = queue.SchedulePeriodic(1.0, 1.0, &handler);
   EXPECT_FALSE(queue.Empty());
@@ -306,8 +295,8 @@ TEST_P(EventQueueTest, PeriodicFiresEveryIntervalWhenRearmed) {
   EXPECT_EQ(queue.Size(), 1U);  // Still armed.
 }
 
-TEST_P(EventQueueTest, CancelPeriodicStopsFiring) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, CancelPeriodicStopsFiring) {
+  EventQueue queue;
   CountingHandler handler;
   const PeriodicId timer = queue.SchedulePeriodic(1.0, 1.0, &handler);
   queue.CancelPeriodic(timer);
@@ -318,8 +307,8 @@ TEST_P(EventQueueTest, CancelPeriodicStopsFiring) {
   EXPECT_TRUE(queue.Empty());
 }
 
-TEST_P(EventQueueTest, PeriodicAndOneShotsInterleaveFifo) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, PeriodicAndOneShotsInterleaveFifo) {
+  EventQueue queue;
   std::vector<int> order;
   struct OrderHandler : EventHandler {
     std::vector<int>* order = nullptr;
@@ -348,11 +337,11 @@ TEST_P(EventQueueTest, PeriodicAndOneShotsInterleaveFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST_P(EventQueueTest, ScheduleDoesNotAllocatePerEventInSteadyState) {
+TEST(EventQueueTest, ScheduleDoesNotAllocatePerEventInSteadyState) {
   // Behavioural proxy for the zero-allocation claim: a schedule/pop cycle
   // at constant depth must reuse slab slots instead of growing them —
   // observable as stable ids cycling through the same slot indices.
-  EventQueue queue(GetParam());
+  EventQueue queue;
   for (int i = 0; i < 64; ++i) queue.Schedule(1000.0 + i, [] {});
   std::vector<EventId> seen;
   for (int i = 0; i < 1000; ++i) {
@@ -369,29 +358,77 @@ TEST_P(EventQueueTest, ScheduleDoesNotAllocatePerEventInSteadyState) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
-// ------------------------------------------- heap/wheel equivalence
+// ------------------------------------------- reference-model differential
 
-// The core property behind the kernel-matrix pins: driven with an
-// identical schedule/pop/cancel sequence, both backends must pop the
-// identical event stream — same times, same payloads, same FIFO order at
-// equal timestamps — and retire the same number of cancelled carcasses by
-// the time they drain.
-TEST(EventQueueEquivalenceTest, RandomOpsPopIdenticallyOnHeapAndWheel) {
-  EventQueue heap(QueueKind::kHeap);
-  EventQueue wheel(QueueKind::kWheel);
+// The reference the heap is checked against: every scheduled event keyed
+// by (when, schedule order), plus the set of cancelled keys. Pop takes the
+// least key; cancelled keys it meets on the way are the carcasses the
+// heap's lazy cancellation discards, so the model also predicts
+// StaleDiscarded() after every pop.
+class ReferenceQueue {
+ public:
+  using Key = std::pair<SimTime, int>;  // (when, schedule order).
+
+  Key Schedule(SimTime when) {
+    const Key key{when, order_++};
+    keys_.insert(key);
+    return key;
+  }
+
+  void Cancel(const Key& key) { cancelled_.insert(key); }
+
+  std::size_t Size() const { return keys_.size() - cancelled_.size(); }
+
+  // Schedule order of the next live event; discards cancelled keys ahead
+  // of it.
+  int Pop() {
+    while (cancelled_.erase(*keys_.begin()) > 0) {
+      keys_.erase(keys_.begin());
+      ++discarded_;
+    }
+    const int order = keys_.begin()->second;
+    keys_.erase(keys_.begin());
+    return order;
+  }
+
+  std::uint64_t Discarded() const { return discarded_; }
+
+ private:
+  std::set<Key> keys_;
+  std::set<Key> cancelled_;
+  int order_ = 0;
+  std::uint64_t discarded_ = 0;
+};
+
+// The core property behind the trajectory pins: driven with a random
+// schedule/pop/cancel sequence, the heap pops exactly the reference's
+// event stream — same times, same events, same FIFO order at equal
+// timestamps — and retires each cancelled carcass exactly when the
+// reference passes it.
+TEST(EventQueueReferenceTest, RandomOpsPopLikeTheReferenceModel) {
+  EventQueue queue;
+  ReferenceQueue reference;
   Rng rng(20260808);
-  std::vector<int> heap_fired;
-  std::vector<int> wheel_fired;
-  std::vector<std::pair<EventId, EventId>> live;  // (heap id, wheel id).
+  std::vector<int> fired;
+  // Live events: (queue id, reference key).
+  std::vector<std::pair<EventId, ReferenceQueue::Key>> live;
   SimTime now = 0.0;
-  int serial = 0;
   std::uint64_t cancels = 0;
+  const auto pop = [&] {
+    EventQueue::Fired f;
+    ASSERT_TRUE(queue.Pop(&f));
+    ASSERT_GE(f.when, now);
+    now = f.when;
+    f.fn();
+    ASSERT_EQ(fired.back(), reference.Pop());
+    ASSERT_EQ(queue.StaleDiscarded(), reference.Discarded());
+  };
   for (int step = 0; step < 20000; ++step) {
     const std::uint64_t op = rng.NextBounded(10);
     if (op < 5) {
       // Schedule: a mix of near-future offsets, same-time clusters (25%
-      // land exactly on the current integer slot boundary), multi-day
-      // jumps, and the occasional far horizon.
+      // land exactly on the next integer boundary), long jumps, and the
+      // occasional far horizon.
       SimTime when;
       const std::uint64_t shape = rng.NextBounded(8);
       if (shape < 2) {
@@ -399,101 +436,78 @@ TEST(EventQueueEquivalenceTest, RandomOpsPopIdenticallyOnHeapAndWheel) {
       } else if (shape < 6) {
         when = now + rng.NextDouble() * 300.0;  // Typical think times.
       } else if (shape < 7) {
-        when = now + rng.NextDouble() * 5000.0;  // Past the level-0 span.
+        when = now + rng.NextDouble() * 5000.0;
       } else {
-        when = now + rng.NextDouble() * 3.0e6;  // Level-1 / overflow land.
+        when = now + rng.NextDouble() * 3.0e6;  // Far horizon.
       }
-      const int tag = serial++;
-      const EventId h = heap.Schedule(when, [&heap_fired, tag] {
-        heap_fired.push_back(tag);
-      });
-      const EventId w = wheel.Schedule(when, [&wheel_fired, tag] {
-        wheel_fired.push_back(tag);
-      });
-      live.emplace_back(h, w);
+      const ReferenceQueue::Key key = reference.Schedule(when);
+      const int tag = key.second;
+      const EventId id =
+          queue.Schedule(when, [&fired, tag] { fired.push_back(tag); });
+      live.emplace_back(id, key);
     } else if (op < 7 && !live.empty()) {
       const std::size_t victim = rng.NextBounded(live.size());
-      heap.Cancel(live[victim].first);
-      wheel.Cancel(live[victim].second);
+      queue.Cancel(live[victim].first);
+      reference.Cancel(live[victim].second);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
       ++cancels;
-    } else if (!heap.Empty()) {
-      EventQueue::Fired hf;
-      EventQueue::Fired wf;
-      ASSERT_TRUE(heap.Pop(&hf));
-      ASSERT_TRUE(wheel.Pop(&wf));
-      ASSERT_EQ(hf.when, wf.when);
-      ASSERT_GE(hf.when, now);
-      now = hf.when;
-      hf.fn();
-      wf.fn();
-      ASSERT_EQ(heap_fired.back(), wheel_fired.back());
-      std::erase_if(live, [&heap](const auto& pair) {
-        return !heap.IsPending(pair.first);
+    } else if (!queue.Empty()) {
+      pop();
+      std::erase_if(live, [&queue](const auto& entry) {
+        return !queue.IsPending(entry.first);
       });
     }
-    ASSERT_EQ(heap.Size(), wheel.Size());
+    ASSERT_EQ(queue.Size(), reference.Size()) << "step " << step;
+    if (HasFatalFailure()) return;
   }
-  while (!heap.Empty()) {
-    EventQueue::Fired hf;
-    EventQueue::Fired wf;
-    ASSERT_TRUE(heap.Pop(&hf));
-    ASSERT_TRUE(wheel.Pop(&wf));
-    ASSERT_EQ(hf.when, wf.when);
-    hf.fn();
-    wf.fn();
+  while (!queue.Empty()) {
+    pop();
+    if (HasFatalFailure()) return;
   }
-  EXPECT_TRUE(wheel.Empty());
-  EXPECT_EQ(heap_fired, wheel_fired);
+  EXPECT_EQ(reference.Size(), 0U);
   // Every cancelled event left exactly one carcass, and a full drain
-  // retires each exactly once — on both backends.
-  EXPECT_EQ(heap.StaleDiscarded(), cancels);
-  EXPECT_EQ(wheel.StaleDiscarded(), cancels);
+  // retires each exactly once.
+  EXPECT_EQ(queue.StaleDiscarded(), cancels);
 }
 
-TEST(EventQueueEquivalenceTest, SameTimeFifoTieBreakMatchesAcrossBackends) {
+TEST(EventQueueReferenceTest, SameTimeFifoTieBreakMatchesTheReferenceModel) {
   // Dense same-time ties with interleaved cancels: the documented FIFO
-  // tie-break (schedule order, not slot order) must agree between the
-  // backends event-for-event.
-  EventQueue heap(QueueKind::kHeap);
-  EventQueue wheel(QueueKind::kWheel);
-  std::vector<int> heap_fired;
-  std::vector<int> wheel_fired;
+  // tie-break (schedule order, not slot order) must agree with the
+  // reference event-for-event.
+  EventQueue queue;
+  ReferenceQueue reference;
+  std::vector<int> fired;
   for (int round = 0; round < 20; ++round) {
     const SimTime when = static_cast<SimTime>(1 + round % 3);
-    std::vector<std::pair<EventId, EventId>> doomed;
+    std::vector<std::pair<EventId, ReferenceQueue::Key>> doomed;
     for (int i = 0; i < 5; ++i) {
-      const int tag = round * 100 + i;
+      const ReferenceQueue::Key key = reference.Schedule(when);
+      const int tag = key.second;
       doomed.emplace_back(
-          heap.Schedule(when, [&heap_fired, tag] { heap_fired.push_back(tag); }),
-          wheel.Schedule(when,
-                         [&wheel_fired, tag] { wheel_fired.push_back(tag); }));
+          queue.Schedule(when, [&fired, tag] { fired.push_back(tag); }), key);
     }
     // Cancel every other one to punch slot-reuse holes.
     for (std::size_t i = 0; i < doomed.size(); i += 2) {
-      heap.Cancel(doomed[i].first);
-      wheel.Cancel(doomed[i].second);
+      queue.Cancel(doomed[i].first);
+      reference.Cancel(doomed[i].second);
     }
   }
-  while (!heap.Empty()) {
-    EventQueue::Fired hf;
-    EventQueue::Fired wf;
-    ASSERT_TRUE(heap.Pop(&hf));
-    ASSERT_TRUE(wheel.Pop(&wf));
-    ASSERT_EQ(hf.when, wf.when);
-    hf.fn();
-    wf.fn();
+  std::vector<int> expected;
+  while (!queue.Empty()) {
+    PopAndRun(queue);
+    expected.push_back(reference.Pop());
   }
-  EXPECT_EQ(heap_fired, wheel_fired);
+  EXPECT_EQ(reference.Size(), 0U);
+  EXPECT_EQ(fired, expected);
 }
 
-// ------------------------------------------- wheel geometry edge cases
+// ------------------------------------------------ far horizons, carcasses
 
-TEST_P(EventQueueTest, FarFutureEventsPopInOrder) {
-  // Times spanning every wheel region: the current day, level 0, level 1,
-  // the overflow list, and doubles too large for the day arithmetic
-  // (clamped; ordering falls back to the full key compare).
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, FarFutureEventsPopInOrder) {
+  // Times from half a unit up to 1e300: the 128-bit key orders any
+  // nonnegative finite double by its bit pattern, so pop order must be
+  // numeric order across the whole range.
+  EventQueue queue;
   const double times[] = {0.5,   1.5e9, 1024.0 * 1024.0 + 3.0, 700.0,
                           1e18,  2.5,   1e300,                 1048000.0,
                           3e5,   1e9};
@@ -507,47 +521,21 @@ TEST_P(EventQueueTest, FarFutureEventsPopInOrder) {
   EXPECT_TRUE(queue.Empty());
 }
 
-TEST_P(EventQueueTest, RolloverAcrossManyDaysAndHours) {
-  // March a periodic-free workload across several thousand "days" so the
-  // level-0 ring wraps multiple times and at least three hour boundaries
-  // cascade; inserts stay interleaved with pops so the due-run insert path
-  // (day <= current) is exercised too.
-  EventQueue queue(GetParam());
-  Rng rng(7);
-  SimTime now = 0.0;
-  std::size_t popped = 0;
-  for (int i = 0; i < 64; ++i) {
-    queue.Schedule(now + rng.NextDouble() * 64.0, [] {});
-  }
-  while (popped < 10000) {
-    EventQueue::Fired fired;
-    ASSERT_TRUE(queue.Pop(&fired));
-    ASSERT_GE(fired.when, now);
-    now = fired.when;
-    ++popped;
-    // Replacement keeps depth constant; occasional same-day inserts land
-    // in the sorted due run rather than a bucket.
-    const double offset = rng.NextBounded(4) == 0 ? rng.NextDouble() * 0.5
-                                                  : rng.NextDouble() * 64.0;
-    queue.Schedule(now + offset, [] {});
-  }
-  EXPECT_GT(now, 3072.0);  // Crossed the 1024-day ring at least three times.
-}
-
-TEST_P(EventQueueTest, StaleEntriesRetiredOnceDespiteBucketReuse) {
-  // A cancelled event's carcass sits in a wheel bucket; after the wheel
-  // passes its day, the same bucket index is reused by a day exactly one
-  // ring revolution later. The carcass must be discarded (and counted)
-  // exactly once, and never resurface to double-count when the bucket
-  // recycles — the `obs` kernel counters depend on this.
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, StaleEntriesRetiredExactlyOnce) {
+  // A cancelled event's carcass stays in the heap until it reaches the
+  // root; it must be discarded (and counted) exactly once, then never
+  // again — the `obs` kernel counters depend on this.
+  EventQueue queue;
   const EventId doomed = queue.Schedule(2000.0, [] {});
   queue.Cancel(doomed);
   EXPECT_EQ(queue.StaleDiscarded(), 0U);  // Retired lazily, not eagerly.
+  queue.Schedule(1000.0, [] {});
   queue.Schedule(2100.0, [] {});
-  EXPECT_EQ(PopTime(queue), 2100.0);  // Sweeps day 2000's carcass.
+  EXPECT_EQ(PopTime(queue), 1000.0);
+  EXPECT_EQ(queue.StaleDiscarded(), 0U);  // Not at the root yet.
+  EXPECT_EQ(PopTime(queue), 2100.0);      // Sweeps the carcass first.
   EXPECT_EQ(queue.StaleDiscarded(), 1U);
-  // Same bucket index, one revolution later (2000 + 1024).
+  // The freed slot is reused by a later event.
   queue.Schedule(3024.0, [] {});
   EXPECT_EQ(PopTime(queue), 3024.0);
   EXPECT_TRUE(queue.Empty());
@@ -556,8 +544,8 @@ TEST_P(EventQueueTest, StaleEntriesRetiredOnceDespiteBucketReuse) {
 
 // ------------------------------------------- batched periodic spans
 
-TEST_P(EventQueueTest, PeriodicSpanRequiresSoleTimerStrictlyBeforeBarrier) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, PeriodicSpanRequiresSoleTimerStrictlyBeforeBarrier) {
+  EventQueue queue;
   CountingHandler handler;
   PeriodicId id = EventQueue::kNotPeriodic;
   EventHandler* out_handler = nullptr;
@@ -594,8 +582,8 @@ TEST_P(EventQueueTest, PeriodicSpanRequiresSoleTimerStrictlyBeforeBarrier) {
   EXPECT_EQ(barrier, kTimeNever);
 }
 
-TEST_P(EventQueueTest, MutationEpochTracksLiveSetChanges) {
-  EventQueue queue(GetParam());
+TEST(EventQueueTest, MutationEpochTracksLiveSetChanges) {
+  EventQueue queue;
   CountingHandler handler;
   const std::uint64_t e0 = queue.MutationEpoch();
   const EventId id = queue.Schedule(1.0, [] {});

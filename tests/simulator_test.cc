@@ -161,70 +161,78 @@ TEST(SimulatorTest, PeriodicInterleavesWithOneShotsDeterministically) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0}));
 }
 
-// Runs a workload that mixes one periodic slot timer with handler-driven
-// one-shot scheduling (the System's actual shape) and records every fire.
-// `batched` toggles the span fast path; the trace must not depend on it.
-std::vector<double> RunMixedWorkload(QueueKind kind, bool batched,
-                                     std::uint64_t* spans_out) {
-  Simulator sim(kind);
-  sim.SetBatchedPeriodic(batched);
+// The System's actual shape: one periodic slot timer whose handler now
+// and then schedules a one-shot (a "pull arrival") that lands mid-span and
+// must break the batch exactly there. Records every fire: slots as
+// +Now(), one-shots as -Now().
+class MixedWorkload : public EventHandler {
+ public:
+  explicit MixedWorkload(Simulator* sim) : sim_(sim) {
+    sim->SchedulePeriodic(1.0, this);
+  }
   std::vector<double> trace;
-  // The periodic handler occasionally schedules a one-shot (a "pull
-  // arrival") that lands mid-span and must break the batch exactly there.
-  struct SlotHandler : EventHandler {
-    Simulator* sim;
-    std::vector<double>* trace;
-    int slot = 0;
-    void OnEvent() override {
-      trace->push_back(sim->Now());
-      ++slot;
-      if (slot % 7 == 0) {
-        Simulator* s = sim;
-        std::vector<double>* t = trace;
-        s->ScheduleAfter(2.5, [s, t] { t->push_back(-s->Now()); });
-      }
+
+ private:
+  void OnEvent() override {
+    trace.push_back(sim_->Now());
+    if (++slot_ % 7 == 0) {
+      Simulator* s = sim_;
+      std::vector<double>* t = &trace;
+      s->ScheduleAfter(2.5, [s, t] { t->push_back(-s->Now()); });
     }
-  } handler;
-  handler.sim = &sim;
-  handler.trace = &trace;
-  sim.SchedulePeriodic(1.0, &handler);
-  sim.RunUntil(500.0);
-  EXPECT_EQ(sim.Now(), 500.0);
-  if (spans_out != nullptr) *spans_out = sim.PeriodicSpans();
-  return trace;
+  }
+  Simulator* sim_;
+  int slot_ = 0;
+};
+
+// The reference for RunUntil(deadline): a twin driven one Step() at a time
+// through the `events` events RunUntil executed, none of them past the
+// deadline.
+void StepThrough(Simulator* twin, std::uint64_t events, SimTime deadline) {
+  while (twin->EventsExecuted() < events) ASSERT_TRUE(twin->Step());
+  EXPECT_LE(twin->Now(), deadline);
 }
 
 TEST(SimulatorTest, BatchedPeriodicSpansMatchSteppedExecution) {
-  for (const QueueKind kind : {QueueKind::kHeap, QueueKind::kWheel}) {
-    std::uint64_t batched_spans = 0;
-    std::uint64_t stepped_spans = 0;
-    const std::vector<double> batched =
-        RunMixedWorkload(kind, /*batched=*/true, &batched_spans);
-    const std::vector<double> stepped =
-        RunMixedWorkload(kind, /*batched=*/false, &stepped_spans);
-    EXPECT_EQ(batched, stepped);  // Bit-identical trajectory.
-    EXPECT_GT(batched_spans, 0U);  // The fast path actually engaged...
-    EXPECT_EQ(stepped_spans, 0U);  // ...and the A/B switch actually works.
-  }
+  Simulator batched;
+  MixedWorkload batched_load(&batched);
+  batched.RunUntil(500.0);
+  EXPECT_EQ(batched.Now(), 500.0);
+
+  Simulator stepped;
+  MixedWorkload stepped_load(&stepped);
+  StepThrough(&stepped, batched.EventsExecuted(), 500.0);
+  EXPECT_EQ(batched_load.trace, stepped_load.trace);  // Bit-identical.
+  EXPECT_EQ(batched.PeriodicRearms(), stepped.PeriodicRearms());
+  EXPECT_GT(batched.PeriodicSpans(), 0U);  // The span loop engaged...
+  EXPECT_EQ(stepped.PeriodicSpans(), 0U);  // ...and Step() never spans.
+  // The twin's next event is past the deadline: RunUntil stopped at the
+  // right one.
+  ASSERT_TRUE(stepped.Step());
+  EXPECT_GT(stepped.Now(), 500.0);
 }
 
 TEST(SimulatorTest, BatchedSpanCountsEventsIdentically) {
   // events_executed feeds the obs kernel profile and the fusion invariant;
-  // the span loop must bump it exactly like Step() would.
-  for (const bool batched : {true, false}) {
-    Simulator sim;
-    sim.SetBatchedPeriodic(batched);
-    PeriodicCounter counter(&sim);
-    sim.SchedulePeriodic(2.0, &counter);
-    sim.RunUntil(100.0);
-    EXPECT_EQ(sim.EventsExecuted(), 50U);
-    EXPECT_EQ(counter.fire_times.size(), 50U);
-  }
+  // the span loop must bump it exactly like Step() does.
+  Simulator batched;
+  PeriodicCounter batched_counter(&batched);
+  batched.SchedulePeriodic(2.0, &batched_counter);
+  batched.RunUntil(100.0);
+  EXPECT_EQ(batched.EventsExecuted(), 50U);
+  EXPECT_EQ(batched_counter.fire_times.size(), 50U);
+  EXPECT_GT(batched.PeriodicSpans(), 0U);
+
+  Simulator stepped;
+  PeriodicCounter stepped_counter(&stepped);
+  stepped.SchedulePeriodic(2.0, &stepped_counter);
+  StepThrough(&stepped, 50, 100.0);
+  EXPECT_EQ(stepped_counter.fire_times, batched_counter.fire_times);
+  EXPECT_EQ(stepped.PeriodicRearms(), batched.PeriodicRearms());
 }
 
 TEST(SimulatorTest, BatchedSpanHonoursStopAndDeadline) {
   Simulator sim;
-  ASSERT_TRUE(sim.BatchedPeriodic());  // Default on.
   struct Stopper : EventHandler {
     Simulator* sim;
     int fires = 0;

@@ -62,7 +62,6 @@ struct PhaseRow {
 };
 
 struct Profile {
-  std::string backend;
   std::string clock;
   std::vector<PhaseRow> phases;  // File order; report sorts a copy.
 };
@@ -90,10 +89,6 @@ bool LoadProfile(const std::string& path, Profile* out, std::string* why) {
       schema->string != "bdisk-prof-v1") {
     *why = path + ": not a bdisk-prof-v1 profile";
     return false;
-  }
-  const JsonValue* backend = root.Find("backend");
-  if (backend != nullptr && backend->kind == JsonValue::Kind::kString) {
-    out->backend = backend->string;
   }
   const JsonValue* clock = root.Find("clock");
   if (clock != nullptr && clock->kind == JsonValue::Kind::kString) {
@@ -141,8 +136,8 @@ int RunReport(const std::string& path, std::size_t top) {
   if (const PhaseRow* run = FindPhase(profile, "run")) {
     run_total = run->total_ns;
   }
-  std::printf("profile %s (backend %s, clock %s)\n", path.c_str(),
-              profile.backend.c_str(), profile.clock.c_str());
+  std::printf("profile %s (clock %s)\n", path.c_str(),
+              profile.clock.c_str());
   std::printf("%-16s %12s %12s %12s %12s %10s %7s\n", "phase", "calls",
               "ops", "total_ms", "self_ms", "ns/op", "%run");
   std::size_t printed = 0;
@@ -166,10 +161,6 @@ int RunDiff(const std::string& baseline_path,
       !LoadProfile(current_path, &current, &why)) {
     std::fprintf(stderr, "%s\n", why.c_str());
     return 2;
-  }
-  if (baseline.backend != current.backend) {
-    std::printf("note: comparing backends %s vs %s\n",
-                baseline.backend.c_str(), current.backend.c_str());
   }
 
   std::size_t compared = 0, regressions = 0;

@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   std::optional<fault::FaultInjector> server_injector;
   if (server_plan.Enabled()) {
     server_injector.emplace(server_plan,
-                            sim::Rng(config.seed ^ 0xFA017'1A7EC7EDULL));
+                            sim::Rng(config.seed ^ core::kFaultSalt));
     server.SetFaultInjector(&*server_injector);
   }
 
