@@ -317,99 +317,102 @@ std::string ParseConfigText(const std::string& text, SystemConfig* config) {
   return "";
 }
 
-std::string ConfigToText(const SystemConfig& config) {
-  std::stringstream out;
-  const char* mode = config.mode == DeliveryMode::kPurePush ? "push"
-                     : config.mode == DeliveryMode::kPurePull ? "pull"
-                                                              : "ipp";
-  out << "mode = " << mode << "\n";
-  out << "server_db_size = " << config.server_db_size << "\n";
-  out << "disk_sizes = ";
-  for (std::size_t i = 0; i < config.disks.sizes.size(); ++i) {
-    if (i > 0) out << ",";
-    out << config.disks.sizes[i];
-  }
-  out << "\n";
-  out << "disk_freqs = ";
-  for (std::size_t i = 0; i < config.disks.rel_freqs.size(); ++i) {
-    if (i > 0) out << ",";
-    out << config.disks.rel_freqs[i];
-  }
-  out << "\n";
-  out << "server_queue_size = " << config.server_queue_size << "\n";
-  out << "pull_bw = " << config.pull_bw << "\n";
-  out << "thres_perc = " << config.thres_perc << "\n";
-  out << "chop_count = " << config.chop_count << "\n";
-  if (config.offset.has_value()) {
-    out << "offset = " << *config.offset << "\n";
-  } else {
-    out << "offset = cache_size\n";
-  }
-  out << "chunking = "
-      << (config.chunking == broadcast::ChunkingMode::kPad ? "pad"
-                                                           : "balanced")
-      << "\n";
-  out << "zipf_theta = " << config.zipf_theta << "\n";
-  out << "noise = " << config.noise << "\n";
-  out << "cache_size = " << config.cache_size << "\n";
-  out << "mc_think_time = " << config.mc_think_time << "\n";
-  out << "think_time_ratio = " << config.think_time_ratio << "\n";
-  out << "steady_state_perc = " << config.steady_state_perc << "\n";
-  out << "vc_enabled = " << (config.vc_enabled ? "true" : "false") << "\n";
-  out << "vc_fusion = " << (config.vc_fusion ? "true" : "false") << "\n";
-  out << "mc_retry_interval = " << config.mc_retry_interval << "\n";
+std::vector<std::pair<std::string, std::string>> ConfigEntries(
+    const SystemConfig& config) {
+  std::vector<std::pair<std::string, std::string>> entries;
+  const auto text = [](const auto& value) {
+    std::ostringstream out;
+    out << value;
+    return out.str();
+  };
+  const auto add = [&entries, &text](const char* key, const auto& value) {
+    entries.emplace_back(key, text(value));
+  };
+  const auto list = [](const std::vector<std::uint32_t>& values) {
+    std::string joined;
+    for (const std::uint32_t v : values) {
+      if (!joined.empty()) joined += ",";
+      joined += std::to_string(v);
+    }
+    return joined;
+  };
+  const auto flag = [](bool on) { return on ? "true" : "false"; };
+  add("mode", config.mode == DeliveryMode::kPurePush   ? "push"
+              : config.mode == DeliveryMode::kPurePull ? "pull"
+                                                       : "ipp");
+  add("server_db_size", config.server_db_size);
+  add("disk_sizes", list(config.disks.sizes));
+  add("disk_freqs", list(config.disks.rel_freqs));
+  add("server_queue_size", config.server_queue_size);
+  add("pull_bw", config.pull_bw);
+  add("thres_perc", config.thres_perc);
+  add("chop_count", config.chop_count);
+  add("offset", config.offset ? text(*config.offset) : "cache_size");
+  add("chunking",
+      config.chunking == broadcast::ChunkingMode::kPad ? "pad" : "balanced");
+  add("zipf_theta", config.zipf_theta);
+  add("noise", config.noise);
+  add("cache_size", config.cache_size);
+  add("mc_think_time", config.mc_think_time);
+  add("think_time_ratio", config.think_time_ratio);
+  add("steady_state_perc", config.steady_state_perc);
+  add("vc_enabled", flag(config.vc_enabled));
+  add("vc_fusion", flag(config.vc_fusion));
+  add("mc_retry_interval", config.mc_retry_interval);
+  std::string policy;
   if (config.mc_policy.has_value()) {
-    const char* policy = cache::PolicyKindName(*config.mc_policy);
-    std::string lower(policy);
-    for (char& c : lower) c = static_cast<char>(std::tolower(c));
-    out << "mc_policy = " << lower << "\n";
+    policy = cache::PolicyKindName(*config.mc_policy);
+    for (char& c : policy) c = static_cast<char>(std::tolower(c));
   }
-  out << "seed = " << config.seed << "\n";
-  out << "update_rate = " << config.update_rate << "\n";
-  if (config.update_zipf_theta.has_value()) {
-    out << "update_zipf_theta = " << *config.update_zipf_theta << "\n";
+  add("mc_policy", policy);
+  add("seed", config.seed);
+  add("update_rate", config.update_rate);
+  add("update_zipf_theta",
+      config.update_zipf_theta ? text(*config.update_zipf_theta) : "");
+  add("mc_prefetch", flag(config.mc_prefetch));
+  add("adaptive_pull_bw", flag(config.adaptive_pull_bw));
+  add("adaptive_threshold", flag(config.adaptive_threshold));
+  add("obs_window", config.obs_window);
+  add("flight_recorder", config.flight_recorder);
+  add("flight_recorder_max_dumps",
+      config.flight_recorder_max_dumps == 1
+          ? std::string()
+          : std::to_string(config.flight_recorder_max_dumps));
+  add("frames", config.frames);
+  const fault::FaultPlan& f = config.fault;
+  add("fault.slot_loss", f.slot_loss);
+  add("fault.slot_corruption", f.slot_corruption);
+  add("fault.request_loss", f.request_loss);
+  add("fault.request_delay", f.request_delay);
+  add("fault.outage_start", f.outage_start);
+  add("fault.outage_duration", f.outage_duration);
+  add("fault.outage_period", f.outage_period);
+  add("fault.brownout", flag(f.brownout));
+  add("fault.mc_timeout", f.mc_timeout);
+  add("fault.mc_max_retries", f.mc_max_retries);
+  add("fault.mc_backoff", f.mc_backoff);
+  add("fault.mc_backoff_cap", f.mc_backoff_cap);
+  add("fault.mc_jitter", f.mc_jitter);
+  add("fault.mc_dead_threshold", f.mc_dead_threshold);
+  add("fault.mc_probe_interval", f.mc_probe_interval);
+  add("fault.shed_hi", f.shed_hi);
+  add("fault.shed_lo", f.shed_lo);
+  add("fault.shed_distance", f.shed_distance);
+  add("fault.degraded_pull_bw", f.degraded_pull_bw);
+  return entries;
+}
+
+std::string ConfigToText(const SystemConfig& config) {
+  std::string text;
+  for (const auto& [key, value] : ConfigEntries(config)) {
+    // An empty value is an unset optional: its line is omitted. So is an
+    // inert (all-default) fault plan, which keeps pre-fault config text
+    // byte-identical; an enabled plan is written in full.
+    if (value.empty()) continue;
+    if (key.rfind("fault.", 0) == 0 && !config.fault.Enabled()) continue;
+    text += key + " = " + value + "\n";
   }
-  out << "mc_prefetch = " << (config.mc_prefetch ? "true" : "false") << "\n";
-  out << "adaptive_pull_bw = "
-      << (config.adaptive_pull_bw ? "true" : "false") << "\n";
-  out << "adaptive_threshold = "
-      << (config.adaptive_threshold ? "true" : "false") << "\n";
-  out << "obs_window = " << config.obs_window << "\n";
-  if (!config.flight_recorder.empty()) {
-    out << "flight_recorder = " << config.flight_recorder << "\n";
-  }
-  if (config.flight_recorder_max_dumps != 1) {
-    out << "flight_recorder_max_dumps = " << config.flight_recorder_max_dumps
-        << "\n";
-  }
-  if (!config.frames.empty()) {
-    out << "frames = " << config.frames << "\n";
-  }
-  if (config.fault.Enabled()) {
-    // An inert (all-default) plan is omitted entirely so pre-fault config
-    // text stays byte-identical; an enabled plan is written in full.
-    const fault::FaultPlan& f = config.fault;
-    out << "fault.slot_loss = " << f.slot_loss << "\n";
-    out << "fault.slot_corruption = " << f.slot_corruption << "\n";
-    out << "fault.request_loss = " << f.request_loss << "\n";
-    out << "fault.request_delay = " << f.request_delay << "\n";
-    out << "fault.outage_start = " << f.outage_start << "\n";
-    out << "fault.outage_duration = " << f.outage_duration << "\n";
-    out << "fault.outage_period = " << f.outage_period << "\n";
-    out << "fault.brownout = " << (f.brownout ? "true" : "false") << "\n";
-    out << "fault.mc_timeout = " << f.mc_timeout << "\n";
-    out << "fault.mc_max_retries = " << f.mc_max_retries << "\n";
-    out << "fault.mc_backoff = " << f.mc_backoff << "\n";
-    out << "fault.mc_backoff_cap = " << f.mc_backoff_cap << "\n";
-    out << "fault.mc_jitter = " << f.mc_jitter << "\n";
-    out << "fault.mc_dead_threshold = " << f.mc_dead_threshold << "\n";
-    out << "fault.mc_probe_interval = " << f.mc_probe_interval << "\n";
-    out << "fault.shed_hi = " << f.shed_hi << "\n";
-    out << "fault.shed_lo = " << f.shed_lo << "\n";
-    out << "fault.shed_distance = " << f.shed_distance << "\n";
-    out << "fault.degraded_pull_bw = " << f.degraded_pull_bw << "\n";
-  }
-  return out.str();
+  return text;
 }
 
 }  // namespace bdisk::core

@@ -2,6 +2,8 @@
 #define BDISK_CORE_CONFIG_IO_H_
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/config.h"
 
@@ -31,6 +33,14 @@ std::string ApplyConfigOption(const std::string& key,
 /// Parses a whole config text; stops at the first error. The returned
 /// error includes the offending line number.
 std::string ParseConfigText(const std::string& text, SystemConfig* config);
+
+/// Every key ConfigToText can write, in its order, with the value as it
+/// writes it. The list is the same for every config. An empty value is an
+/// unset optional, which ConfigToText omits: mc_policy, update_zipf_theta,
+/// flight_recorder and frames when unset, and flight_recorder_max_dumps
+/// at its default of 1.
+std::vector<std::pair<std::string, std::string>> ConfigEntries(
+    const SystemConfig& config);
 
 /// Renders `config` as ParseConfigText-compatible text (round-trips).
 std::string ConfigToText(const SystemConfig& config);

@@ -17,9 +17,10 @@ namespace bdisk::core {
 
 namespace {
 
-// Fixed salts give each component an independent, reproducible RNG stream.
-// Fault streams are salted (not Split() from the root) so enabling a
-// FaultPlan never shifts the streams existing components draw from.
+// Fixed salts give each component an independent, reproducible RNG stream
+// (the fault injectors' salts sit with the ServerStack). The retry stream
+// is salted, not Split() from the root, so enabling a FaultPlan never
+// shifts the streams existing components draw from.
 constexpr std::uint64_t kNoiseSalt = 0xBD15C01F5EEDULL;
 constexpr std::uint64_t kRetrySalt = 0x2E72'BAC0FF5EULL;
 
@@ -142,36 +143,25 @@ System::System(const SystemConfig& config,
     : config_(config),
       artifacts_(artifacts != nullptr ? std::move(artifacts)
                                       : BuildArtifacts(config)),
-      mc_pattern_(MakeMcPattern(artifacts_->canonical_pattern, config)) {
-  const std::string error = config.Validate();
-  BDISK_CHECK_MSG(error.empty(), error.c_str());
-  BDISK_CHECK_MSG(
-      artifacts_->canonical_pattern.DbSize() == config.server_db_size,
-      "shared artifacts built from a different configuration");
-
-  sim::Rng root(config.seed);
-  sim::Rng server_rng = root.Split();
+      mc_pattern_(MakeMcPattern(artifacts_->canonical_pattern, config)),
+      stack_(config, *artifacts_, ServerStack::Wire::kInProcess) {
+  // Stream order: the stack split the server's stream first.
+  sim::Rng& root = stack_.root();
   sim::Rng mc_rng = root.Split();
   sim::Rng vc_rng = root.Split();
-
-  // --- Server -----------------------------------------------------------
-  // The program comes from the aggregate (VC) pattern; the MC's possibly-
-  // noisy view plays no part in it (§3.2). Shared across Systems in a
-  // sweep — the server only reads it.
-  server_ = std::make_unique<server::BroadcastServer>(
-      &simulator_, artifacts_->program, config.EffectivePullBw(),
-      config.server_queue_size, server_rng);
+  sim::Simulator* simulator = &stack_.simulator();
+  server::BroadcastServer* server = &stack_.server();
 
   // --- Value metrics ----------------------------------------------------
   // The canonical (VC-side) values are part of the shared artifacts; the
   // MC's values differ only when its pattern is Noise-perturbed.
-  const bool push_exists = !server_->program().Empty();
+  const bool push_exists = !server->program().Empty();
   const std::vector<double>& vc_values = artifacts_->canonical_values;
   const std::vector<double> mc_values =
       config.noise == 0.0
           ? artifacts_->canonical_values
           : (push_exists
-                 ? cache::PixValues(mc_pattern_.probs(), server_->program())
+                 ? cache::PixValues(mc_pattern_.probs(), server->program())
                  : cache::PValues(mc_pattern_.probs()));
 
   // --- Measured client ---------------------------------------------------
@@ -184,23 +174,22 @@ System::System(const SystemConfig& config,
   mc_options.thres_perc =
       (config.mode == DeliveryMode::kIpp) ? config.thres_perc : 0.0;
   mc_options.prefetch = config.mc_prefetch;
+  // Unscheduled pages have no push safety net; retry a (possibly dropped)
+  // pull after roughly one would-be cycle. See DESIGN.md, Substitutions.
+  const double cycle = push_exists
+                           ? static_cast<double>(server->program().Length())
+                           : static_cast<double>(config.server_db_size);
   if (mc_options.use_backchannel) {
-    // Unscheduled pages have no push safety net; retry a (possibly dropped)
-    // pull after roughly one would-be cycle. See DESIGN.md, Substitutions.
     mc_options.retry_interval =
-        config.mc_retry_interval > 0.0
-            ? config.mc_retry_interval
-            : (push_exists
-                   ? static_cast<double>(server_->program().Length())
-                   : static_cast<double>(config.server_db_size));
+        config.mc_retry_interval > 0.0 ? config.mc_retry_interval : cycle;
   }
   mc_ = std::make_unique<client::MeasuredClient>(
-      &simulator_, server_.get(), mc_pattern_, mc_options, mc_rng,
+      simulator, server, mc_pattern_, mc_options, mc_rng,
       TopValuedPages(mc_values, config.cache_size));
   // The transport seam: simulated systems always use the in-process
   // backend, which forwards to the exact SubmitRequest call the client
   // made before the seam existed — trajectories stay bit-identical.
-  sim_transport_ = std::make_unique<transport::SimTransport>(server_.get());
+  sim_transport_ = std::make_unique<transport::SimTransport>(server);
   mc_->SetTransport(sim_transport_.get());
 
   // --- Virtual client ----------------------------------------------------
@@ -216,70 +205,57 @@ System::System(const SystemConfig& config,
     // fused batch path cannot represent that, so delay forces unfused.
     vc_options.fused = config.vc_fusion && config.fault.request_delay == 0.0;
     vc_ = std::make_unique<client::VirtualClient>(
-        &simulator_, server_.get(), artifacts_->canonical_pattern,
+        simulator, server, artifacts_->canonical_pattern,
         TopValuedPages(vc_values, config.cache_size), vc_options, vc_rng);
   }
 
   // --- Volatile data (extension; [Acha96b]) ------------------------------
   if (config.update_rate > 0.0) {
-    sim::Rng update_rng = root.Split();
     update_generator_ = std::make_unique<server::UpdateGenerator>(
-        &simulator_, config.update_rate,
+        simulator, config.update_rate,
         sim::ZipfPmf(config.server_db_size,
                      config.update_zipf_theta.value_or(config.zipf_theta)),
-        update_rng);
+        root.Split());
     update_generator_->AddListener(mc_.get());
     if (vc_) update_generator_->AddListener(vc_.get());
   }
 
-  // --- Fault injection / robustness (bdisk::fault; ROBUSTNESS.md) --------
-  if (config.fault.Enabled()) {
-    injector_ = std::make_unique<fault::FaultInjector>(
-        config.fault, sim::Rng(config.seed ^ kFaultSalt));
-    server_->SetFaultInjector(injector_.get());
-    if (mc_options.use_backchannel) {
-      client::RobustPullOptions robust;
-      const double cycle = push_exists
-                               ? static_cast<double>(server_->program().Length())
-                               : static_cast<double>(config.server_db_size);
-      robust.timeout =
-          config.fault.mc_timeout > 0.0 ? config.fault.mc_timeout : cycle;
-      robust.max_retries = config.fault.mc_max_retries;
-      robust.backoff = config.fault.mc_backoff;
-      robust.backoff_cap = config.fault.mc_backoff_cap > 0.0
-                               ? config.fault.mc_backoff_cap
-                               : 8.0 * robust.timeout;
-      robust.jitter = config.fault.mc_jitter;
-      robust.dead_threshold = config.fault.mc_dead_threshold;
-      robust.probe_interval = config.fault.mc_probe_interval > 0.0
-                                  ? config.fault.mc_probe_interval
-                                  : cycle;
-      mc_->EnableRobustness(robust, sim::Rng(config.seed ^ kRetrySalt));
-    }
+  // --- Client robustness (bdisk::fault; ROBUSTNESS.md) -------------------
+  if (config.fault.Enabled() && mc_options.use_backchannel) {
+    client::RobustPullOptions robust;
+    robust.timeout =
+        config.fault.mc_timeout > 0.0 ? config.fault.mc_timeout : cycle;
+    robust.max_retries = config.fault.mc_max_retries;
+    robust.backoff = config.fault.mc_backoff;
+    robust.backoff_cap = config.fault.mc_backoff_cap > 0.0
+                             ? config.fault.mc_backoff_cap
+                             : 8.0 * robust.timeout;
+    robust.jitter = config.fault.mc_jitter;
+    robust.dead_threshold = config.fault.mc_dead_threshold;
+    robust.probe_interval = config.fault.mc_probe_interval > 0.0
+                                ? config.fault.mc_probe_interval
+                                : cycle;
+    mc_->EnableRobustness(robust, sim::Rng(config.seed ^ kRetrySalt));
   }
 
-  // --- Adaptive controllers (extension; paper §6) ------------------------
-  if (config.adaptive_pull_bw) {
-    server_controller_ = std::make_unique<adaptive::ServerController>(
-        &simulator_, server_.get(), config.server_controller);
-  }
+  // --- Adaptive threshold (extension; paper §6) --------------------------
   if (config.adaptive_threshold) {
     client_controller_ = std::make_unique<adaptive::ClientController>(
-        &simulator_, mc_.get(), config.client_controller);
+        simulator, mc_.get(), config.client_controller);
   }
 }
 
 void System::AttachMetrics(obs::MetricsRegistry* registry) {
   BDISK_CHECK_MSG(!ran_, "attach observability before running");
   BDISK_CHECK_MSG(registry != nullptr, "AttachMetrics needs a registry");
-  server_->EnableMetrics(registry);
+  stack_.server().EnableMetrics(registry);
   mc_->EnableMetrics(registry);
 }
 
 void System::AttachTrace(obs::TraceSink* sink) {
   BDISK_CHECK_MSG(!ran_, "attach observability before running");
   sink_ = sink;
-  server_->SetTraceSink(sink);
+  stack_.server().SetTraceSink(sink);
   mc_->SetTraceSink(sink);
 }
 
@@ -288,7 +264,7 @@ void System::AttachWindowedCollector(obs::WindowedCollector* collector) {
   BDISK_CHECK_MSG(collector != nullptr,
                   "AttachWindowedCollector needs a collector");
   collector_ = collector;
-  server_->SetWindowedCollector(collector);
+  stack_.server().SetWindowedCollector(collector);
   mc_->SetWindowedCollector(collector);
 }
 
@@ -296,8 +272,8 @@ void System::AttachProfiler(obs::PhaseProfiler* profiler) {
   BDISK_CHECK_MSG(!ran_, "attach observability before running");
   BDISK_CHECK_MSG(profiler != nullptr, "AttachProfiler needs a profiler");
   profiler_ = profiler;
-  simulator_.SetPhaseProfiler(profiler);
-  server_->SetPhaseProfiler(profiler);
+  stack_.simulator().SetPhaseProfiler(profiler);
+  stack_.server().SetPhaseProfiler(profiler);
   // The clients read the profiler through the simulator pointer they
   // already hold, so no per-client wiring is needed.
 }
@@ -330,37 +306,20 @@ void System::AttachTelemetryBus(obs::TelemetryBus* bus) {
   // zero at attach time. Frames carry deltas from this base, and run_end
   // republishes it so a consumer can reconcile base + sum(deltas) against
   // the final snapshot exactly.
-  bus->SetProbe([this] { return ProbeTelemetryCounters(); });
+  bus->SetProbe([this] { return ProbeCounters(counter_sources()); });
   collector_->SetTelemetryBus(bus);
-  server_->SetTelemetryBus(bus);
+  stack_.server().SetTelemetryBus(bus);
   if (recorder_ != nullptr) recorder_->SetTelemetryBus(bus);
 }
 
-std::vector<obs::CounterSample> System::ProbeTelemetryCounters() const {
-  // Names match SnapshotMetrics keys one-for-one so bdisk_top --check
-  // --snapshot can reconcile a frame stream against the final
-  // bdisk-metrics-v1 document without any mapping table.
-  std::vector<obs::CounterSample> samples;
-  samples.reserve(14);
-  const server::PullQueue& queue = server_->queue();
-  samples.push_back({"server.slots_push", server_->PushSlots()});
-  samples.push_back({"server.slots_pull", server_->PullSlots()});
-  samples.push_back({"server.slots_idle", server_->IdleSlots()});
-  samples.push_back({"server.queue.submitted", queue.SubmittedCount()});
-  samples.push_back({"server.queue.accepted", queue.AcceptedCount()});
-  samples.push_back({"server.queue.coalesced", queue.CoalescedCount()});
-  samples.push_back({"server.queue.dropped", queue.DroppedCount()});
-  samples.push_back({"client.mc.accesses", mc_->TotalAccesses()});
-  samples.push_back({"client.mc.pulls_sent", mc_->PullRequestsSent()});
-  if (injector_) {
-    samples.push_back({"fault.slots_lost", injector_->SlotsLost()});
-    samples.push_back({"fault.slots_corrupted", injector_->SlotsCorrupted()});
-    samples.push_back({"fault.requests_lost", injector_->RequestsLost()});
-    samples.push_back({"fault.requests_shed", queue.ShedCount()});
-    samples.push_back(
-        {"fault.requests_dropped_outage", queue.OutageDropCount()});
-  }
-  return samples;
+CounterSources System::counter_sources() const {
+  CounterSources sources = stack_.counter_sources();
+  sources.kernel = &stack_.simulator();
+  sources.mc = mc_.get();
+  sources.vc = vc_.get();
+  sources.updates = update_generator_.get();
+  sources.bus = bus_;
+  return sources;
 }
 
 std::vector<std::pair<std::string, std::string>> System::TelemetryProvenance()
@@ -388,86 +347,23 @@ std::vector<std::pair<std::string, std::string>> System::TelemetryProvenance()
 
 void System::SnapshotMetrics(obs::MetricsRegistry* registry) const {
   BDISK_CHECK_MSG(registry != nullptr, "SnapshotMetrics needs a registry");
-  const auto counter = [registry](const char* name, std::uint64_t v) {
-    registry->GetCounter(name)->Set(v);
-  };
   const auto gauge = [registry](const char* name, double v) {
     registry->GetGauge(name)->Set(v);
   };
 
-  counter("server.slots_total", server_->TotalSlots());
-  counter("server.slots_push", server_->PushSlots());
-  counter("server.slots_pull", server_->PullSlots());
-  counter("server.slots_idle", server_->IdleSlots());
-  const server::PullQueue& queue = server_->queue();
-  counter("server.queue.submitted", queue.SubmittedCount());
-  counter("server.queue.accepted", queue.AcceptedCount());
-  counter("server.queue.coalesced", queue.CoalescedCount());
-  counter("server.queue.dropped", queue.DroppedCount());
-  gauge("server.queue.depth_high_water", queue.DepthHighWater());
-  gauge("server.queue.drop_rate", queue.DropRate());
-  gauge("server.pull_bw", server_->pull_bw());
-
-  counter("client.mc.accesses", mc_->TotalAccesses());
-  counter("client.mc.cache.hits", mc_->cache().Hits());
-  counter("client.mc.cache.misses", mc_->cache().Misses());
-  counter("client.mc.cache.evictions", mc_->cache().Evictions());
-  counter("client.mc.cache.removals", mc_->cache().Removals());
-  counter("client.mc.pulls_sent", mc_->PullRequestsSent());
-  counter("client.mc.retries_sent", mc_->RetriesSent());
-  counter("client.mc.prefetches", mc_->Prefetches());
-  counter("client.mc.invalidations_seen", mc_->InvalidationsSeen());
+  SnapshotCounters(counter_sources(), registry);
+  const server::BroadcastServer& server = stack_.server();
+  gauge("server.queue.depth_high_water", server.queue().DepthHighWater());
+  gauge("server.queue.drop_rate", server.queue().DropRate());
+  gauge("server.pull_bw", server.pull_bw());
   gauge("client.mc.pull_wait_ratio", mc_->PullWaitRatio());
   registry->ExportHistogram("client.mc.response", mc_->response_histogram());
-  if (vc_) {
-    counter("client.vc.requests_generated", vc_->RequestsGenerated());
-    counter("client.vc.cache_hits", vc_->CacheHits());
-    counter("client.vc.filtered", vc_->FilteredByThreshold());
-    counter("client.vc.submitted", vc_->RequestsSubmitted());
-  }
-  if (update_generator_) {
-    counter("server.updates_generated", update_generator_->UpdateCount());
-  }
-  if (injector_) {
-    // fault.* keys exist only when a FaultPlan is active: bdisk_compare
-    // treats a key present in one snapshot but not the other as a
-    // regression, and fault-free snapshots must stay comparable to the
-    // committed pre-fault baseline.
-    counter("fault.slots_lost", injector_->SlotsLost());
-    counter("fault.slots_corrupted", injector_->SlotsCorrupted());
-    counter("fault.requests_lost", injector_->RequestsLost());
-    counter("fault.requests_delayed", injector_->RequestsDelayed());
-    counter("fault.requests_shed", queue.ShedCount());
-    counter("fault.requests_dropped_outage", queue.OutageDropCount());
-    counter("fault.outage_slots", server_->OutageSlots());
-    counter("fault.outages_started", server_->OutagesStarted());
-    counter("fault.degraded_enters", server_->DegradedEnters());
-    counter("fault.degraded_exits", server_->DegradedExits());
-    counter("fault.mc.timeouts", mc_->TimeoutsFired());
-    counter("fault.mc.abandoned", mc_->Abandoned());
-    counter("fault.mc.fallbacks", mc_->Fallbacks());
-    counter("fault.mc.probes", mc_->ProbesSent());
-    counter("fault.mc.backchannel_deaths", mc_->BackchannelDeaths());
-    counter("fault.mc.backchannel_recoveries", mc_->BackchannelRecoveries());
-  }
-
   if (collector_ != nullptr) collector_->PublishTo(registry);
-
-  if (bus_ != nullptr) {
-    counter("obs.frames_emitted", bus_->FramesEmitted());
-    counter("obs.frames_dropped", bus_->FramesDropped());
-  }
-
-  counter("kernel.events_executed", simulator_.EventsExecuted());
-  counter("kernel.periodic_rearms", simulator_.PeriodicRearms());
-  counter("kernel.lazy_arrivals_fused", simulator_.LazyArrivalsFused());
-  counter("kernel.lazy_drains", simulator_.LazyDrains());
-  counter("kernel.stale_discarded", simulator_.StaleDiscarded());
-  counter("kernel.periodic_spans", simulator_.PeriodicSpans());
+  const sim::Simulator& simulator = stack_.simulator();
   gauge("kernel.heap_high_water",
-        static_cast<double>(simulator_.HeapHighWater()));
+        static_cast<double>(simulator.HeapHighWater()));
   gauge("kernel.wall_seconds", wall_seconds_);
-  gauge("kernel.sim_time_end", simulator_.Now());
+  gauge("kernel.sim_time_end", simulator.Now());
 
   // prof.* is wall-clock data (nondeterministic across runs); comparators
   // skip it via obs::kNondeterministicMetricSubstrings.
@@ -475,11 +371,12 @@ void System::SnapshotMetrics(obs::MetricsRegistry* registry) const {
 }
 
 void System::TimedRun(sim::SimTime max_sim_time) {
+  sim::Simulator& simulator = stack_.simulator();
   if (bus_ != nullptr) {
-    bus_->EmitRunStart(simulator_.Now(), TelemetryProvenance());
+    bus_->EmitRunStart(simulator.Now(), TelemetryProvenance());
   }
   const auto start = std::chrono::steady_clock::now();
-  simulator_.RunUntil(max_sim_time);
+  simulator.RunUntil(max_sim_time);
   wall_seconds_ = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();
@@ -493,10 +390,13 @@ void System::TimedRun(sim::SimTime max_sim_time) {
   // run_end goes out after Finish() so the final partial window's frame
   // precedes it; it carries the closing deltas that make the stream
   // reconcile exactly even when trailing window frames were dropped.
-  if (bus_ != nullptr) bus_->EmitRunEnd(simulator_.Now());
+  if (bus_ != nullptr) bus_->EmitRunEnd(simulator.Now());
 }
 
 RunResult System::CollectResult(bool converged) const {
+  const server::BroadcastServer& server = stack_.server();
+  const sim::Simulator& simulator = stack_.simulator();
+  const fault::FaultInjector* injector = stack_.server_faults();
   RunResult result;
   result.response_stats = mc_->response_times();
   result.mean_response = result.response_stats.Mean();
@@ -530,7 +430,7 @@ RunResult System::CollectResult(bool converged) const {
     result.updates_generated = update_generator_->UpdateCount();
   }
 
-  const server::PullQueue& queue = server_->queue();
+  const server::PullQueue& queue = server.queue();
   result.requests_submitted = queue.SubmittedCount();
   result.requests_accepted = queue.AcceptedCount();
   result.requests_coalesced = queue.CoalescedCount();
@@ -540,15 +440,15 @@ RunResult System::CollectResult(bool converged) const {
   result.drop_rate = queue.DropRate();
   result.queue_depth_high_water = queue.DepthHighWater();
 
-  if (injector_) {
-    result.fault_slots_lost = injector_->SlotsLost();
-    result.fault_slots_corrupted = injector_->SlotsCorrupted();
-    result.fault_requests_lost = injector_->RequestsLost();
-    result.fault_requests_delayed = injector_->RequestsDelayed();
-    result.outage_slots = server_->OutageSlots();
-    result.outages_started = server_->OutagesStarted();
-    result.degraded_enters = server_->DegradedEnters();
-    result.degraded_exits = server_->DegradedExits();
+  if (injector != nullptr) {
+    result.fault_slots_lost = injector->SlotsLost();
+    result.fault_slots_corrupted = injector->SlotsCorrupted();
+    result.fault_requests_lost = injector->RequestsLost();
+    result.fault_requests_delayed = injector->RequestsDelayed();
+    result.outage_slots = server.OutageSlots();
+    result.outages_started = server.OutagesStarted();
+    result.degraded_enters = server.DegradedEnters();
+    result.degraded_exits = server.DegradedExits();
     result.mc_timeouts_fired = mc_->TimeoutsFired();
     result.mc_abandoned = mc_->Abandoned();
     result.mc_fallbacks = mc_->Fallbacks();
@@ -557,29 +457,29 @@ RunResult System::CollectResult(bool converged) const {
     result.mc_backchannel_recoveries = mc_->BackchannelRecoveries();
   }
 
-  const double slots = static_cast<double>(server_->TotalSlots());
+  const double slots = static_cast<double>(server.TotalSlots());
   if (slots > 0) {
-    result.push_slot_frac = static_cast<double>(server_->PushSlots()) / slots;
-    result.pull_slot_frac = static_cast<double>(server_->PullSlots()) / slots;
-    result.idle_slot_frac = static_cast<double>(server_->IdleSlots()) / slots;
+    result.push_slot_frac = static_cast<double>(server.PushSlots()) / slots;
+    result.pull_slot_frac = static_cast<double>(server.PullSlots()) / slots;
+    result.idle_slot_frac = static_cast<double>(server.IdleSlots()) / slots;
   }
-  result.major_cycle_len = server_->program().Length();
+  result.major_cycle_len = server.program().Length();
 
-  result.kernel.events_executed = simulator_.EventsExecuted();
-  result.kernel.heap_high_water = simulator_.HeapHighWater();
-  result.kernel.periodic_rearms = simulator_.PeriodicRearms();
-  result.kernel.lazy_arrivals_fused = simulator_.LazyArrivalsFused();
-  result.kernel.lazy_drains = simulator_.LazyDrains();
-  result.kernel.stale_discarded = simulator_.StaleDiscarded();
-  result.kernel.periodic_spans = simulator_.PeriodicSpans();
+  result.kernel.events_executed = simulator.EventsExecuted();
+  result.kernel.heap_high_water = simulator.HeapHighWater();
+  result.kernel.periodic_rearms = simulator.PeriodicRearms();
+  result.kernel.lazy_arrivals_fused = simulator.LazyArrivalsFused();
+  result.kernel.lazy_drains = simulator.LazyDrains();
+  result.kernel.stale_discarded = simulator.StaleDiscarded();
+  result.kernel.periodic_spans = simulator.PeriodicSpans();
   result.kernel.wall_seconds = wall_seconds_;
   if (wall_seconds_ > 1e-9) {
     result.kernel.events_per_wall_second =
-        static_cast<double>(simulator_.EventsExecuted()) / wall_seconds_;
-    result.kernel.sim_units_per_wall_second = simulator_.Now() / wall_seconds_;
+        static_cast<double>(simulator.EventsExecuted()) / wall_seconds_;
+    result.kernel.sim_units_per_wall_second = simulator.Now() / wall_seconds_;
   }
 
-  result.sim_time_end = simulator_.Now();
+  result.sim_time_end = simulator.Now();
   result.converged = converged;
   return result;
 }
@@ -615,7 +515,7 @@ RunResult System::RunSteadyState(const SteadyStateProtocol& protocol) {
         if ((stable && measured_count >= protocol.min_measured_accesses) ||
             measured_count >= protocol.max_measured_accesses) {
           converged = stable;
-          simulator_.Stop();
+          stack_.simulator().Stop();
         }
         break;
       }
@@ -625,7 +525,7 @@ RunResult System::RunSteadyState(const SteadyStateProtocol& protocol) {
   mc_->Start();
   if (vc_) vc_->Start();
   if (update_generator_) update_generator_->Start();
-  if (server_controller_) server_controller_->Start();
+  stack_.Start();
   if (client_controller_) client_controller_->Start();
   TimedRun(protocol.max_sim_time);
   return CollectResult(converged);
@@ -642,14 +542,14 @@ RunResult System::RunWarmup(const WarmupProtocol& protocol) {
   mc_->SetOnAccessComplete([&, this, tracker](double /*response_time*/) {
     if (tracker->Fraction() >= protocol.target_fraction) {
       reached = true;
-      simulator_.Stop();
+      stack_.simulator().Stop();
     }
   });
 
   mc_->Start();
   if (vc_) vc_->Start();
   if (update_generator_) update_generator_->Start();
-  if (server_controller_) server_controller_->Start();
+  stack_.Start();
   if (client_controller_) client_controller_->Start();
   TimedRun(protocol.max_sim_time);
 

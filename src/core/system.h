@@ -17,6 +17,7 @@
 #include "client/virtual_client.h"
 #include "core/config.h"
 #include "core/metrics.h"
+#include "core/server_stack.h"
 #include "fault/fault_injector.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -58,22 +59,6 @@ struct WarmupProtocol {
   sim::SimTime max_sim_time = 2.0e8;
 };
 
-/// Immutable artifacts derived purely from a SystemConfig: the canonical
-/// access pattern, the push layout and broadcast program, and the
-/// canonical value array (PIX when a push program exists, P otherwise).
-/// Building them is the O(DbSize·log) part of System construction, and
-/// none of it depends on the seed, so a sweep shares one copy across every
-/// point and replication whose key fields agree (see ArtifactKey).
-struct SystemArtifacts {
-  explicit SystemArtifacts(workload::AccessPattern pattern)
-      : canonical_pattern(std::move(pattern)) {}
-
-  workload::AccessPattern canonical_pattern;
-  broadcast::PushLayout layout;  // Empty for Pure-Pull.
-  std::shared_ptr<const broadcast::BroadcastProgram> program;
-  std::vector<double> canonical_values;
-};
-
 /// Builds the artifacts for `config` from scratch.
 std::shared_ptr<const SystemArtifacts> BuildArtifacts(
     const SystemConfig& config);
@@ -97,15 +82,10 @@ class ArtifactCache {
       cache_;
 };
 
-/// Salt of the server-side fault injector's RNG stream (seed ^ kFaultSalt).
-/// A salted stream, not a Split() of the root, so enabling a FaultPlan never
-/// shifts the streams other components draw from. bdisk_serve seeds its
-/// server injector the same way, which keeps a serve-mode fault trajectory
-/// equal to the simulated one for the same seed.
-inline constexpr std::uint64_t kFaultSalt = 0xFA017'1A7EC7EDULL;
-
-/// One fully wired simulated system: broadcast program, server, measured
-/// client, and virtual client, built from a SystemConfig.
+/// One fully wired simulated system, built from a SystemConfig: the
+/// ServerStack (program, server, fault injector, PullBW controller) plus
+/// the measured client, the virtual client and the update generator over
+/// SimTransport.
 ///
 /// A System instance supports exactly one run (RunSteadyState or
 /// RunWarmup); build a fresh System per configuration point. Components are
@@ -181,7 +161,7 @@ class System {
 
   /// The generated broadcast program (empty schedule for Pure-Pull).
   const broadcast::BroadcastProgram& program() const {
-    return server_->program();
+    return stack_.server().program();
   }
 
   /// The page-to-disk layout (disk sizes after truncation etc.); only
@@ -195,8 +175,8 @@ class System {
   const workload::AccessPattern& mc_pattern() const { return mc_pattern_; }
 
   /// Components (valid for the lifetime of the System).
-  sim::Simulator& simulator() { return simulator_; }
-  server::BroadcastServer& server() { return *server_; }
+  sim::Simulator& simulator() { return stack_.simulator(); }
+  server::BroadcastServer& server() { return stack_.server(); }
   client::MeasuredClient& mc() { return *mc_; }
   /// Null when the configuration has no virtual client (Pure-Push, or
   /// vc_enabled == false).
@@ -204,7 +184,7 @@ class System {
 
   /// Adaptive controllers; null unless enabled in the config.
   adaptive::ServerController* server_controller() {
-    return server_controller_.get();
+    return stack_.server_controller();
   }
   adaptive::ClientController* client_controller() {
     return client_controller_.get();
@@ -216,32 +196,32 @@ class System {
   }
 
   /// Fault injector; null unless the config's FaultPlan is Enabled().
-  fault::FaultInjector* fault_injector() { return injector_.get(); }
+  fault::FaultInjector* fault_injector() { return stack_.server_faults(); }
 
   /// The transport seam the measured client submits pulls through. Always
   /// the in-process sim backend here (bit-identical to the direct call by
-  /// construction); the datagram backend lives in bdisk_serve, which
-  /// builds its server standalone.
+  /// construction); bdisk_serve puts a DatagramServerTransport on the same
+  /// ServerStack instead.
   transport::Transport& transport() { return *sim_transport_; }
 
  private:
   RunResult CollectResult(bool converged) const;
   void TimedRun(sim::SimTime max_sim_time);
 
+  /// Every component the counter table reads, as SnapshotMetrics and the
+  /// telemetry probe see them.
+  CounterSources counter_sources() const;
+  std::vector<std::pair<std::string, std::string>> TelemetryProvenance() const;
+
   SystemConfig config_;
-  sim::Simulator simulator_;
   std::shared_ptr<const SystemArtifacts> artifacts_;
   workload::AccessPattern mc_pattern_;
-  std::unique_ptr<server::BroadcastServer> server_;
+  ServerStack stack_;
   std::unique_ptr<transport::SimTransport> sim_transport_;
   std::unique_ptr<client::MeasuredClient> mc_;
   std::unique_ptr<client::VirtualClient> vc_;
-  std::unique_ptr<adaptive::ServerController> server_controller_;
   std::unique_ptr<adaptive::ClientController> client_controller_;
   std::unique_ptr<server::UpdateGenerator> update_generator_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::vector<obs::CounterSample> ProbeTelemetryCounters() const;
-  std::vector<std::pair<std::string, std::string>> TelemetryProvenance() const;
 
   obs::WindowedCollector* collector_ = nullptr;  // Not owned.
   obs::TraceSink* sink_ = nullptr;               // Not owned.

@@ -268,6 +268,13 @@ void DatagramServerTransport::OnPull(const wire::Message& msg,
   }
   Peer& peer = it->second;
   peer.last_heard = wall_now;
+  // The queue indexes its page mask by page, so a page the program does
+  // not hold is refused here, at the trust boundary, and never counted as
+  // received.
+  if (msg.page >= server_->program().DbSize()) {
+    ++counters_.pulls_bad_page;
+    return;
+  }
   // pulls_rx counts pre-judgement: it is the denominator the client's
   // send count reconciles against (sends that the kernel accepted all
   // arrive — AF_UNIX does not lose datagrams — so rx == sent_ok exactly).
@@ -365,38 +372,6 @@ bool DatagramServerTransport::WriteFinal(const Peer& peer,
     }
   }
   return false;
-}
-
-void DatagramServerTransport::AppendCounterSamples(
-    std::vector<obs::CounterSample>* out) const {
-  const TransportCounters& c = counters_;
-  out->push_back({"transport.hellos", c.hellos});
-  out->push_back({"transport.reconnects", c.reconnects});
-  out->push_back({"transport.peers_rejected", c.peers_rejected});
-  out->push_back({"transport.pulls_rx", c.pulls_rx});
-  out->push_back({"transport.pulls_fault_dropped", c.pulls_fault_dropped});
-  out->push_back({"transport.pulls_unknown_peer", c.pulls_unknown_peer});
-  out->push_back({"transport.pings_rx", c.pings_rx});
-  out->push_back({"transport.byes_rx", c.byes_rx});
-  out->push_back({"transport.malformed_rx", c.malformed_rx});
-  out->push_back({"transport.slots_tx", c.slots_tx});
-  out->push_back({"transport.drop_backpressure", c.drop_backpressure});
-  out->push_back({"transport.drop_dead_peer", c.drop_dead_peer});
-  out->push_back({"transport.drop_fault", c.drop_fault});
-  out->push_back({"transport.evictions", c.evictions});
-}
-
-void DatagramServerTransport::SnapshotMetrics(
-    obs::MetricsRegistry* registry) const {
-  std::vector<obs::CounterSample> samples;
-  AppendCounterSamples(&samples);
-  for (const obs::CounterSample& s : samples) {
-    registry->GetCounter(s.name)->Set(s.value);
-  }
-  // Gauge, not counter: point-in-time, and kept out of the counter table
-  // that frame-delta reconciliation sums over.
-  registry->GetGauge("transport.peers")
-      ->Set(static_cast<double>(peers_.size()));
 }
 
 }  // namespace bdisk::transport

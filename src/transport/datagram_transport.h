@@ -6,11 +6,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "fault/fault_injector.h"
-#include "obs/metrics.h"
-#include "obs/telemetry_bus.h"
 #include "server/broadcast_server.h"
 #include "transport/transport.h"
 #include "transport/wire.h"
@@ -38,11 +35,11 @@ struct DatagramServerOptions {
   std::uint32_t cycle_len = 0;
   std::uint32_t slot_us = 0;
 
-  /// Transport-level fault injection (not owned; null disables). Seeded
-  /// from its own kTransportSalt stream — the plan's slot_loss /
+  /// Transport-level fault injection (not owned; null disables): the
+  /// core::ServerStack's wire_faults(). The plan's slot_loss /
   /// request_loss act at the wire here (a lost slot reaches *no* peer, a
-  /// lost PULL never enters the queue), so serve mode zeroes those rates
-  /// from the server-side plan to avoid applying the same fault twice.
+  /// lost PULL never enters the queue), and the stack zeroes those rates
+  /// from the server-side plan so no fault applies twice.
   fault::FaultInjector* injector = nullptr;
 };
 
@@ -59,6 +56,7 @@ struct TransportCounters {
   std::uint64_t pulls_rx = 0;        // PULLs received (pre fault judge).
   std::uint64_t pulls_fault_dropped = 0;  // PULLs judged lost on the wire.
   std::uint64_t pulls_unknown_peer = 0;   // PULLs from unconnected peers.
+  std::uint64_t pulls_bad_page = 0;  // PULLs refused: page >= db_size.
   std::uint64_t pings_rx = 0;
   std::uint64_t byes_rx = 0;
   std::uint64_t malformed_rx = 0;    // Datagrams ParseMessage rejected.
@@ -163,18 +161,6 @@ class DatagramServerTransport final : public Transport,
 
   /// The server's view of one peer (null when unknown) — what STATS sends.
   const wire::PeerStats* FindPeerStats(const std::string& client_id) const;
-
-  /// Appends the `transport.*` lifetime counters as telemetry probe
-  /// samples. Names match SnapshotMetrics keys exactly, so bdisk_top
-  /// --check --snapshot reconciles serve-mode frame streams for free.
-  void AppendCounterSamples(std::vector<obs::CounterSample>* out) const;
-
-  /// Writes the same counters (plus a transport.peers gauge) into
-  /// `registry` under `transport.*` for the serve tool's metrics
-  /// snapshot. These keys exist only in serve mode: simulation snapshots
-  /// never carry them, so bdisk_compare's key-symmetry rule keeps holding
-  /// for sim baselines.
-  void SnapshotMetrics(obs::MetricsRegistry* registry) const;
 
  private:
   /// Owns the write end of one peer's downlink pipe; closes it when

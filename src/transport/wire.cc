@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 namespace bdisk::transport::wire {
 
@@ -163,20 +164,11 @@ void FormatSlot(std::uint64_t seq, PageId page, server::SlotKind kind,
 
 void FormatStats(const PeerStats& stats, std::string* out) {
   out->assign(kMagic);
-  out->append(" STATS ");
-  AppendU64(stats.pulls_rx, out);
-  out->push_back(' ');
-  AppendU64(stats.slots_tx_epoch, out);
-  out->push_back(' ');
-  AppendU64(stats.drop_backpressure, out);
-  out->push_back(' ');
-  AppendU64(stats.drop_dead_peer, out);
-  out->push_back(' ');
-  AppendU64(stats.drop_fault, out);
-  out->push_back(' ');
-  AppendU64(stats.pulls_fault_dropped, out);
-  out->push_back(' ');
-  AppendU64(stats.reconnects, out);
+  out->append(" STATS");
+  for (const PeerStatsField& f : kPeerStatsFields) {
+    out->push_back(' ');
+    AppendU64(stats.*f.field, out);
+  }
 }
 
 void FormatFin(const std::string& reason, std::string* out) {
@@ -246,16 +238,15 @@ bool ParseMessage(std::string_view datagram, Message* out,
     return true;
   }
   if (verb == "STATS") {
-    if (!want(9)) return Fail(error, "STATS wants seven fields");
+    if (!want(2 + static_cast<int>(std::size(kPeerStatsFields)))) {
+      return Fail(error, "STATS wants seven fields");
+    }
     PeerStats s;
-    if (!ParseU64(fields[2], &s.pulls_rx) ||
-        !ParseU64(fields[3], &s.slots_tx_epoch) ||
-        !ParseU64(fields[4], &s.drop_backpressure) ||
-        !ParseU64(fields[5], &s.drop_dead_peer) ||
-        !ParseU64(fields[6], &s.drop_fault) ||
-        !ParseU64(fields[7], &s.pulls_fault_dropped) ||
-        !ParseU64(fields[8], &s.reconnects)) {
-      return Fail(error, "bad STATS fields");
+    const std::string_view* field = fields + 2;
+    for (const PeerStatsField& f : kPeerStatsFields) {
+      if (!ParseU64(*field++, &(s.*f.field))) {
+        return Fail(error, "bad STATS fields");
+      }
     }
     out->type = MsgType::kStats;
     out->stats = s;

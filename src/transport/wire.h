@@ -62,6 +62,7 @@ enum class MsgType : std::uint8_t {
 
 /// Per-peer counters carried by STATS (the server's view of one client,
 /// used by `bdisk_load --reconcile` for the exact drop-accounting check).
+/// kPeerStatsFields lists the fields in STATS order.
 struct PeerStats {
   std::uint64_t pulls_rx = 0;           // PULLs received (pre fault judge).
   std::uint64_t slots_tx_epoch = 0;     // Slot lines the kernel accepted
@@ -71,6 +72,24 @@ struct PeerStats {
   std::uint64_t drop_fault = 0;         // Slots withheld by fault injection.
   std::uint64_t pulls_fault_dropped = 0;  // PULLs judged lost on the wire.
   std::uint64_t reconnects = 0;         // HELLOs beyond the first.
+};
+
+/// One PeerStats field: its name and its member.
+struct PeerStatsField {
+  const char* name;
+  std::uint64_t PeerStats::*field;
+};
+
+/// The one field list of PeerStats, in STATS order: FormatStats writes it,
+/// ParseMessage reads it, and `bdisk_load --reconcile` prints it.
+inline constexpr PeerStatsField kPeerStatsFields[] = {
+    {"pulls_rx", &PeerStats::pulls_rx},
+    {"slots_tx_epoch", &PeerStats::slots_tx_epoch},
+    {"drop_backpressure", &PeerStats::drop_backpressure},
+    {"drop_dead_peer", &PeerStats::drop_dead_peer},
+    {"drop_fault", &PeerStats::drop_fault},
+    {"pulls_fault_dropped", &PeerStats::pulls_fault_dropped},
+    {"reconnects", &PeerStats::reconnects},
 };
 
 /// One parsed message. Only the fields of the parsed type are meaningful.

@@ -6,9 +6,11 @@
 // validation, and the per-peer downlink pipes: every HELLO hands over a
 // fresh pipe and ends the old one after its last slot, a stalled reader
 // absorbs its own pipe's capacity, an early epoch's slots wait on the
-// pipe, and no pipe outlives its peer. A fake server bound at the serving
-// path feeds a real client channel hostile datagrams, descriptors and
-// lines. Wall-clock deadlines are driven with explicit timestamps — no
+// pipe, and no pipe outlives its peer. A PULL past the database is
+// refused and counted. A fake server bound at the serving path feeds a
+// real client channel hostile datagrams, descriptors and lines. The
+// serve stack that bdisk_serve builds is pinned over a scripted loopback
+// session. Wall-clock deadlines are driven with explicit timestamps — no
 // sleeping for eviction tests.
 
 #include <fcntl.h>
@@ -18,10 +20,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -33,6 +37,10 @@
 #include <vector>
 
 #include "broadcast/broadcast_program.h"
+#include "core/counter_table.h"
+#include "core/server_stack.h"
+#include "core/system.h"
+#include "obs/trace_sink.h"
 #include "server/broadcast_server.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -580,17 +588,62 @@ TEST_F(DatagramTransportTest, CounterSamplesMirrorSnapshotKeys) {
   std::string error;
   ASSERT_TRUE(transport.Bind(server_options_, &server, &error)) << error;
 
-  std::vector<obs::CounterSample> samples;
-  transport.AppendCounterSamples(&samples);
+  // bdisk_serve's counter sources: the server and the wire.
+  const core::CounterSources sources{.server = &server,
+                                     .transport = &transport.counters()};
+  const std::vector<obs::CounterSample> samples = core::ProbeCounters(sources);
   ASSERT_FALSE(samples.empty());
 
   obs::MetricsRegistry registry;
-  transport.SnapshotMetrics(&registry);
+  core::SnapshotCounters(sources, &registry);
   // Every probe sample name is a registry counter key — the contract that
   // lets bdisk_top --check --snapshot reconcile serve-mode streams.
   for (const obs::CounterSample& sample : samples) {
     EXPECT_EQ(registry.counters().count(sample.name), 1U) << sample.name;
   }
+
+  transport.Shutdown("test");
+}
+
+TEST_F(DatagramTransportTest, PullsPastTheDatabaseAreRefusedAndCounted) {
+  // At db_size 1000, page 1000 is one past the queue's page mask and
+  // 4000000000 is far past it; before the refusal, the first went on to
+  // index the mask and the second crashed the server.
+  sim::Simulator sim;
+  BroadcastServer server(&sim, BroadcastProgram({}, 1000), 1.0, 16,
+                         sim::Rng(1));
+  server_options_.db_size = 1000;
+  DatagramServerTransport transport;
+  std::string error;
+  ASSERT_TRUE(transport.Bind(server_options_, &server, &error)) << error;
+
+  DatagramClientChannel client;
+  sim::Rng rng(3);
+  ASSERT_TRUE(PumpedConnect(&transport, &client, ClientOptions("v"), &rng));
+  const std::uint64_t submitted = server.queue().SubmittedCount();
+  ASSERT_TRUE(client.SendPull(4000000000U));
+  ASSERT_TRUE(client.SendPull(1000));
+  EXPECT_EQ(transport.Poll(1.0), 2);
+  EXPECT_EQ(transport.counters().pulls_bad_page, 2U);
+  EXPECT_EQ(transport.counters().pulls_rx, 0U);
+  EXPECT_EQ(transport.counters().malformed_rx, 0U);
+  EXPECT_EQ(transport.FindPeerStats("v")->pulls_rx, 0U);
+  EXPECT_EQ(server.queue().SubmittedCount(), submitted);
+
+  // The server lives on, and the next valid PULL is served.
+  ASSERT_TRUE(client.SendPull(999));
+  EXPECT_EQ(transport.Poll(2.0), 1);
+  EXPECT_EQ(transport.counters().pulls_rx, 1U);
+  EXPECT_EQ(server.queue().SubmittedCount(), submitted + 1);
+  sim.RunUntil(3.0);
+  std::vector<wire::Message> messages;
+  EXPECT_GE(client.PollMessages(500, &messages), 1);
+  EXPECT_TRUE(std::any_of(messages.begin(), messages.end(),
+                          [](const wire::Message& m) {
+                            return m.type == wire::MsgType::kSlot &&
+                                   m.kind == server::SlotKind::kPull &&
+                                   m.page == 999;
+                          }));
 
   transport.Shutdown("test");
 }
@@ -1179,6 +1232,157 @@ TEST_F(FakeServerTest, QueuedWelcomesEachEndTheirEpoch) {
   EXPECT_EQ(client_->counters().slots_rx_total, 9U);
   EXPECT_EQ(client_->counters().malformed_rx, 0U);
   pipe_ = std::move(third);
+}
+
+/// FNV-1a over `text`: a compact pin for a whole trace.
+std::uint64_t Fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// The pinned session's config: the paper's shape at a tenth of its size,
+/// with a queue small enough for the pull script to overflow and shed.
+core::SystemConfig PinConfig() {
+  core::SystemConfig config;
+  config.server_db_size = 100;
+  config.disks.sizes = {10, 40, 50};
+  config.cache_size = 10;
+  config.server_queue_size = 8;
+  return config;
+}
+
+class ServeStackPinTest : public DatagramTransportTest {
+ protected:
+  /// One scripted session on the serve stack: two peers connect, then one
+  /// thread steps Poll(wall) and RunUntil(k) in lockstep for 600 slots
+  /// while the peers pull on a fixed script, and both say goodbye. Returns
+  /// the server trace's digest, the server and wire counters, and each
+  /// peer's STATS line.
+  std::string RunSession(const core::SystemConfig& config) {
+    core::ServerStack stack(config, *core::BuildArtifacts(config),
+                            core::ServerStack::Wire::kDatagram);
+    sim::Simulator& simulator = stack.simulator();
+    BroadcastServer& server = stack.server();
+    obs::TraceSink trace;
+    server.SetTraceSink(&trace);
+    DatagramServerOptions options = server_options_;
+    options.db_size = config.server_db_size;
+    options.cycle_len = server.program().Length();
+    options.injector = stack.wire_faults();
+    DatagramServerTransport transport;
+    std::string error;
+    EXPECT_TRUE(transport.Bind(options, &server, &error)) << error;
+
+    DatagramClientChannel a;
+    DatagramClientChannel b;
+    sim::Rng rng(3);
+    EXPECT_TRUE(PumpedConnect(&transport, &a, ClientOptions("a"), &rng));
+    EXPECT_TRUE(PumpedConnect(&transport, &b, ClientOptions("b"), &rng));
+    const std::uint32_t db = config.server_db_size;
+    for (std::uint32_t k = 1; k <= 600; ++k) {
+      if (k % 2 == 0) {
+        EXPECT_TRUE(a.SendPull((k * 7) % db));
+      }
+      if (k % 3 != 0) {
+        EXPECT_TRUE(b.SendPull((k * 13 + 5) % db));
+      }
+      transport.Poll(k * 1e-3);
+      simulator.RunUntil(static_cast<double>(k));
+      a.PollMessages(0, nullptr);  // Drain the pipes as slots arrive.
+      b.PollMessages(0, nullptr);
+    }
+    wire::PeerStats stats_a;
+    wire::PeerStats stats_b;
+    {
+      ServerPump pump(&transport, 1.0);
+      EXPECT_TRUE(a.Goodbye(&stats_a, 2000));
+      EXPECT_TRUE(b.Goodbye(&stats_b, 2000));
+    }
+    EXPECT_EQ(stats_a.slots_tx_epoch, a.counters().slots_rx_epoch);
+    EXPECT_EQ(stats_b.slots_tx_epoch, b.counters().slots_rx_epoch);
+
+    const server::PullQueue& queue = server.queue();
+    const TransportCounters& c = transport.counters();
+    std::string line_a;
+    std::string line_b;
+    wire::FormatStats(stats_a, &line_a);
+    wire::FormatStats(stats_b, &line_b);
+    char digest[32];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(Fnv1a(trace.ToJsonl())));
+    const auto n = [](std::uint64_t v) { return std::to_string(v); };
+    return std::string("trace ") + digest + " records " +
+           n(trace.TotalEvents()) + "\nslots " + n(server.TotalSlots()) +
+           " push " + n(server.PushSlots()) + " pull " +
+           n(server.PullSlots()) + " idle " + n(server.IdleSlots()) +
+           "\nqueue " + n(queue.SubmittedCount()) + " accepted " +
+           n(queue.AcceptedCount()) + " coalesced " +
+           n(queue.CoalescedCount()) + " dropped " +
+           n(queue.DroppedCount()) + " shed " + n(queue.ShedCount()) +
+           " outage " + n(queue.OutageDropCount()) + "\noutage_slots " +
+           n(server.OutageSlots()) + " degraded " +
+           n(server.DegradedEnters()) + "/" + n(server.DegradedExits()) +
+           "\nwire rx " + n(c.pulls_rx) + " lost " +
+           n(c.pulls_fault_dropped) + " tx " + n(c.slots_tx) +
+           " drop_fault " + n(c.drop_fault) + " backpressure " +
+           n(c.drop_backpressure) + "\n" + line_a + "\n" + line_b;
+  }
+};
+
+// The pins were recorded from the hand wiring bdisk_serve had before the
+// ServerStack (its own Split(), fault split and salts), so they hold the
+// builder to the trajectory it replaced.
+TEST_F(ServeStackPinTest, InertPlan) {
+  EXPECT_EQ(RunSession(PinConfig()),
+            "trace 5b5b08a25a36344c records 1300\n"
+            "slots 601 push 293 pull 308 idle 0\n"
+            "queue 700 accepted 316 coalesced 38 dropped 346 shed 0 "
+            "outage 0\n"
+            "outage_slots 0 degraded 0/0\n"
+            "wire rx 700 lost 0 tx 1200 drop_fault 0 backpressure 0\n"
+            "bdw1 STATS 300 600 0 0 0 0 0\n"
+            "bdw1 STATS 400 600 0 0 0 0 0");
+}
+
+TEST_F(ServeStackPinTest, ServerSidePlan) {
+  // Outages, degraded-mode shedding and request delay stay in the server.
+  core::SystemConfig config = PinConfig();
+  config.fault.outage_start = 100.0;
+  config.fault.outage_duration = 40.0;
+  config.fault.outage_period = 300.0;
+  config.fault.shed_hi = 0.75;
+  config.fault.shed_lo = 0.25;
+  config.fault.request_delay = 1.5;
+  EXPECT_EQ(RunSession(config),
+            "trace dda845a7be504548 records 1383\n"
+            "slots 601 push 259 pull 262 idle 80\n"
+            "queue 698 accepted 267 coalesced 2 dropped 0 shed 333 "
+            "outage 96\n"
+            "outage_slots 80 degraded 41/40\n"
+            "wire rx 700 lost 0 tx 1040 drop_fault 0 backpressure 0\n"
+            "bdw1 STATS 300 520 0 0 0 0 0\n"
+            "bdw1 STATS 400 520 0 0 0 0 0");
+}
+
+TEST_F(ServeStackPinTest, WirePlan) {
+  // Slot and request loss act on the wire, from the transport's own
+  // salted stream; the server's trajectory sees only what got through.
+  core::SystemConfig config = PinConfig();
+  config.fault.slot_loss = 0.1;
+  config.fault.request_loss = 0.2;
+  EXPECT_EQ(RunSession(config),
+            "trace 04cd48c319734940 records 1138\n"
+            "slots 601 push 293 pull 308 idle 0\n"
+            "queue 538 accepted 315 coalesced 23 dropped 200 shed 0 "
+            "outage 0\n"
+            "outage_slots 0 degraded 0/0\n"
+            "wire rx 700 lost 162 tx 1082 drop_fault 118 backpressure 0\n"
+            "bdw1 STATS 300 541 0 0 59 76 0\n"
+            "bdw1 STATS 400 541 0 0 59 86 0");
 }
 
 }  // namespace

@@ -266,17 +266,13 @@ int main(int argc, char** argv) {
         reconcile_failed = true;
       }
       if (!reconcile_failed) {
-        std::fprintf(stderr,
-                     "reconcile: OK (pulls=%llu slots_epoch=%llu "
-                     "drops: backpressure=%llu dead_peer=%llu fault=%llu "
-                     "pull_fault=%llu)\n",
-                     static_cast<unsigned long long>(stats.pulls_rx),
-                     static_cast<unsigned long long>(stats.slots_tx_epoch),
-                     static_cast<unsigned long long>(stats.drop_backpressure),
-                     static_cast<unsigned long long>(stats.drop_dead_peer),
-                     static_cast<unsigned long long>(stats.drop_fault),
-                     static_cast<unsigned long long>(
-                         stats.pulls_fault_dropped));
+        std::string fields;
+        for (const transport::wire::PeerStatsField& f :
+             transport::wire::kPeerStatsFields) {
+          if (!fields.empty()) fields += ' ';
+          fields += std::string(f.name) + '=' + std::to_string(stats.*f.field);
+        }
+        std::fprintf(stderr, "reconcile: OK (%s)\n", fields.c_str());
       }
     }
   }

@@ -27,11 +27,14 @@
 //   - graceful drain: SIGTERM/SIGINT sends FIN to every peer, then exits
 //     with a summary (and --metrics-json snapshot).
 //
-// Transport-level faults come from the config's fault.* plan: slot_loss /
-// slot_corruption / request_loss act on the wire (judged by a dedicated
-// salted stream), while the remaining plan (outages, degraded mode,
-// request_delay) stays inside the server — each fault applies exactly
-// once.
+// The server is core::ServerStack, the one the simulator builds, so it
+// reads the same config keys; a key that only an in-process client, the
+// update generator or the flight recorder would read is refused (exit 2)
+// when set. Transport-level faults come from the config's fault.* plan:
+// slot_loss / slot_corruption / request_loss act on the wire (judged by a
+// dedicated salted stream), while the remaining plan (outages, degraded
+// mode, request_delay) stays inside the server — each fault applies
+// exactly once.
 
 #include <sys/resource.h>
 
@@ -49,24 +52,19 @@
 
 #include "cli_numbers.h"
 #include "core/config_io.h"
+#include "core/counter_table.h"
 #include "core/provenance.h"
+#include "core/server_stack.h"
 #include "core/system.h"
-#include "fault/fault_injector.h"
 #include "obs/frame_sink.h"
 #include "obs/metrics.h"
 #include "obs/telemetry_bus.h"
 #include "obs/windowed_collector.h"
 #include "server/broadcast_server.h"
-#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "transport/datagram_transport.h"
 
 namespace {
-
-// Salts the wire-fault stream away from the seed and every other salted
-// stream (noise/fault/retry in core::System) — serve-mode wire faults are
-// deterministic per seed and perturb nothing else.
-constexpr std::uint64_t kTransportSalt = 0x7247'A11C'5EEDULL;
 
 // Descriptors kept back from --max-peers: stdio, the serving socket, the
 // pipe of a HELLO in progress, the frame sink and the metrics file, with
@@ -106,7 +104,6 @@ int main(int argc, char** argv) {
 
   core::SystemConfig config;
   std::string socket_path;
-  std::string frames_dest;
   std::string metrics_json;
   std::uint32_t slot_us = 1000;
   std::uint64_t max_slots = 0;
@@ -169,7 +166,12 @@ int main(int argc, char** argv) {
       config.seed =
           cli::UnsignedFlag("--seed", next_value("--seed"), 0, UINT64_MAX);
     } else if (arg == "--frames") {
-      frames_dest = next_value("--frames");
+      const std::string error =
+          core::ApplyConfigOption("frames", next_value("--frames"), &config);
+      if (!error.empty()) {
+        std::fprintf(stderr, "--frames: %s\n", error.c_str());
+        return 2;
+      }
     } else if (arg == "--metrics-json") {
       metrics_json = next_value("--metrics-json");
     } else if (arg == "--help") {
@@ -210,40 +212,25 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "invalid config: %s\n", error.c_str());
       return 2;
     }
+    const std::string key = core::UnservedKey(config);
+    if (!key.empty()) {
+      std::fprintf(stderr,
+                   "%s: bdisk_serve has no in-process clients, update "
+                   "generator or flight recorder to read this key; leave it "
+                   "at its default\n",
+                   key.c_str());
+      return 2;
+    }
   }
 
-  // The serve kernel: the exact components a simulated System wires, minus
-  // the in-process clients — real peers take their place on the wire. The
-  // server RNG is the root's first Split(), matching System's stream
-  // order, so a serve-mode MUX trajectory equals the sim's for the same
-  // seed and request arrivals.
-  sim::Simulator simulator;
-  sim::Rng root(config.seed);
-  sim::Rng server_rng = root.Split();
-  server::BroadcastServer server(&simulator, core::ProgramForConfig(config),
-                                 config.EffectivePullBw(),
-                                 config.server_queue_size, server_rng);
-
-  // Split the fault plan: wire-level rates feed the transport injector
-  // (its own salted stream), everything else stays server-side.
-  fault::FaultPlan wire_plan;
-  wire_plan.slot_loss = config.fault.slot_loss;
-  wire_plan.slot_corruption = config.fault.slot_corruption;
-  wire_plan.request_loss = config.fault.request_loss;
-  std::optional<fault::FaultInjector> wire_injector;
-  if (wire_plan.Enabled()) {
-    wire_injector.emplace(wire_plan, sim::Rng(config.seed ^ kTransportSalt));
-  }
-  fault::FaultPlan server_plan = config.fault;
-  server_plan.slot_loss = 0.0;
-  server_plan.slot_corruption = 0.0;
-  server_plan.request_loss = 0.0;
-  std::optional<fault::FaultInjector> server_injector;
-  if (server_plan.Enabled()) {
-    server_injector.emplace(server_plan,
-                            sim::Rng(config.seed ^ core::kFaultSalt));
-    server.SetFaultInjector(&*server_injector);
-  }
+  // The serve kernel: the ServerStack a simulated System is built on, with
+  // real peers on the wire in place of the in-process clients. One builder
+  // means one RNG stream order, one fault split and one set of salts, so a
+  // serve-mode MUX trajectory equals the sim's for the same seed and
+  // request arrivals; transport_test pins a scripted session of it.
+  core::ServerStack stack(config, *core::BuildArtifacts(config),
+                          core::ServerStack::Wire::kDatagram);
+  server::BroadcastServer& server = stack.server();
 
   transport::DatagramServerOptions options;
   options.socket_path = socket_path;
@@ -252,7 +239,7 @@ int main(int argc, char** argv) {
   options.db_size = config.server_db_size;
   options.cycle_len = server.program().Length();
   options.slot_us = slot_us;
-  options.injector = wire_injector ? &*wire_injector : nullptr;
+  options.injector = stack.wire_faults();
 
   transport::DatagramServerTransport transport;
   {
@@ -263,48 +250,38 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto probe = [&] {
-    std::vector<obs::CounterSample> samples;
-    samples.reserve(21);
-    const server::PullQueue& queue = server.queue();
-    samples.push_back({"server.slots_push", server.PushSlots()});
-    samples.push_back({"server.slots_pull", server.PullSlots()});
-    samples.push_back({"server.slots_idle", server.IdleSlots()});
-    samples.push_back({"server.queue.submitted", queue.SubmittedCount()});
-    samples.push_back({"server.queue.accepted", queue.AcceptedCount()});
-    samples.push_back({"server.queue.coalesced", queue.CoalescedCount()});
-    samples.push_back({"server.queue.dropped", queue.DroppedCount()});
-    transport.AppendCounterSamples(&samples);
-    return samples;
-  };
+  // Snapshots and frames carry the server rows, the server-side fault.*
+  // rows while such a plan is active, and transport.*.
+  core::CounterSources sources = stack.counter_sources();
+  sources.transport = &transport.counters();
 
-  // Live telemetry rides the same bus as the simulations; the probe adds
-  // the transport.* counters (serve-mode only — sim snapshots never carry
-  // them). Windows close on sim time, i.e. every obs_window slots.
+  // Live telemetry rides the same bus as the simulations. Windows close on
+  // sim time, i.e. every obs_window slots.
   std::optional<obs::WindowedCollector> collector;
   std::optional<obs::TelemetryBus> bus;
-  if (!frames_dest.empty()) {
+  if (!config.frames.empty()) {
     std::string sink_error;
     std::unique_ptr<obs::FrameSink> sink =
-        obs::MakeFrameSink(frames_dest, &sink_error);
+        obs::MakeFrameSink(config.frames, &sink_error);
     if (sink == nullptr) {
-      std::fprintf(stderr, "--frames %s: %s\n", frames_dest.c_str(),
+      std::fprintf(stderr, "--frames %s: %s\n", config.frames.c_str(),
                    sink_error.c_str());
       return 2;
     }
     collector.emplace(config.obs_window);
     server.SetWindowedCollector(&*collector);
     bus.emplace(std::move(sink));
-    bus->SetProbe(probe);
+    bus->SetProbe([&sources] { return core::ProbeCounters(sources); });
     collector->SetTelemetryBus(&*bus);
     server.SetTelemetryBus(&*bus);
-    bus->EmitRunStart(simulator.Now(),
+    bus->EmitRunStart(stack.simulator().Now(),
                       {{"tool", "bdisk_serve"},
                        {"transport", transport.Describe()},
                        {"seed", std::to_string(config.seed)},
                        {"db_size", std::to_string(config.server_db_size)},
                        {"slot_us", std::to_string(slot_us)}});
   }
+  stack.Start();
 
   std::signal(SIGTERM, OnSignal);
   std::signal(SIGINT, OnSignal);
@@ -344,7 +321,7 @@ int main(int argc, char** argv) {
       transport.Poll(wall_s());
     }
     if (g_stop != 0) break;
-    simulator.RunUntil(static_cast<double>(slots_done + 1));
+    stack.simulator().RunUntil(static_cast<double>(slots_done + 1));
     ++slots_done;
     transport.EvictDeadPeers(wall_s());
   }
@@ -355,7 +332,7 @@ int main(int argc, char** argv) {
 
   if (collector) collector->Finish();
   if (bus) {
-    bus->EmitRunEnd(simulator.Now());
+    bus->EmitRunEnd(stack.simulator().Now());
     if (bus->FramesDropped() > 0) {
       std::fprintf(stderr, "telemetry: %llu of %llu frames dropped\n",
                    static_cast<unsigned long long>(bus->FramesDropped()),
@@ -365,19 +342,11 @@ int main(int argc, char** argv) {
 
   if (!metrics_json.empty()) {
     obs::MetricsRegistry registry;
-    const auto counter = [&registry](const char* name, std::uint64_t v) {
-      registry.GetCounter(name)->Set(v);
-    };
-    const server::PullQueue& queue = server.queue();
-    counter("server.slots_total", server.TotalSlots());
-    counter("server.slots_push", server.PushSlots());
-    counter("server.slots_pull", server.PullSlots());
-    counter("server.slots_idle", server.IdleSlots());
-    counter("server.queue.submitted", queue.SubmittedCount());
-    counter("server.queue.accepted", queue.AcceptedCount());
-    counter("server.queue.coalesced", queue.CoalescedCount());
-    counter("server.queue.dropped", queue.DroppedCount());
-    transport.SnapshotMetrics(&registry);
+    core::SnapshotCounters(sources, &registry);
+    // Gauge, not counter: point-in-time, and kept out of the counter table
+    // that frame-delta reconciliation sums over.
+    registry.GetGauge("transport.peers")
+        ->Set(static_cast<double>(transport.PeerCount()));
     std::FILE* out = std::fopen(metrics_json.c_str(), "w");
     if (out == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", metrics_json.c_str());
@@ -390,29 +359,13 @@ int main(int argc, char** argv) {
   }
 
   const double elapsed = wall_s();
-  const transport::TransportCounters& c = transport.counters();
-  std::printf(
-      "bdisk_serve: %llu slots in %.3fs (%.1f slots/s sustained)\n"
-      "  peers: hellos=%llu reconnects=%llu evictions=%llu rejected=%llu\n"
-      "  pulls: rx=%llu fault_dropped=%llu unknown_peer=%llu\n"
-      "  slots: tx=%llu drop_backpressure=%llu drop_dead_peer=%llu "
-      "drop_fault=%llu\n"
-      "  datagrams: pings=%llu byes=%llu malformed=%llu\n",
-      static_cast<unsigned long long>(slots_done), elapsed,
-      elapsed > 0.0 ? static_cast<double>(slots_done) / elapsed : 0.0,
-      static_cast<unsigned long long>(c.hellos),
-      static_cast<unsigned long long>(c.reconnects),
-      static_cast<unsigned long long>(c.evictions),
-      static_cast<unsigned long long>(c.peers_rejected),
-      static_cast<unsigned long long>(c.pulls_rx),
-      static_cast<unsigned long long>(c.pulls_fault_dropped),
-      static_cast<unsigned long long>(c.pulls_unknown_peer),
-      static_cast<unsigned long long>(c.slots_tx),
-      static_cast<unsigned long long>(c.drop_backpressure),
-      static_cast<unsigned long long>(c.drop_dead_peer),
-      static_cast<unsigned long long>(c.drop_fault),
-      static_cast<unsigned long long>(c.pings_rx),
-      static_cast<unsigned long long>(c.byes_rx),
-      static_cast<unsigned long long>(c.malformed_rx));
+  std::printf("bdisk_serve: %llu slots in %.3fs (%.1f slots/s sustained)\n",
+              static_cast<unsigned long long>(slots_done), elapsed,
+              elapsed > 0.0 ? static_cast<double>(slots_done) / elapsed : 0.0);
+  for (const obs::CounterSample& sample :
+       core::ProbeCounters({.transport = &transport.counters()})) {
+    std::printf("  %s=%llu\n", sample.name,
+                static_cast<unsigned long long>(sample.value));
+  }
   return 0;
 }
