@@ -50,9 +50,6 @@ class CycleSpanTable {
   /// The threshold this table was built for.
   std::uint32_t ThresholdSlots() const { return threshold_; }
 
-  /// Bitset footprint in bytes (diagnostics).
-  std::size_t SizeBytes() const { return bits_.size() * sizeof(bits_[0]); }
-
  private:
   CycleSpanTable(const BroadcastProgram& program,
                  std::uint32_t threshold_slots);

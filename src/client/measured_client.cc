@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/check.h"
-#include "transport/transport.h"
 
 namespace bdisk::client {
 
@@ -172,10 +171,6 @@ void MeasuredClient::MakeRequest() {
 }
 
 void MeasuredClient::SubmitPull(PageId page) {
-  if (transport_ != nullptr) {
-    transport_->SubmitPull(page, obs::kMeasuredClientId);
-    return;
-  }
   server_->SubmitRequest(page, obs::kMeasuredClientId);
 }
 

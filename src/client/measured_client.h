@@ -23,10 +23,6 @@
 #include "workload/access_pattern.h"
 #include "workload/think_time.h"
 
-namespace bdisk::transport {
-class Transport;
-}  // namespace bdisk::transport
-
 namespace bdisk::client {
 
 /// Configuration of a measured client.
@@ -141,12 +137,6 @@ class MeasuredClient : public sim::Process,
   /// server sends no feedback. Returns 0 before any pull completes.
   double PullWaitRatio() const { return pull_wait_ratio_; }
 
-  /// Clears the recorded response-time statistics (not lifetime counters).
-  void ResetStats() {
-    response_times_.Reset();
-    response_histogram_.Reset();
-  }
-
   /// Attaches the system-wide structured trace (not owned; null detaches).
   /// Every access is recorded as request / hit-or-miss / filtered / retry /
   /// delivery records under obs::kMeasuredClientId.
@@ -178,16 +168,6 @@ class MeasuredClient : public sim::Process,
     return backchannel_recoveries_;
   }
   bool BackchannelDead() const { return backchannel_dead_; }
-
-  /// Routes every pull submission (initial, retry, probe, legacy resend)
-  /// through `transport` (not owned; null restores the direct server
-  /// call). The sim backend forwards to the very SubmitRequest call the
-  /// client made before the seam existed, so simulated trajectories are
-  /// bit-identical with or without it; the datagram backend carries the
-  /// same submissions over a real socket.
-  void SetTransport(transport::Transport* transport) {
-    transport_ = transport;
-  }
 
   /// Attaches a metrics registry (not owned): wires the cache's
   /// eviction-value stream into "client.mc.cache.evict_value". Lifetime
@@ -241,8 +221,8 @@ class MeasuredClient : public sim::Process,
   enum class State { kIdle, kThinking, kWaiting };
 
   void MakeRequest();
-  /// Single choke point for backchannel submissions: the transport seam
-  /// when one is set, the direct server call otherwise.
+  /// Single choke point for backchannel submissions (initial, retry,
+  /// probe, legacy resend).
   void SubmitPull(PageId page);
   void CompleteAccess(double response_time);
   void InsertIntoCache(PageId page, sim::SimTime now);
@@ -258,7 +238,6 @@ class MeasuredClient : public sim::Process,
   void SendRobustPull(PageId page);
 
   server::BroadcastServer* server_;
-  transport::Transport* transport_ = nullptr;  // Not owned; null = direct.
   workload::AccessGenerator generator_;
   MeasuredClientOptions options_;
   ThresholdFilter filter_;

@@ -1,5 +1,8 @@
 #include "core/config.h"
 
+#include <cmath>
+#include <utility>
+
 #include "obs/flight_recorder.h"
 #include "obs/frame_sink.h"
 
@@ -30,6 +33,54 @@ double SystemConfig::EffectivePullBw() const {
 }
 
 std::string SystemConfig::Validate() const {
+  // Every double first: NaN passes every range check below (each
+  // comparison is false), and an infinity passes the one-sided ones.
+  const adaptive::ServerControllerOptions& sc = server_controller;
+  const adaptive::ClientControllerOptions& cc = client_controller;
+  const std::pair<const char*, double> doubles[] = {
+      {"pull_bw", pull_bw},
+      {"thres_perc", thres_perc},
+      {"zipf_theta", zipf_theta},
+      {"noise", noise},
+      {"mc_think_time", mc_think_time},
+      {"think_time_ratio", think_time_ratio},
+      {"steady_state_perc", steady_state_perc},
+      {"mc_retry_interval", mc_retry_interval},
+      {"update_rate", update_rate},
+      {"update_zipf_theta", update_zipf_theta.value_or(0.0)},
+      {"obs_window", obs_window},
+      {"fault.slot_loss", fault.slot_loss},
+      {"fault.slot_corruption", fault.slot_corruption},
+      {"fault.request_loss", fault.request_loss},
+      {"fault.request_delay", fault.request_delay},
+      {"fault.outage_start", fault.outage_start},
+      {"fault.outage_duration", fault.outage_duration},
+      {"fault.outage_period", fault.outage_period},
+      {"fault.mc_timeout", fault.mc_timeout},
+      {"fault.mc_backoff", fault.mc_backoff},
+      {"fault.mc_backoff_cap", fault.mc_backoff_cap},
+      {"fault.mc_jitter", fault.mc_jitter},
+      {"fault.mc_probe_interval", fault.mc_probe_interval},
+      {"fault.shed_hi", fault.shed_hi},
+      {"fault.shed_lo", fault.shed_lo},
+      {"fault.degraded_pull_bw", fault.degraded_pull_bw},
+      {"server_controller.control_period", sc.control_period},
+      {"server_controller.bw_step", sc.bw_step},
+      {"server_controller.bw_min", sc.bw_min},
+      {"server_controller.bw_max", sc.bw_max},
+      {"server_controller.drop_high", sc.drop_high},
+      {"server_controller.drop_low", sc.drop_low},
+      {"server_controller.occupancy_low", sc.occupancy_low},
+      {"client_controller.control_period", cc.control_period},
+      {"client_controller.thres_step", cc.thres_step},
+      {"client_controller.thres_min", cc.thres_min},
+      {"client_controller.thres_max", cc.thres_max},
+      {"client_controller.ratio_high", cc.ratio_high},
+      {"client_controller.ratio_low", cc.ratio_low},
+  };
+  for (const auto& [key, value] : doubles) {
+    if (!std::isfinite(value)) return std::string(key) + " must be finite";
+  }
   if (server_db_size == 0) return "server_db_size must be positive";
   if (mode != DeliveryMode::kPurePull) {
     const std::string disk_error = disks.Validate();

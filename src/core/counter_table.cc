@@ -92,6 +92,8 @@ constexpr CounterRow kCounterTable[] = {
     ROW("transport.pings_rx", kWire, true, s.transport->pings_rx),
     ROW("transport.byes_rx", kWire, true, s.transport->byes_rx),
     ROW("transport.malformed_rx", kWire, true, s.transport->malformed_rx),
+    ROW("transport.wrong_source_rx", kWire, true,
+        s.transport->wrong_source_rx),
     ROW("transport.slots_tx", kWire, true, s.transport->slots_tx),
     ROW("transport.drop_backpressure", kWire, true,
         s.transport->drop_backpressure),

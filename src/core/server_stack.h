@@ -49,9 +49,9 @@ inline constexpr std::uint64_t kTransportSalt = 0x7247'A11C'5EEDULL;
 /// its callers: the kernel, the BroadcastServer (program, bounded pull
 /// queue, and the push/pull MUX weighted by PullBW), the fault plan's
 /// server-side injector, and the PullBW controller. System adds the
-/// in-process clients over SimTransport; bdisk_serve adds a
-/// DatagramServerTransport. The MUX trajectory is therefore the same in
-/// both for the same seed and request arrivals.
+/// in-process clients, which submit to the server directly; bdisk_serve
+/// adds a DatagramServerTransport. The MUX trajectory is therefore the
+/// same in both for the same seed and request arrivals.
 class ServerStack {
  public:
   /// Where the clients are, which decides where the channel faults act.

@@ -186,11 +186,6 @@ System::System(const SystemConfig& config,
   mc_ = std::make_unique<client::MeasuredClient>(
       simulator, server, mc_pattern_, mc_options, mc_rng,
       TopValuedPages(mc_values, config.cache_size));
-  // The transport seam: simulated systems always use the in-process
-  // backend, which forwards to the exact SubmitRequest call the client
-  // made before the seam existed — trajectories stay bit-identical.
-  sim_transport_ = std::make_unique<transport::SimTransport>(server);
-  mc_->SetTransport(sim_transport_.get());
 
   // --- Virtual client ----------------------------------------------------
   if (config.mode != DeliveryMode::kPurePush && config.vc_enabled) {

@@ -26,7 +26,6 @@
 #include "obs/windowed_collector.h"
 #include "server/broadcast_server.h"
 #include "sim/simulator.h"
-#include "transport/transport.h"
 #include "workload/access_pattern.h"
 
 namespace bdisk::core {
@@ -84,8 +83,8 @@ class ArtifactCache {
 
 /// One fully wired simulated system, built from a SystemConfig: the
 /// ServerStack (program, server, fault injector, PullBW controller) plus
-/// the measured client, the virtual client and the update generator over
-/// SimTransport.
+/// the measured client, the virtual client and the update generator, which
+/// submit straight to its BroadcastServer.
 ///
 /// A System instance supports exactly one run (RunSteadyState or
 /// RunWarmup); build a fresh System per configuration point. Components are
@@ -198,12 +197,6 @@ class System {
   /// Fault injector; null unless the config's FaultPlan is Enabled().
   fault::FaultInjector* fault_injector() { return stack_.server_faults(); }
 
-  /// The transport seam the measured client submits pulls through. Always
-  /// the in-process sim backend here (bit-identical to the direct call by
-  /// construction); bdisk_serve puts a DatagramServerTransport on the same
-  /// ServerStack instead.
-  transport::Transport& transport() { return *sim_transport_; }
-
  private:
   RunResult CollectResult(bool converged) const;
   void TimedRun(sim::SimTime max_sim_time);
@@ -217,7 +210,6 @@ class System {
   std::shared_ptr<const SystemArtifacts> artifacts_;
   workload::AccessPattern mc_pattern_;
   ServerStack stack_;
-  std::unique_ptr<transport::SimTransport> sim_transport_;
   std::unique_ptr<client::MeasuredClient> mc_;
   std::unique_ptr<client::VirtualClient> vc_;
   std::unique_ptr<adaptive::ClientController> client_controller_;

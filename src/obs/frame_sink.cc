@@ -133,10 +133,7 @@ bool DatagramFrameSink::WriteFinal(const std::string& frame) {
 
 bool CaptureFrameSink::Write(const std::string& frame) {
   const std::uint64_t index = attempts_++;
-  const bool refused =
-      (fail_from_ >= 0 && index >= static_cast<std::uint64_t>(fail_from_)) ||
-      std::find(fail_at_.begin(), fail_at_.end(), index) != fail_at_.end();
-  if (refused) {
+  if (std::find(fail_at_.begin(), fail_at_.end(), index) != fail_at_.end()) {
     ++dropped_;
     return false;
   }

@@ -95,19 +95,16 @@ class DatagramFrameSink : public FrameSink {
 };
 
 /// In-memory sink for tests: records every accepted frame and can be told
-/// to refuse writes, either from a fixed index on (`FailFrom`) or for
-/// specific frame indices, to exercise the bus's carry-forward path.
+/// to refuse specific write attempts, to exercise the bus's carry-forward
+/// path.
 class CaptureFrameSink : public FrameSink {
  public:
   bool Write(const std::string& frame) override;
   std::string Describe() const override { return "<capture>"; }
   std::uint64_t Dropped() const override { return dropped_; }
 
-  /// Refuse every Write whose zero-based attempt index is >= `index`
-  /// (attempts are counted across accepts and refusals). Negative
-  /// disables.
-  void FailFrom(std::int64_t index) { fail_from_ = index; }
-  /// Refuse exactly the attempt indices in `indices`.
+  /// Refuse exactly the zero-based attempt indices in `indices` (attempts
+  /// are counted across accepts and refusals).
   void FailAt(std::vector<std::uint64_t> indices) {
     fail_at_ = std::move(indices);
   }
@@ -118,7 +115,6 @@ class CaptureFrameSink : public FrameSink {
  private:
   std::vector<std::string> frames_;
   std::vector<std::uint64_t> fail_at_;
-  std::int64_t fail_from_ = -1;
   std::uint64_t attempts_ = 0;
   std::uint64_t dropped_ = 0;
 };

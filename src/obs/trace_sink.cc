@@ -164,11 +164,4 @@ std::string TraceSink::ToCsv() const {
   return out;
 }
 
-void TraceSink::Clear() {
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
-  counts_.fill(0);
-}
-
 }  // namespace bdisk::obs

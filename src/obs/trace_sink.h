@@ -80,11 +80,11 @@ bool ParseTraceJsonlLine(const std::string& line, SpanRecord* out);
 
 /// A bounded, system-wide structured trace.
 ///
-/// Same ring semantics as sim::TraceRecorder: the most recent `capacity`
-/// records are retained (older ones are overwritten and counted in
-/// DroppedEvents()), while per-kind lifetime counts stay exact. Export as
-/// JSONL (one object per record — the format tools/trace_report consumes)
-/// or CSV.
+/// Ring semantics: the most recent `capacity` records are retained (older
+/// ones are overwritten and counted in DroppedEvents()), so at all times
+/// DroppedEvents() + Events().size() == TotalEvents(), while per-kind
+/// lifetime counts stay exact. Export as JSONL (one object per record —
+/// the format tools/trace_report consumes) or CSV.
 class TraceSink {
  public:
   /// `capacity` >= 1 bounds memory; default keeps the last 256Ki records.
@@ -111,9 +111,6 @@ class TraceSink {
 
   /// CSV with header: time,event,client,page,value (same -1 conventions).
   std::string ToCsv() const;
-
-  /// Forgets retained records and counters.
-  void Clear();
 
  private:
   std::size_t capacity_;

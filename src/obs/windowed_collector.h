@@ -161,7 +161,6 @@ class WindowedCollector {
   /// Completed windows, oldest first.
   std::vector<WindowStats> Windows() const;
 
-  double WindowWidth() const { return window_; }
   std::uint64_t WindowsCompleted() const { return windows_completed_; }
   std::uint64_t WindowsEvicted() const { return windows_evicted_; }
 

@@ -163,15 +163,6 @@ SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
     }
   }
   const SubmitResult result = queue_.Submit(page);
-  if (trace_ != nullptr) {
-    const sim::TraceEventKind kind =
-        result == SubmitResult::kAccepted
-            ? sim::TraceEventKind::kRequestAccepted
-            : (result == SubmitResult::kCoalesced
-                   ? sim::TraceEventKind::kRequestCoalesced
-                   : sim::TraceEventKind::kRequestDropped);
-    trace_->Record(at, kind, page);
-  }
   if (sink_ != nullptr) {
     const obs::SpanEvent ev =
         result == SubmitResult::kAccepted
@@ -197,15 +188,6 @@ SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
 void BroadcastServer::RecordFaultSubmit(SubmitResult result, PageId page,
                                         std::uint32_t client,
                                         sim::SimTime at) {
-  if (trace_ != nullptr) {
-    const sim::TraceEventKind kind =
-        result == SubmitResult::kShedOverload
-            ? sim::TraceEventKind::kRequestShed
-            : (result == SubmitResult::kDroppedOutage
-                   ? sim::TraceEventKind::kRequestOutage
-                   : sim::TraceEventKind::kRequestLost);
-    trace_->Record(at, kind, page);
-  }
   if (sink_ != nullptr) {
     const obs::SpanEvent ev =
         result == SubmitResult::kShedOverload
@@ -284,12 +266,6 @@ void BroadcastServer::OnSlotBoundary() {
       if (fate != fault::SlotFate::kDelivered) {
         deliver = false;
         const bool lost = fate == fault::SlotFate::kLost;
-        if (trace_ != nullptr) {
-          trace_->Record(now,
-                         lost ? sim::TraceEventKind::kSlotLost
-                              : sim::TraceEventKind::kSlotCorrupt,
-                         in_flight_page_);
-        }
         if (sink_ != nullptr) {
           sink_->Record(now,
                         lost ? obs::SpanEvent::kSlotLost
@@ -364,15 +340,6 @@ void BroadcastServer::ChooseNextSlot() {
     in_flight_page_ = broadcast::kNoPage;
     in_flight_kind_ = SlotKind::kIdle;
     ++idle_slots_;
-  }
-  if (trace_ != nullptr) {
-    const sim::TraceEventKind kind =
-        in_flight_kind_ == SlotKind::kPull
-            ? sim::TraceEventKind::kSlotPull
-            : (in_flight_kind_ == SlotKind::kPush
-                   ? sim::TraceEventKind::kSlotPush
-                   : sim::TraceEventKind::kSlotIdle);
-    trace_->Record(simulator_->Now(), kind, in_flight_page_);
   }
   if (sink_ != nullptr) {
     const obs::SpanEvent ev =

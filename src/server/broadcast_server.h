@@ -19,7 +19,6 @@
 #include "server/pull_queue.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "sim/types.h"
 
 namespace bdisk::server {
@@ -91,12 +90,6 @@ class BroadcastServer : public sim::EventHandler {
   /// server increases, a dynamic algorithm might automatically reduce the
   /// pull bandwidth"). Takes effect from the next slot decision.
   void SetPullBw(double pull_bw);
-
-  /// Attaches a trace recorder (not owned; null detaches). Every slot
-  /// decision and request outcome is recorded.
-  void SetTraceRecorder(sim::TraceRecorder* recorder) {
-    trace_ = recorder;
-  }
 
   /// Attaches the system-wide structured trace (not owned; null detaches).
   /// Records every slot decision (at decision time t; delivery is at t+1)
@@ -215,7 +208,6 @@ class BroadcastServer : public sim::EventHandler {
   PullQueue queue_;
   sim::Rng rng_;
   std::vector<BroadcastListener*> listeners_;
-  sim::TraceRecorder* trace_ = nullptr;
   obs::TraceSink* sink_ = nullptr;
   obs::WindowedCollector* collector_ = nullptr;
   obs::TelemetryBus* telemetry_bus_ = nullptr;

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstddef>
 #include <cstring>
 
 #include "obs/frame_sink.h"
@@ -75,12 +74,13 @@ bool IsPipeReadEnd(int fd) {
 
 DatagramClientChannel::~DatagramClientChannel() { Close(); }
 
-bool DatagramClientChannel::BindEpochSocket(std::string* error) {
+bool DatagramClientChannel::OpenEpochSocket(std::string* error) {
   const std::string path = options_.socket_dir + "/" + options_.client_id +
                            "." + std::to_string(epoch_);
   sockaddr_un self{};
+  sockaddr_un server{};
   if (!FillAddr(path, &self, error)) return false;
-  if (!FillAddr(options_.server_path, &server_, error)) return false;
+  if (!FillAddr(options_.server_path, &server, error)) return false;
 
   const int fd = ::socket(AF_UNIX, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
@@ -90,8 +90,17 @@ bool DatagramClientChannel::BindEpochSocket(std::string* error) {
     }
     return false;
   }
-  // Bind first; a file left at the path by a crashed run is unlinked only
-  // when it is in the way.
+  // Connect before bind: nobody can send to an unbound socket, so by the
+  // time this one has an address the kernel refuses every sender but the
+  // serving socket.
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&server),
+                sizeof(server)) != 0) {
+    Unreachable(errno, error);
+    ::close(fd);
+    return false;
+  }
+  // A file left at the path by a crashed run is unlinked only when it is
+  // in the way.
   const auto bind_path = [&] {
     return ::bind(fd, reinterpret_cast<const sockaddr*>(&self),
                   sizeof(self)) == 0;
@@ -114,22 +123,33 @@ bool DatagramClientChannel::BindEpochSocket(std::string* error) {
   return true;
 }
 
-bool DatagramClientChannel::SendToServer(const std::string& payload) const {
-  return ::sendto(fd_, payload.data(), payload.size(),
-                  MSG_DONTWAIT | MSG_NOSIGNAL,
-                  reinterpret_cast<const sockaddr*>(&server_),
-                  sizeof(server_)) == static_cast<ssize_t>(payload.size());
+void DatagramClientChannel::Unreachable(int err,
+                                        std::string* error) const {
+  if (error == nullptr) return;
+  if (err == ENOENT || err == ECONNREFUSED) {
+    *error = "cannot reach serve socket '" + options_.server_path +
+             "' (is bdisk_serve running?): " + std::strerror(err);
+  } else {
+    *error = "cannot connect to serve socket '" + options_.server_path +
+             "': " + std::strerror(err);
+  }
 }
 
-bool DatagramClientChannel::FromServer(const sockaddr_un& from,
-                                       socklen_t from_len) const {
-  // A path-bound sender reports its path; an unbound or autobound one
-  // reports no name or an abstract one, which never matches.
-  constexpr std::size_t kHeader = offsetof(sockaddr_un, sun_path);
-  if (from_len <= kHeader) return false;
-  const std::size_t room = static_cast<std::size_t>(from_len) - kHeader;
-  return std::string_view(from.sun_path, ::strnlen(from.sun_path, room)) ==
-         options_.server_path;
+bool DatagramClientChannel::SendToServer(const std::string& payload) {
+  if (::send(fd_, payload.data(), payload.size(),
+             MSG_DONTWAIT | MSG_NOSIGNAL) ==
+      static_cast<ssize_t>(payload.size())) {
+    return true;
+  }
+  // The serving socket is gone: the kernel refuses the first send with
+  // ECONNREFUSED and disconnects, after which a send finds no peer at all.
+  // Either way the channel is over, as on the pipe's EOF.
+  if (errno == ECONNREFUSED || errno == ENOTCONN) {
+    const int err = errno;
+    Close();
+    errno = err;
+  }
+  return false;
 }
 
 bool DatagramClientChannel::Connect(const DatagramClientOptions& options,
@@ -149,7 +169,7 @@ bool DatagramClientChannel::Connect(const DatagramClientOptions& options,
   Close();
   options_ = options;
   ++epoch_;
-  if (!BindEpochSocket(error)) return false;
+  if (!OpenEpochSocket(error)) return false;
 
   // HELLO under bounded exponential backoff: attempt k waits the policy's
   // jittered delay for WELCOME before resending. Deterministic per seed —
@@ -159,14 +179,10 @@ bool DatagramClientChannel::Connect(const DatagramClientOptions& options,
     wire::FormatHello(options_.client_id, &scratch_);
     if (SendToServer(scratch_)) {
       ++counters_.hellos_sent;
-    } else if (errno == ENOENT || errno == ECONNREFUSED) {
-      // Nothing is bound at the server path: fail now, not after every
-      // backoff step.
-      if (error != nullptr) {
-        *error = "cannot reach serve socket '" + options_.server_path +
-                 "' (is bdisk_serve running?): " + std::strerror(errno);
-      }
-      Close();
+    } else if (!Connected()) {
+      // The serving socket died after connect(): fail now, not after
+      // every backoff step.
+      Unreachable(errno, error);
       return false;
     }
     const double wait_s =
@@ -273,11 +289,8 @@ bool DatagramClientChannel::TakeDatagram(std::vector<wire::Message>* out,
   // Room for more descriptors than a WELCOME carries, so that extras
   // arrive (and are closed) instead of being cut off unseen.
   alignas(cmsghdr) char control[CMSG_SPACE(4 * sizeof(int))];
-  sockaddr_un from{};
   iovec iov{buf, sizeof(buf)};
   msghdr hdr{};
-  hdr.msg_name = &from;
-  hdr.msg_namelen = sizeof(from);
   hdr.msg_iov = &iov;
   hdr.msg_iovlen = 1;
   hdr.msg_control = control;
@@ -289,7 +302,7 @@ bool DatagramClientChannel::TakeDatagram(std::vector<wire::Message>* out,
   const int fd = TakeOnlyDescriptor(&hdr, &carried);
   wire::Message msg;
   const bool taken =
-      FromServer(from, hdr.msg_namelen) && (hdr.msg_flags & MSG_TRUNC) == 0 &&
+      (hdr.msg_flags & MSG_TRUNC) == 0 &&
       wire::ParseMessage(std::string_view(buf, static_cast<std::size_t>(n)),
                          &msg, nullptr) &&
       (msg.type == wire::MsgType::kWelcome

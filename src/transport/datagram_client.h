@@ -1,9 +1,6 @@
 #ifndef BDISK_TRANSPORT_DATAGRAM_CLIENT_H_
 #define BDISK_TRANSPORT_DATAGRAM_CLIENT_H_
 
-#include <sys/socket.h>
-#include <sys/un.h>
-
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -36,18 +33,17 @@ struct DatagramClientOptions {
 /// `bdisk_load --reconcile`.
 struct ClientCounters {
   std::uint64_t hellos_sent = 0;
-  std::uint64_t pulls_sent = 0;        // sendto accepted (cumulative).
-  std::uint64_t pulls_send_failed = 0; // sendto refused (any cause).
+  std::uint64_t pulls_sent = 0;        // send accepted (cumulative).
+  std::uint64_t pulls_send_failed = 0; // send refused (any cause).
   std::uint64_t pings_sent = 0;
   std::uint64_t slots_rx_epoch = 0;    // SLOTs since the last WELCOME.
   std::uint64_t slots_rx_total = 0;
   std::uint64_t welcomes_rx = 0;
   std::uint64_t stats_rx = 0;
   std::uint64_t fins_rx = 0;
-  std::uint64_t malformed_rx = 0;      // Refused: unparsable, not from the
-                                       // serving path, a descriptor where
-                                       // none belongs, or no pipe read end
-                                       // on a WELCOME.
+  std::uint64_t malformed_rx = 0;      // Refused: unparsable, a
+                                       // descriptor where none belongs, or
+                                       // no pipe read end on a WELCOME.
   std::uint64_t reconnects = 0;        // Connects beyond the first.
 };
 
@@ -59,11 +55,13 @@ struct ClientCounters {
 /// process observes; Connect() after it starts a new epoch on a fresh
 /// reply path).
 ///
-/// HELLO / PULL / PING / BYE go out with sendto() to the server path. The
-/// socket takes only WELCOME and FIN datagrams whose source is that path
-/// (compared as a string, so name the serving socket as the server bound
-/// it), and a descriptor only on such a WELCOME: exactly one, a pipe read
-/// end.
+/// Each epoch socket is connected to the serving path before it is bound
+/// to its own, so the kernel refuses every other sender (EPERM, at the
+/// sender) for the socket's whole life. HELLO / PULL / PING / BYE go out
+/// with send(); a send refused with ECONNREFUSED or ENOTCONN means the
+/// serving socket is gone, and closes the channel. The socket takes only
+/// WELCOME and FIN datagrams, and a descriptor only on a WELCOME: exactly
+/// one, a pipe read end.
 /// Every other received descriptor is closed. The pipe carries SLOT,
 /// STATS and FIN lines; it is read in bulk and split on '\n', with at
 /// most one partial line carried between reads. A later WELCOME drains
@@ -81,7 +79,7 @@ class DatagramClientChannel {
   DatagramClientChannel(const DatagramClientChannel&) = delete;
   DatagramClientChannel& operator=(const DatagramClientChannel&) = delete;
 
-  /// Binds a fresh epoch socket and runs the HELLO -> WELCOME handshake,
+  /// Opens a fresh epoch socket and runs the HELLO -> WELCOME handshake,
   /// retrying HELLO under the backoff policy until WELCOME arrives or
   /// attempts run out. `rng` paces the jitter (deterministic per seed).
   /// On success the WELCOME parameters are available via welcome().
@@ -102,7 +100,8 @@ class DatagramClientChannel {
   bool Goodbye(wire::PeerStats* stats, int timeout_ms);
 
   /// Sends one PULL for `page`. Returns false when the kernel refused it
-  /// (counted in pulls_send_failed) — caller decides whether to retry.
+  /// (counted in pulls_send_failed) — caller decides whether to retry. A
+  /// refusal because the serving socket is gone also closes the channel.
   bool SendPull(PageId page);
 
   /// Sends one heartbeat PING (best-effort).
@@ -121,10 +120,14 @@ class DatagramClientChannel {
   const std::string& epoch_path() const { return path_; }
 
  private:
-  bool BindEpochSocket(std::string* error);
-  bool SendToServer(const std::string& payload) const;
-  /// True when a datagram's source address is the serving path.
-  bool FromServer(const sockaddr_un& from, socklen_t from_len) const;
+  /// Creates this epoch's socket, connects it to the serving path, then
+  /// binds it to the epoch path.
+  bool OpenEpochSocket(std::string* error);
+  /// Sets `*error` for a serving path that `err` says cannot be reached.
+  void Unreachable(int err, std::string* error) const;
+  /// One send() on the connected socket; closes the channel when the
+  /// serving socket is gone.
+  bool SendToServer(const std::string& payload);
   /// Takes one datagram from the socket; false when none is queued.
   bool TakeDatagram(std::vector<wire::Message>* out, int* consumed);
   /// Reads `pipe` until it would block; true when it reached EOF.
@@ -144,7 +147,6 @@ class DatagramClientChannel {
   std::string line_;       // A partial downlink line, carried between reads.
   bool discarding_ = false;  // Skipping an overlong line up to its '\n'.
   std::string path_;       // This epoch's bound reply path.
-  sockaddr_un server_{};   // The serving socket every request goes to.
   DatagramClientOptions options_;
   std::uint64_t epoch_ = 0;  // Bumped per Connect for distinct bind paths.
   bool connected_once_ = false;

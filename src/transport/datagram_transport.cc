@@ -95,20 +95,10 @@ bool DatagramServerTransport::Bind(const DatagramServerOptions& options,
     return false;
   }
   fd_ = fd;
-  path_ = options.socket_path;
   options_ = options;
   server_ = server;
   server_->AddListener(this);
   return true;
-}
-
-server::SubmitResult DatagramServerTransport::SubmitPull(
-    PageId page, std::uint32_t client) {
-  return server_->SubmitRequest(page, client);
-}
-
-std::string DatagramServerTransport::Describe() const {
-  return "unix:" + path_;
 }
 
 void DatagramServerTransport::OnBroadcast(PageId page, server::SlotKind kind,
@@ -174,18 +164,27 @@ int DatagramServerTransport::Poll(double wall_now) {
         OnHello(msg.client_id, from, from_len, wall_now);
         break;
       case wire::MsgType::kPull:
-        OnPull(msg, wall_now);
-        break;
-      case wire::MsgType::kPing: {
-        ++counters_.pings_rx;
-        auto it = peers_.find(msg.client_id);
-        if (it != peers_.end()) it->second.last_heard = wall_now;
+      case wire::MsgType::kPing:
+      case wire::MsgType::kBye: {
+        const auto it = peers_.find(msg.client_id);
+        Peer* peer = it == peers_.end() ? nullptr : &it->second;
+        if (peer != nullptr && !peer->SentFrom(from, from_len)) {
+          // Another socket speaking for a connected peer: refused before
+          // it touches the peer's counters, deadline, pipe or identity.
+          ++counters_.wrong_source_rx;
+          break;
+        }
+        if (peer != nullptr) peer->last_heard = wall_now;
+        if (msg.type == wire::MsgType::kPull) {
+          OnPull(msg, peer);
+        } else if (msg.type == wire::MsgType::kPing) {
+          ++counters_.pings_rx;
+        } else {
+          ++counters_.byes_rx;
+          if (peer != nullptr) OnBye(it);
+        }
         break;
       }
-      case wire::MsgType::kBye:
-        ++counters_.byes_rx;
-        OnBye(msg.client_id);
-        break;
       default:
         // Server-to-client verbs arriving here are misdirected traffic.
         ++counters_.malformed_rx;
@@ -235,6 +234,8 @@ void DatagramServerTransport::OnHello(const std::string& client_id,
   }
   ++counters_.hellos;
   it->second.downlink = std::move(downlink);
+  it->second.address = from;
+  it->second.address_len = from_len;
   it->second.last_heard = wall_now;
 }
 
@@ -259,15 +260,11 @@ bool DatagramServerTransport::SendWelcome(int pipe_read,
          static_cast<ssize_t>(scratch_.size());
 }
 
-void DatagramServerTransport::OnPull(const wire::Message& msg,
-                                     double wall_now) {
-  auto it = peers_.find(msg.client_id);
-  if (it == peers_.end()) {
+void DatagramServerTransport::OnPull(const wire::Message& msg, Peer* peer) {
+  if (peer == nullptr) {
     ++counters_.pulls_unknown_peer;
     return;
   }
-  Peer& peer = it->second;
-  peer.last_heard = wall_now;
   // The queue indexes its page mask by page, so a page the program does
   // not hold is refused here, at the trust boundary, and never counted as
   // received.
@@ -278,20 +275,18 @@ void DatagramServerTransport::OnPull(const wire::Message& msg,
   // pulls_rx counts pre-judgement: it is the denominator the client's
   // send count reconciles against (sends that the kernel accepted all
   // arrive — AF_UNIX does not lose datagrams — so rx == sent_ok exactly).
-  ++peer.stats.pulls_rx;
+  ++peer->stats.pulls_rx;
   ++counters_.pulls_rx;
   if (options_.injector != nullptr &&
       options_.injector->JudgeRequestLost()) {
-    ++peer.stats.pulls_fault_dropped;
+    ++peer->stats.pulls_fault_dropped;
     ++counters_.pulls_fault_dropped;
     return;
   }
-  (void)server_->SubmitRequest(msg.page, peer.trace_client);
+  (void)server_->SubmitRequest(msg.page, peer->trace_client);
 }
 
-void DatagramServerTransport::OnBye(const std::string& client_id) {
-  auto it = peers_.find(client_id);
-  if (it == peers_.end()) return;
+void DatagramServerTransport::OnBye(std::map<std::string, Peer>::iterator it) {
   // The pipe is FIFO, so this STATS lands after every slot line already
   // written to the peer, and the BYE that triggered it arrived after every
   // PULL the client sent — so the counters are a consistent cut, and
@@ -331,7 +326,7 @@ void DatagramServerTransport::Shutdown(const std::string& reason) {
   peers_.clear();
   ::close(fd_);
   fd_ = -1;
-  ::unlink(path_.c_str());
+  ::unlink(options_.socket_path.c_str());
 }
 
 bool DatagramServerTransport::WaitReadable(int timeout_ms) const {

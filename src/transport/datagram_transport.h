@@ -4,15 +4,17 @@
 #include <sys/un.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 
 #include "fault/fault_injector.h"
 #include "server/broadcast_server.h"
-#include "transport/transport.h"
 #include "transport/wire.h"
 
 namespace bdisk::transport {
+
+using broadcast::PageId;
 
 /// First obs trace client id handed to a wire peer. Ids 0 and 1 belong to
 /// the in-process measured/virtual clients (obs/trace_sink.h), so wire
@@ -60,6 +62,8 @@ struct TransportCounters {
   std::uint64_t pings_rx = 0;
   std::uint64_t byes_rx = 0;
   std::uint64_t malformed_rx = 0;    // Datagrams ParseMessage rejected.
+  std::uint64_t wrong_source_rx = 0;  // PULL/PING/BYE naming a connected
+                                      // peer, sent from another address.
   std::uint64_t slots_tx = 0;        // Slot lines the kernel accepted.
   std::uint64_t drop_backpressure = 0;  // Slot writes refused EAGAIN.
   std::uint64_t drop_dead_peer = 0;  // Slot writes refused: reader gone.
@@ -68,15 +72,21 @@ struct TransportCounters {
   std::uint64_t evictions = 0;       // Peers forgotten by heartbeat deadline.
 };
 
-/// The live backend: a nonblocking AF_UNIX SOCK_DGRAM serving socket for
-/// the handshake and the uplink, plus one downlink pipe per peer.
+/// The live wire: a nonblocking AF_UNIX SOCK_DGRAM serving socket for the
+/// handshake and the uplink, plus one downlink pipe per peer.
 ///
-/// Pull direction (Transport): PULL datagrams arrive on the serving
-/// socket, are fault-judged, and enter the server's queue via
-/// SubmitRequest under the peer's stable trace client id. Broadcast
-/// direction (BroadcastListener): every delivered slot is relayed as one
+/// Pull direction: PULL datagrams arrive on the serving socket, are
+/// fault-judged, and enter the server's queue via SubmitRequest under the
+/// peer's stable trace client id. Broadcast direction
+/// (BroadcastListener): every delivered slot is relayed as one
 /// `\n`-terminated line written to each connected peer's pipe — the wire
 /// realization of the paper's "all clients snoop the broadcast".
+///
+/// Source rule: a peer is the address its last accepted HELLO came from.
+/// A PULL, PING or BYE naming a connected peer from any other address is
+/// refused and counted once, in wrong_source_rx alone. A HELLO for a known
+/// id from a new address is a reconnect and takes the peer over: that is
+/// how a crashed client comes back (ROBUSTNESS.md §7).
 ///
 /// Every HELLO gets a fresh nonblocking pipe: the WELCOME datagram, sent
 /// from the serving socket to the HELLO's source, carries the read end as
@@ -107,8 +117,7 @@ struct TransportCounters {
 /// gone) does NOT evict: the peer keeps its identity (and cumulative
 /// counters) so a quick restart reconciles; only the heartbeat deadline
 /// forgets a peer, and forgetting closes its pipe.
-class DatagramServerTransport final : public Transport,
-                                      public server::BroadcastListener {
+class DatagramServerTransport final : public server::BroadcastListener {
  public:
   DatagramServerTransport() = default;
   ~DatagramServerTransport() override;
@@ -126,11 +135,6 @@ class DatagramServerTransport final : public Transport,
   /// an oversized socket path.
   bool Bind(const DatagramServerOptions& options,
             server::BroadcastServer* server, std::string* error);
-
-  /// Transport: in-process submissions ride the same queue path as wire
-  /// PULLs (used by tests; bdisk_serve has no local client).
-  server::SubmitResult SubmitPull(PageId page, std::uint32_t client) override;
-  std::string Describe() const override;
 
   /// BroadcastListener: fan one delivered slot out to every peer.
   void OnBroadcast(PageId page, server::SlotKind kind,
@@ -182,7 +186,17 @@ class DatagramServerTransport final : public Transport,
   };
 
   struct Peer {
+    /// True when a datagram's source is this peer's address: the same
+    /// length and bytes, so unbound and abstract senders never match a
+    /// path.
+    bool SentFrom(const sockaddr_un& from, socklen_t from_len) const {
+      return from_len == address_len &&
+             std::memcmp(&from, &address, from_len) == 0;
+    }
+
     Downlink downlink;  // The write end of the peer's current pipe.
+    sockaddr_un address{};  // The source of the last accepted HELLO.
+    socklen_t address_len = 0;
     double last_heard = 0.0;
     std::uint32_t trace_client = 0;
     wire::PeerStats stats;
@@ -192,8 +206,8 @@ class DatagramServerTransport final : public Transport,
 
   void OnHello(const std::string& client_id, const sockaddr_un& from,
                socklen_t from_len, double wall_now);
-  void OnPull(const wire::Message& msg, double wall_now);
-  void OnBye(const std::string& client_id);
+  void OnPull(const wire::Message& msg, Peer* peer);
+  void OnBye(std::map<std::string, Peer>::iterator it);
 
   /// Sends the WELCOME in scratch_ to `to` with `pipe_read` attached.
   bool SendWelcome(int pipe_read, const sockaddr_un& to,
@@ -204,7 +218,6 @@ class DatagramServerTransport final : public Transport,
   static bool WriteFinal(const Peer& peer, const std::string& line);
 
   int fd_ = -1;  // The serving socket.
-  std::string path_;
   DatagramServerOptions options_;
   server::BroadcastServer* server_ = nullptr;  // Not owned.
   // Keyed by client id; std::map for deterministic fan-out order.

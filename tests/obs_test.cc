@@ -12,6 +12,8 @@
 #include "obs/json.h"
 #include "obs/progress.h"
 #include "obs/trace_sink.h"
+#include "server/broadcast_server.h"
+#include "sim/simulator.h"
 
 namespace bdisk::obs {
 namespace {
@@ -273,6 +275,33 @@ TEST(TraceSinkTest, EventNamesAreStable) {
                "submit_coalesced");
   EXPECT_STREQ(SpanEventName(SpanEvent::kSlotPull), "slot_pull");
   EXPECT_STREQ(SpanEventName(SpanEvent::kDelivery), "delivery");
+}
+
+TEST(ServerTraceTest, SlotAndRequestEventsRecorded) {
+  sim::Simulator sim;
+  server::BroadcastServer server(
+      &sim, broadcast::BroadcastProgram({0, 1}, 4), 0.5, 1, sim::Rng(1));
+  TraceSink sink;
+  server.SetTraceSink(&sink);
+
+  server.SubmitRequest(3);  // Accepted.
+  server.SubmitRequest(3);  // Coalesced.
+  server.SubmitRequest(2);  // Dropped (capacity 1).
+  sim.RunUntil(10.0);
+
+  EXPECT_EQ(sink.Count(SpanEvent::kSubmitAccepted), 1U);
+  EXPECT_EQ(sink.Count(SpanEvent::kSubmitCoalesced), 1U);
+  EXPECT_EQ(sink.Count(SpanEvent::kSubmitDropped), 1U);
+  // Slot decisions after attach: pushes plus exactly one pull (page 3).
+  EXPECT_EQ(sink.Count(SpanEvent::kSlotPull), 1U);
+  EXPECT_GT(sink.Count(SpanEvent::kSlotPush), 5U);
+
+  // The trace agrees with the server's own counters (minus the slot
+  // chosen at construction, before the sink was attached).
+  EXPECT_EQ(sink.Count(SpanEvent::kSlotPush) +
+                sink.Count(SpanEvent::kSlotPull) +
+                sink.Count(SpanEvent::kSlotIdle) + 1,
+            server.TotalSlots());
 }
 
 // --------------------------------------------------------------- Progress

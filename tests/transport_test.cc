@@ -1,5 +1,4 @@
-// The transport seam (transport/transport.h) and the live backend:
-// SimTransport's submit-forwarding identity, the loopback
+// The live wire (transport/datagram_*.h): the loopback
 // HELLO/WELCOME/PULL/SLOT protocol, heartbeat eviction, crash/reconnect
 // epoch accounting, dead-peer drop counting, the BYE -> STATS
 // reconciliation handshake, the max_peers admission cap, socket-path
@@ -7,11 +6,15 @@
 // fresh pipe and ends the old one after its last slot, a stalled reader
 // absorbs its own pipe's capacity, an early epoch's slots wait on the
 // pipe, and no pipe outlives its peer. A PULL past the database is
-// refused and counted. A fake server bound at the serving path feeds a
-// real client channel hostile datagrams, descriptors and lines. The
-// serve stack that bdisk_serve builds is pinned over a scripted loopback
-// session. Wall-clock deadlines are driven with explicit timestamps — no
-// sleeping for eviction tests.
+// refused and counted, and so is a PULL, PING or BYE that a stranger
+// sends in a connected peer's name. The client's epoch socket is
+// connected to the serving path, so the kernel refuses strangers at it,
+// any spelling of that path works, and a send to a dead serving socket
+// closes the channel. A fake server bound at the serving
+// path feeds a real client channel hostile datagrams, descriptors and
+// lines. The serve stack that bdisk_serve builds is pinned over a
+// scripted loopback session. Wall-clock deadlines are driven with
+// explicit timestamps — no sleeping for eviction tests.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -46,38 +49,12 @@
 #include "sim/simulator.h"
 #include "transport/datagram_client.h"
 #include "transport/datagram_transport.h"
-#include "transport/transport.h"
 
 namespace bdisk::transport {
 namespace {
 
 using broadcast::BroadcastProgram;
 using server::BroadcastServer;
-using server::SubmitResult;
-
-TEST(SimTransportTest, ForwardsExactlyLikeADirectSubmit) {
-  // Two identical kernels: one submits through the seam, one calls
-  // SubmitRequest directly. Every queue verdict — accept, coalesce,
-  // capacity drop — must match, submission for submission.
-  sim::Simulator sim_a;
-  BroadcastServer server_a(&sim_a, BroadcastProgram({}, 8), 1.0, 2,
-                           sim::Rng(1));
-  SimTransport seam(&server_a);
-
-  sim::Simulator sim_b;
-  BroadcastServer server_b(&sim_b, BroadcastProgram({}, 8), 1.0, 2,
-                           sim::Rng(1));
-
-  const PageId pages[] = {3, 3, 4, 5, 6};  // Dup then overflow.
-  for (const PageId page : pages) {
-    EXPECT_EQ(seam.SubmitPull(page, 0), server_b.SubmitRequest(page, 0));
-  }
-  EXPECT_EQ(server_a.queue().SubmittedCount(), server_b.queue().SubmittedCount());
-  EXPECT_EQ(server_a.queue().AcceptedCount(), server_b.queue().AcceptedCount());
-  EXPECT_EQ(server_a.queue().CoalescedCount(), server_b.queue().CoalescedCount());
-  EXPECT_EQ(server_a.queue().DroppedCount(), server_b.queue().DroppedCount());
-  EXPECT_EQ(seam.Describe(), "sim");
-}
 
 /// Drives the server transport's Poll loop from a second thread while a
 /// client call (Connect / Goodbye) blocks in its bounded waits. Joined
@@ -278,6 +255,28 @@ void RawHello(const RawSocket& raw, DatagramServerTransport* transport,
   ASSERT_GE(pipe->get(), 0);
 }
 
+/// Sends one datagram from `raw` to `path`: 0 when the kernel took it,
+/// else the errno it refused it with.
+int SendErrno(const RawSocket& raw, const std::string& path,
+              const std::string& text, std::initializer_list<int> fds = {}) {
+  return raw.SendTo(path, text, fds) ? 0 : errno;
+}
+
+/// Makes `dir` the working directory for one scope.
+class ScopedChdir {
+ public:
+  explicit ScopedChdir(const std::string& dir)
+      : old_(std::filesystem::current_path()) {
+    std::filesystem::current_path(dir);
+  }
+  ~ScopedChdir() { std::filesystem::current_path(old_); }
+  ScopedChdir(const ScopedChdir&) = delete;
+  ScopedChdir& operator=(const ScopedChdir&) = delete;
+
+ private:
+  std::filesystem::path old_;
+};
+
 std::size_t CountSlots(const std::vector<std::string>& lines) {
   std::size_t slots = 0;
   for (const std::string& line : lines) {
@@ -371,7 +370,6 @@ TEST_F(DatagramTransportTest, LoopbackHandshakePullAndSlotFanOut) {
   DatagramServerTransport transport;
   std::string error;
   ASSERT_TRUE(transport.Bind(server_options_, &server, &error)) << error;
-  EXPECT_EQ(transport.Describe(), "unix:" + server_options_.socket_path);
 
   DatagramClientChannel client;
   sim::Rng rng(3);
@@ -648,6 +646,61 @@ TEST_F(DatagramTransportTest, PullsPastTheDatabaseAreRefusedAndCounted) {
   transport.Shutdown("test");
 }
 
+TEST_F(DatagramTransportTest, StrangersCannotSpeakForAConnectedPeer) {
+  sim::Simulator sim;
+  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+                         sim::Rng(1));
+  DatagramServerTransport transport;
+  server_options_.heartbeat_deadline = 5.0;
+  std::string error;
+  ASSERT_TRUE(transport.Bind(server_options_, &server, &error)) << error;
+
+  DatagramClientChannel victim;
+  sim::Rng rng(3);
+  ASSERT_TRUE(
+      PumpedConnect(&transport, &victim, ClientOptions("victim"), &rng));
+  ASSERT_TRUE(victim.SendPull(5));
+  EXPECT_EQ(transport.Poll(1.0), 1);  // Last heard at 1.0.
+
+  // A stranger bound to its own path speaks in the victim's name: a PULL
+  // that would inflate its pulls_rx, a PING that would keep it alive, and
+  // a BYE that would write its STATS and forget it. Each is refused and
+  // counted once, in wrong_source_rx alone.
+  RawSocket stranger(dir_ + "/stranger");
+  ASSERT_TRUE(stranger.bound());
+  for (const char* spoof :
+       {"bdw1 PULL victim 3", "bdw1 PING victim", "bdw1 BYE victim"}) {
+    ASSERT_TRUE(stranger.SendTo(server_options_.socket_path, spoof)) << spoof;
+  }
+  EXPECT_EQ(transport.Poll(4.0), 3);
+  const TransportCounters& c = transport.counters();
+  EXPECT_EQ(c.wrong_source_rx, 3U);
+  EXPECT_EQ(c.pulls_rx, 1U);
+  EXPECT_EQ(c.pulls_unknown_peer, 0U);
+  EXPECT_EQ(c.pings_rx, 0U);
+  EXPECT_EQ(c.byes_rx, 0U);
+  EXPECT_EQ(c.malformed_rx, 0U);
+  EXPECT_EQ(server.queue().SubmittedCount(), 1U);
+  ASSERT_EQ(transport.PeerCount(), 1U);
+  EXPECT_EQ(transport.FindPeerStats("victim")->pulls_rx, 1U);
+
+  // Nothing reached the victim's pipe: no STATS, no FIN.
+  std::vector<wire::Message> messages;
+  EXPECT_EQ(victim.PollMessages(50, &messages), 0);
+  EXPECT_EQ(victim.counters().stats_rx, 0U);
+  EXPECT_TRUE(victim.Connected());
+
+  // The spoofed PING refreshed nothing: the deadline still runs from 1.0.
+  EXPECT_EQ(transport.EvictDeadPeers(5.5), 0);
+  EXPECT_EQ(transport.EvictDeadPeers(6.5), 1);
+  victim.PollMessages(500, &messages);
+  ASSERT_FALSE(messages.empty());
+  EXPECT_EQ(messages.back().type, wire::MsgType::kFin);
+  EXPECT_EQ(messages.back().reason, "evicted");
+
+  transport.Shutdown("test");
+}
+
 TEST_F(DatagramTransportTest, DuplicateHelloHandsOverAFreshPipe) {
   sim::Simulator sim;
   BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
@@ -815,7 +868,7 @@ TEST_F(DatagramTransportTest, ReHelloEndsTheOldPipeAfterItsLastSlot) {
   transport.Shutdown("test");
 }
 
-TEST_F(DatagramTransportTest, StrayBeforeWelcomeIsCountedAndDropped) {
+TEST_F(DatagramTransportTest, StrayBeforeWelcomeIsRefusedByTheKernel) {
   sim::Simulator sim;
   BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
                          sim::Rng(1));
@@ -823,8 +876,10 @@ TEST_F(DatagramTransportTest, StrayBeforeWelcomeIsCountedAndDropped) {
   std::string error;
   ASSERT_TRUE(transport.Bind(server_options_, &server, &error)) << error;
 
-  // Nothing answers the HELLO until a stranger's SLOT is queued on the
-  // reply socket, so the stray lands before the WELCOME.
+  // Nothing answers the HELLO until a stranger has tried the reply
+  // socket, so the stray would land before the WELCOME. The socket was
+  // connected to the serving path before it was bound, so the kernel
+  // refuses the stranger and the channel never sees it.
   DatagramClientChannel client;
   sim::Rng rng(3);
   bool connected = false;
@@ -837,28 +892,25 @@ TEST_F(DatagramTransportTest, StrayBeforeWelcomeIsCountedAndDropped) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   RawSocket stranger(dir_ + "/stranger");
-  const bool stray_sent = stranger.SendTo(reply_path, "bdw1 SLOT 1 2 P 3");
+  const int stray_errno = SendErrno(stranger, reply_path, "bdw1 SLOT 1 2 P 3");
   ServerPump pump(&transport);
   connector.join();
   pump.Stop();
-  ASSERT_TRUE(stray_sent);
+  EXPECT_EQ(stray_errno, EPERM);
   ASSERT_TRUE(connected);
 
-  EXPECT_EQ(client.counters().malformed_rx, 1U);
-  EXPECT_EQ(client.counters().slots_rx_total, 0U);
-  // What is left is the WELCOME to a retried HELLO, if any; never the
-  // stray.
   std::vector<wire::Message> messages;
   client.PollMessages(50, &messages);
   for (const wire::Message& msg : messages) {
     EXPECT_EQ(msg.type, wire::MsgType::kWelcome);
   }
-  EXPECT_EQ(client.counters().malformed_rx, 1U);
+  EXPECT_EQ(client.counters().malformed_rx, 0U);
+  EXPECT_EQ(client.counters().slots_rx_total, 0U);
 
   transport.Shutdown("test");
 }
 
-TEST_F(DatagramTransportTest, StrangersAtTheReplySocketAreCountedAndClosed) {
+TEST_F(DatagramTransportTest, StrangersAtTheReplySocketAreRefusedByTheKernel) {
   sim::Simulator sim;
   BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
                          sim::Rng(1));
@@ -869,19 +921,22 @@ TEST_F(DatagramTransportTest, StrangersAtTheReplySocketAreCountedAndClosed) {
   sim::Rng rng(3);
   ASSERT_TRUE(PumpedConnect(&transport, &client, ClientOptions("mc"), &rng));
 
-  // The reply socket is not connected to anyone, so the kernel lets a
-  // stranger in; the channel refuses what it sends, once per datagram,
-  // and closes any descriptor that came with it.
+  // The reply socket is connected to the serving path, so the kernel
+  // refuses every other sender, descriptor and all, and the channel
+  // counts nothing.
   RawSocket stranger(dir_ + "/stranger");
-  ASSERT_TRUE(stranger.SendTo(client.epoch_path(), "bdw1 FIN spoofed"));
+  ASSERT_TRUE(stranger.bound());
+  EXPECT_EQ(SendErrno(stranger, client.epoch_path(), "bdw1 FIN spoofed"),
+            EPERM);
   Pipe pipe = MakePipe();
-  ASSERT_TRUE(stranger.SendTo(client.epoch_path(), "bdw1 WELCOME 8 16 1000",
-                              {pipe.read.get()}));
+  EXPECT_EQ(SendErrno(stranger, client.epoch_path(), "bdw1 WELCOME 8 16 1000",
+                      {pipe.read.get()}),
+            EPERM);
   pipe.read.reset();
   std::vector<wire::Message> messages;
-  EXPECT_EQ(client.PollMessages(50, &messages), 2);
+  EXPECT_EQ(client.PollMessages(50, &messages), 0);
   EXPECT_TRUE(messages.empty());
-  EXPECT_EQ(client.counters().malformed_rx, 2U);
+  EXPECT_EQ(client.counters().malformed_rx, 0U);
   EXPECT_EQ(client.counters().welcomes_rx, 1U);
   EXPECT_TRUE(client.Connected());
   EXPECT_TRUE(ReaderGone(pipe.write));
@@ -891,6 +946,41 @@ TEST_F(DatagramTransportTest, StrangersAtTheReplySocketAreCountedAndClosed) {
   EXPECT_EQ(client.PollMessages(50, &messages), 1);
   ASSERT_EQ(messages.size(), 1U);
   EXPECT_EQ(messages[0].type, wire::MsgType::kSlot);
+
+  transport.Shutdown("test");
+}
+
+TEST_F(DatagramTransportTest, AnySpellingOfTheServingPathConnects) {
+  // The server binds a relative path, as `bdisk_serve --socket s.sock`
+  // does, and clients name it "./serve.sock" and by its absolute path.
+  // Each spelling reaches the same socket, so each must get its WELCOME.
+  const ScopedChdir cwd(dir_);
+  sim::Simulator sim;
+  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+                         sim::Rng(1));
+  DatagramServerTransport transport;
+  server_options_.socket_path = "serve.sock";
+  std::string error;
+  ASSERT_TRUE(transport.Bind(server_options_, &server, &error)) << error;
+
+  sim::Rng rng(3);
+  DatagramClientChannel dotted;
+  DatagramClientOptions dotted_options = ClientOptions("dotted");
+  dotted_options.server_path = "./serve.sock";
+  ASSERT_TRUE(PumpedConnect(&transport, &dotted, dotted_options, &rng));
+  DatagramClientChannel absolute;
+  DatagramClientOptions absolute_options = ClientOptions("absolute");
+  absolute_options.server_path = dir_ + "/serve.sock";
+  ASSERT_TRUE(PumpedConnect(&transport, &absolute, absolute_options, &rng));
+  EXPECT_EQ(transport.PeerCount(), 2U);
+
+  transport.OnBroadcast(4, server::SlotKind::kPush, 1.0);
+  for (DatagramClientChannel* client : {&dotted, &absolute}) {
+    std::vector<wire::Message> messages;
+    EXPECT_EQ(client->PollMessages(500, &messages), 1);
+    EXPECT_EQ(client->counters().slots_rx_epoch, 1U);
+    EXPECT_EQ(client->counters().malformed_rx, 0U);
+  }
 
   transport.Shutdown("test");
 }
@@ -1102,21 +1192,45 @@ TEST_F(FakeServerTest, ExtraDescriptorsAreAllClosed) {
   }
 }
 
-TEST_F(FakeServerTest, DatagramsFromOtherPathsAreRefused) {
+TEST_F(FakeServerTest, OtherSendersAreRefusedByTheKernel) {
+  // The channel's socket is connected to the serving path, so the kernel
+  // refuses a bound stranger and an unnamed sender alike, descriptors
+  // and all, and the channel counts nothing.
   RawSocket stranger(dir_ + "/stranger");
   ASSERT_TRUE(stranger.bound());
   Pipe pipe = MakePipe();
-  ASSERT_TRUE(stranger.SendTo(client_path_, kWelcome, {pipe.read.get()}));
+  EXPECT_EQ(SendErrno(stranger, client_path_, kWelcome, {pipe.read.get()}),
+            EPERM);
   pipe.read.reset();
-  ExpectOneRefusal();
   EXPECT_TRUE(ReaderGone(pipe.write));
-  // An unnamed sender has no source path at all.
   Fd unnamed(::socket(AF_UNIX, SOCK_DGRAM, 0));
   const sockaddr_un to = PathAddr(client_path_);
-  ASSERT_EQ(::sendto(unnamed.get(), "bdw1 FIN full", 13, 0,
-                     reinterpret_cast<const sockaddr*>(&to), sizeof(to)),
-            13);
-  ExpectOneRefusal();
+  const ssize_t sent =
+      ::sendto(unnamed.get(), "bdw1 FIN full", 13, 0,
+               reinterpret_cast<const sockaddr*>(&to), sizeof(to));
+  const int unnamed_errno = errno;
+  EXPECT_EQ(sent, -1);
+  EXPECT_EQ(unnamed_errno, EPERM);
+
+  std::vector<wire::Message> messages;
+  EXPECT_EQ(client_->PollMessages(200, &messages), 0);
+  EXPECT_EQ(client_->counters().malformed_rx, 0U);
+  ASSERT_TRUE(client_->Connected());
+  // The serving socket's own pipe still delivers.
+  ASSERT_TRUE(WriteAll(pipe_, "bdw1 SLOT 7 1 P 7\n"));
+  EXPECT_EQ(client_->PollMessages(200, &messages), 1);
+  ASSERT_EQ(messages.size(), 1U);
+  EXPECT_EQ(messages[0].type, wire::MsgType::kSlot);
+}
+
+TEST_F(FakeServerTest, ASendToADeadServingSocketClosesTheChannel) {
+  // The kernel refuses the first send once the serving socket is gone and
+  // disconnects the epoch socket; the channel closes rather than linger
+  // unconnected, where any stranger could reach it.
+  server_.reset();
+  EXPECT_FALSE(client_->SendPull(1));
+  EXPECT_EQ(client_->counters().pulls_send_failed, 1U);
+  EXPECT_FALSE(client_->Connected());
 }
 
 TEST_F(FakeServerTest, LineSplitAcrossWritesParsesOnce) {

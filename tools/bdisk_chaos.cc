@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "core/config_io.h"
 #include "core/system.h"
 #include "core/table_printer.h"
@@ -68,18 +69,6 @@ void PrintUsage() {
       "  --help             this message\n"
       "exits 1 when any point hangs, drops accounting, or fails to\n"
       "inject at a nonzero loss rate.\n");
-}
-
-bool ParseDoubleList(const std::string& text, std::vector<double>* out) {
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    char* end = nullptr;
-    const double parsed = std::strtod(item.c_str(), &end);
-    if (end == item.c_str()) return false;
-    out->push_back(parsed);
-  }
-  return !out->empty();
 }
 
 struct PointOutcome {
@@ -122,10 +111,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--loss") {
-      if (!ParseDoubleList(next_value("--loss"), &losses)) {
-        std::fprintf(stderr, "--loss wants a comma list of rates\n");
-        return 2;
-      }
+      cli::DoubleListFlag("--loss", next_value("--loss"), 0.0, 1.0, &losses);
     } else if (arg == "--slot-only") {
       request_loss = false;
     } else if (arg == "--request-only") {
@@ -133,26 +119,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--outage-sweep") {
       outage_sweep = true;
     } else if (arg == "--outage-durations") {
-      if (!ParseDoubleList(next_value("--outage-durations"),
-                           &outage_durations)) {
-        std::fprintf(stderr,
-                     "--outage-durations wants a comma list of widths\n");
-        return 2;
-      }
+      cli::DoubleListFlag("--outage-durations",
+                          next_value("--outage-durations"), 0.0, HUGE_VAL,
+                          &outage_durations);
     } else if (arg == "--outage-periods") {
-      if (!ParseDoubleList(next_value("--outage-periods"),
-                           &outage_periods)) {
-        std::fprintf(stderr,
-                     "--outage-periods wants a comma list of spacings\n");
-        return 2;
-      }
+      cli::DoubleListFlag("--outage-periods", next_value("--outage-periods"),
+                          0.0, HUGE_VAL, &outage_periods);
     } else if (arg == "--outage-start") {
-      char* end = nullptr;
-      outage_start = std::strtod(next_value("--outage-start"), &end);
-      if (end == nullptr || *end != '\0' || outage_start < 0.0) {
-        std::fprintf(stderr, "--outage-start wants a sim time >= 0\n");
-        return 2;
-      }
+      outage_start =
+          cli::DoubleFlag("--outage-start", next_value("--outage-start"), 0.0);
     } else if (arg == "--set") {
       const std::string kv = next_value("--set");
       const std::size_t eq = kv.find('=');
@@ -181,7 +156,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--seed") {
-      base.seed = std::strtoull(next_value("--seed"), nullptr, 10);
+      base.seed =
+          cli::UnsignedFlag("--seed", next_value("--seed"), 0, UINT64_MAX);
     } else if (arg == "--frames") {
       const std::string error =
           core::ApplyConfigOption("frames", next_value("--frames"), &base);
@@ -224,12 +200,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    for (const double p : outage_periods) {
-      if (p < 0.0) {
-        std::fprintf(stderr, "outage period %g must be >= 0\n", p);
-        return 2;
-      }
-    }
   } else if (!outage_durations.empty() || !outage_periods.empty()) {
     std::fprintf(stderr,
                  "--outage-durations/--outage-periods need --outage-sweep\n");
@@ -241,12 +211,6 @@ int main(int argc, char** argv) {
                  "--frames needs a single --loss point (a frame stream "
                  "describes exactly one run)\n");
     return 2;
-  }
-  for (const double loss : losses) {
-    if (loss < 0.0 || loss > 1.0) {
-      std::fprintf(stderr, "loss rate %g out of [0,1]\n", loss);
-      return 2;
-    }
   }
 
   core::SteadyStateProtocol protocol;

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "obs/json.h"
 #include "obs/phase_profiler.h"
 
@@ -154,14 +155,8 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 0;
     } else if (arg == "--tolerance") {
-      const char* value = next_value("--tolerance");
-      char* end = nullptr;
-      tolerance = std::strtod(value, &end);
-      if (end == value || *end != '\0' || tolerance < 0.0) {
-        std::fprintf(stderr,
-                     "--tolerance expects a non-negative percent\n");
-        return 2;
-      }
+      tolerance = bdisk::cli::DoubleFlag("--tolerance",
+                                         next_value("--tolerance"), 0.0);
     } else if (arg == "--ignore") {
       ignore.emplace_back(next_value("--ignore"));
     } else if (arg == "--include-nondeterministic") {

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "obs/json.h"
 
 namespace {
@@ -238,25 +239,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto parse_nonneg = [&](const char* flag) -> double {
-      const char* value = next_value(flag);
-      char* end = nullptr;
-      const double parsed = std::strtod(value, &end);
-      if (end == value || *end != '\0' || parsed < 0.0) {
-        std::fprintf(stderr, "%s expects a non-negative number\n", flag);
-        std::exit(2);
-      }
-      return parsed;
-    };
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       return 0;
     } else if (arg == "--tolerance") {
-      tolerance = parse_nonneg("--tolerance");
+      tolerance = bdisk::cli::DoubleFlag("--tolerance",
+                                         next_value("--tolerance"), 0.0);
     } else if (arg == "--floor-ns") {
-      floor_ns = parse_nonneg("--floor-ns");
+      floor_ns =
+          bdisk::cli::DoubleFlag("--floor-ns", next_value("--floor-ns"), 0.0);
     } else if (arg == "--top") {
-      top = static_cast<std::size_t>(parse_nonneg("--top"));
+      top = static_cast<std::size_t>(
+          bdisk::cli::UnsignedFlag("--top", next_value("--top"), 0, SIZE_MAX));
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       PrintUsage();

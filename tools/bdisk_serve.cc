@@ -16,6 +16,9 @@
 // Robustness semantics (ROBUSTNESS.md, Transport):
 //   - heartbeat deadlines: any datagram from a peer refreshes it; peers
 //     silent past --heartbeat-s are evicted;
+//   - source rule: a peer is the address of its last accepted HELLO; a
+//     PULL, PING or BYE in its name from another address is refused and
+//     counted in transport.wrong_source_rx alone;
 //   - drop-newest backpressure: a slot line the kernel refuses is dropped
 //     and counted by cause (transport.drop_*), never retried, never
 //     blocking the slot cadence;
@@ -132,7 +135,7 @@ int main(int argc, char** argv) {
                                     0, UINT64_MAX);
     } else if (arg == "--heartbeat-s") {
       heartbeat_s =
-          cli::SecondsFlag("--heartbeat-s", next_value("--heartbeat-s"));
+          cli::DoubleFlag("--heartbeat-s", next_value("--heartbeat-s"), 0.0);
     } else if (arg == "--max-peers") {
       max_peers = positive_u32("--max-peers");
     } else if (arg == "--set") {
@@ -276,7 +279,7 @@ int main(int argc, char** argv) {
     server.SetTelemetryBus(&*bus);
     bus->EmitRunStart(stack.simulator().Now(),
                       {{"tool", "bdisk_serve"},
-                       {"transport", transport.Describe()},
+                       {"transport", "unix:" + socket_path},
                        {"seed", std::to_string(config.seed)},
                        {"db_size", std::to_string(config.server_db_size)},
                        {"slot_us", std::to_string(slot_us)}});

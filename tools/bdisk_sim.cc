@@ -14,6 +14,7 @@
 // in src/core/config_io.h.
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "analysis/advisor.h"
+#include "cli_numbers.h"
 #include "core/config_io.h"
 #include "core/csv.h"
 #include "core/experiment.h"
@@ -105,18 +107,6 @@ bool EndsWith(const std::string& text, const char* suffix) {
   return text.size() >= n && text.compare(text.size() - n, n, suffix) == 0;
 }
 
-bool ParseDoubleList(const std::string& text, std::vector<double>* out) {
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    char* end = nullptr;
-    const double parsed = std::strtod(item.c_str(), &end);
-    if (end == item.c_str()) return false;
-    out->push_back(parsed);
-  }
-  return !out->empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -179,19 +169,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--sweep") {
-      if (!ParseDoubleList(next_value("--sweep"), &sweep)) {
-        std::fprintf(stderr, "--sweep expects a comma-separated list\n");
-        return 2;
-      }
+      cli::DoubleListFlag("--sweep", next_value("--sweep"), 0.0, HUGE_VAL,
+                          &sweep);
     } else if (arg == "--threads") {
-      const char* value = next_value("--threads");
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(value, &end, 10);
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr, "--threads expects a non-negative integer\n");
-        return 2;
-      }
-      num_threads = static_cast<unsigned>(parsed);
+      num_threads = static_cast<unsigned>(cli::UnsignedFlag(
+          "--threads", next_value("--threads"), 0, UINT_MAX));
     } else if (arg == "--warmup") {
       warmup = true;
     } else if (arg == "--metrics-json") {
@@ -308,6 +290,11 @@ int main(int argc, char** argv) {
     point.x = ttr;
     point.config = config;
     point.config.think_time_ratio = ttr;
+    const std::string point_error = point.config.Validate();
+    if (!point_error.empty()) {
+      std::fprintf(stderr, "--sweep %g: %s\n", ttr, point_error.c_str());
+      return 2;
+    }
     point.warmup_run = warmup;
     points.push_back(point);
   }

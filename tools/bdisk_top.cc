@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "obs/frame_sink.h"
 #include "obs/json.h"
 
@@ -404,10 +405,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--snapshot") {
       snapshot_path = next_value("--snapshot");
     } else if (arg == "--timeout") {
-      char* end = nullptr;
-      const char* value = next_value("--timeout");
-      timeout_seconds = std::strtod(value, &end);
-      if (end == value || timeout_seconds <= 0.0) {
+      timeout_seconds =
+          bdisk::cli::DoubleFlag("--timeout", next_value("--timeout"), 0.0);
+      if (timeout_seconds == 0.0) {
         std::fprintf(stderr, "--timeout expects a positive number\n");
         return 2;
       }

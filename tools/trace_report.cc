@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "obs/span_assembler.h"
 #include "obs/trace_sink.h"
 
@@ -349,12 +350,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--csv") {
       csv_path = next_value("--csv");
     } else if (arg == "--top") {
-      top_n = static_cast<std::size_t>(std::atol(next_value("--top")));
+      top_n = static_cast<std::size_t>(
+          bdisk::cli::UnsignedFlag("--top", next_value("--top"), 0, SIZE_MAX));
     } else if (arg == "--bins") {
-      bins = static_cast<std::size_t>(std::atol(next_value("--bins")));
+      bins = static_cast<std::size_t>(bdisk::cli::UnsignedFlag(
+          "--bins", next_value("--bins"), 0, SIZE_MAX));
     } else if (arg == "--examples") {
-      examples =
-          static_cast<std::size_t>(std::atol(next_value("--examples")));
+      examples = static_cast<std::size_t>(bdisk::cli::UnsignedFlag(
+          "--examples", next_value("--examples"), 0, SIZE_MAX));
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       PrintUsage();
