@@ -40,7 +40,7 @@ int main() {
         points.push_back(point);
       }
     }
-    const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+    const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
     std::printf("Ablation 1: MC cache replacement policy "
                 "(IPP, PullBW=50%%, ThresPerc=25%%)\n");
     bench::PrintResponseTable("ThinkTimeRatio", outcomes);
@@ -60,7 +60,7 @@ int main() {
         points.push_back(point);
       }
     }
-    const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+    const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
     std::printf("Ablation 2: Offset on/off (Pure-Push)\n");
     bench::PrintResponseTable("ThinkTimeRatio", outcomes);
     std::printf("Expected: Offset wins in steady state — broadcasting the\n"
@@ -79,7 +79,7 @@ int main() {
         points.push_back(point);
       }
     }
-    const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+    const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
     std::printf("Ablation 3: chunk padding ([Acha95a] literal) vs balanced "
                 "split (Pure-Push)\n");
     bench::PrintResponseTable("ThinkTimeRatio", outcomes);

@@ -41,7 +41,7 @@ int main() {
     adaptive.config.adaptive_threshold = true;
     points.push_back(adaptive);
   }
-  const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+  const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
   bench::PrintResponseTable("ThinkTimeRatio", outcomes);
   std::printf(
       "Expected: the adaptive column matches the aggressive corner at light\n"

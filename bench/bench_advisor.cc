@@ -44,7 +44,7 @@ int main() {
                                         algo.bw, algo.thres));
     }
   }
-  const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+  const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
 
   core::TablePrinter table(
       {"algorithm", "TTR", "predicted", "simulated", "ratio"});
@@ -76,7 +76,7 @@ int main() {
     rec_points.push_back(point);
   }
   const auto rec_outcomes =
-      bench::RunSweep(rec_points, bench::BenchSteadyProtocol());
+      core::RunSweep(rec_points, bench::BenchSteadyProtocol());
   for (std::size_t i = 0; i < recs.size(); ++i) {
     rec_table.AddRow(
         {core::TablePrinter::Fmt(rec_points[i].x, 0),

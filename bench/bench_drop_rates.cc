@@ -28,7 +28,7 @@ int main() {
       bench::MakePoint("Pull", 50, DeliveryMode::kPurePull, 50, 1.0));
   quoted.push_back(bench::MakePoint("IPP bw30% t25%", 25,
                                     DeliveryMode::kIpp, 25, 0.3, 0.25));
-  const auto outcomes = bench::RunSweep(quoted, bench::BenchSteadyProtocol());
+  const auto outcomes = core::RunSweep(quoted, bench::BenchSteadyProtocol());
 
   core::TablePrinter table(
       {"setting", "TTR", "paper drop%", "measured drop%"});
@@ -53,7 +53,7 @@ int main() {
                                      DeliveryMode::kIpp, ttr, 0.5, 0.25));
   }
   const auto sweep_outcomes =
-      bench::RunSweep(sweep, bench::BenchSteadyProtocol());
+      core::RunSweep(sweep, bench::BenchSteadyProtocol());
   std::printf("Drop rate (%%) vs load:\n");
   bench::PrintDropRateTable("ThinkTimeRatio", sweep_outcomes);
   std::printf(

@@ -32,7 +32,7 @@ int main() {
     }
   }
   const auto outcomes_a =
-      bench::RunSweep(points_a, bench::BenchSteadyProtocol());
+      core::RunSweep(points_a, bench::BenchSteadyProtocol());
   std::printf("Figure 3(a): IPP PullBW=50%%, SteadyStatePerc varied\n");
   bench::PrintResponseTable("ThinkTimeRatio", outcomes_a);
   std::printf(
@@ -55,7 +55,7 @@ int main() {
     }
   }
   const auto outcomes_b =
-      bench::RunSweep(points_b, bench::BenchSteadyProtocol());
+      core::RunSweep(points_b, bench::BenchSteadyProtocol());
   std::printf("Figure 3(b): IPP PullBW varied, SteadyStatePerc=95%%\n");
   bench::PrintResponseTable("ThinkTimeRatio", outcomes_b);
   std::printf(

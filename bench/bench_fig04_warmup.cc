@@ -29,8 +29,8 @@ int main() {
     }
     for (auto& point : points) point.warmup_run = true;
 
-    const auto outcomes = bench::RunSweep(points, {},
-                                         bench::BenchWarmupProtocol());
+    const auto outcomes = core::RunSweep(points, {},
+                                        bench::BenchWarmupProtocol());
     std::printf("Figure 4(%c): ThinkTimeRatio = %.0f\n",
                 ttr == 25.0 ? 'a' : 'b', ttr);
     bench::PrintWarmupTable(outcomes);

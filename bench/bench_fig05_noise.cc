@@ -38,7 +38,7 @@ int main() {
         }
       }
     }
-    const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+    const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
     std::printf("Figure 5(%c): %s vs Pure-Push\n", panel_b ? 'b' : 'a',
                 panel_b ? "IPP" : "Pure-Pull");
     bench::PrintResponseTable("ThinkTimeRatio", outcomes);

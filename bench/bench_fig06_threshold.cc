@@ -31,7 +31,7 @@ int main() {
             bench::MakePoint(label, ttr, DeliveryMode::kIpp, ttr, bw, thres));
       }
     }
-    const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+    const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
     std::printf("Figure 6(%c): PullBW = %.0f%%\n", bw == 0.5 ? 'a' : 'b',
                 bw * 100);
     bench::PrintResponseTable("ThinkTimeRatio", outcomes);

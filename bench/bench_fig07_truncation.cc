@@ -36,7 +36,7 @@ int main() {
                                           kTtr, bw, thres, 0.95, 0.0, chop));
       }
     }
-    const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+    const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
     std::printf("Figure 7(%c): ThresPerc = %.0f%%\n",
                 thres == 0.0 ? 'a' : 'b', thres * 100);
     bench::PrintResponseTable("Non-broadcast pages", outcomes);

@@ -34,7 +34,7 @@ int main() {
                                         0.3, 0.35, 0.95, 0.0, chop));
     }
   }
-  const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+  const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
   bench::PrintResponseTable("ThinkTimeRatio", outcomes);
   std::printf(
       "Paper shape: when underutilized (left), chopping more pages helps —\n"

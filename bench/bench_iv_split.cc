@@ -73,7 +73,7 @@ int main() {
     points.push_back(
         bench::MakePoint("Push", ttr, DeliveryMode::kPurePush, ttr));
   }
-  const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+  const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
   std::printf("Simulated comparison:\n");
   bench::PrintResponseTable("ThinkTimeRatio", outcomes);
   std::printf(

@@ -34,7 +34,7 @@ int main() {
     ipp_pt.config.mc_prefetch = true;
     points.push_back(ipp_pt);
   }
-  const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+  const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
   std::printf("Steady-state response:\n");
   bench::PrintResponseTable("ThinkTimeRatio", outcomes);
 
@@ -49,7 +49,7 @@ int main() {
     warm_points.push_back(point);
   }
   const auto warm_outcomes =
-      bench::RunSweep(warm_points, {}, bench::BenchWarmupProtocol());
+      core::RunSweep(warm_points, {}, bench::BenchWarmupProtocol());
   std::printf("Warm-up time (Pure-Push):\n");
   bench::PrintWarmupTable(warm_outcomes);
   std::printf(

@@ -38,7 +38,7 @@ int main() {
     ipp.config.update_rate = rate;
     points.push_back(ipp);
   }
-  const auto outcomes = bench::RunSweep(points, bench::BenchSteadyProtocol());
+  const auto outcomes = core::RunSweep(points, bench::BenchSteadyProtocol());
   bench::PrintResponseTable("updates per 1000 units", outcomes);
   std::printf(
       "Expected: graceful degradation — low update rates stay near the\n"

@@ -13,34 +13,6 @@ bool QuickMode() {
   return quick != nullptr && quick[0] != '\0';
 }
 
-// Provenance moved to core::provenance so the live-serve tools share the
-// same stamp and gate; the bench-facing names stay as thin delegates.
-const char* BuildType() { return core::BuildType(); }
-
-const char* GitRev() { return core::GitRev(); }
-
-bool OptimizedBuild() { return core::OptimizedBuild(); }
-
-void RequireOptimizedBuild(const char* binary_name) {
-  core::RequireOptimizedBuild(binary_name);
-}
-
-unsigned SweepThreads() {
-  const char* threads = std::getenv("BDISK_THREADS");
-  if (threads == nullptr || threads[0] == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(threads, &end, 10);
-  if (end == threads || *end != '\0') return 0;
-  return static_cast<unsigned>(parsed);
-}
-
-std::vector<core::SweepOutcome> RunSweep(
-    const std::vector<core::SweepPoint>& points,
-    const core::SteadyStateProtocol& steady,
-    const core::WarmupProtocol& warmup) {
-  return core::RunSweep(points, steady, warmup, SweepThreads());
-}
-
 core::SteadyStateProtocol BenchSteadyProtocol() {
   core::SteadyStateProtocol protocol;
   if (QuickMode()) {
@@ -65,13 +37,13 @@ core::WarmupProtocol BenchWarmupProtocol() {
 }
 
 void PrintBanner(const std::string& figure, const std::string& description) {
-  RequireOptimizedBuild(figure.c_str());
+  core::RequireOptimizedBuild(figure.c_str());
   std::printf("==============================================================="
               "=========\n");
   std::printf("%s — \"Balancing Push and Pull for Data Broadcast\" "
               "(SIGMOD 1997)\n", figure.c_str());
   std::printf("%s\n", description.c_str());
-  std::printf("build: %s @ %s\n", BuildType(), GitRev());
+  std::printf("build: %s @ %s\n", core::BuildType(), core::GitRev());
   std::printf("Table 3 defaults: DB=1000 pages, disks {100,400,500} @ "
               "{3,2,1}, cache=100,\nqueue=100, MC think=20, Zipf(0.95), "
               "Offset=CacheSize. Times in broadcast units.\n");

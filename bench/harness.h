@@ -18,40 +18,9 @@ core::WarmupProtocol BenchWarmupProtocol();
 /// True when BDISK_BENCH_QUICK is set.
 bool QuickMode();
 
-/// Bench provenance: every recorded number must say what was measured.
-/// BuildType() is the CMake configuration the bench binaries were built
-/// under ("Release", "Debug", ...); GitRev() the short revision captured
-/// at configure time ("unknown" outside a checkout).
-const char* BuildType();
-const char* GitRev();
-
-/// True when this binary was compiled optimized (a Release-family CMake
-/// configuration with NDEBUG, so BDISK_CHECK bounds checks are the only
-/// assertions left).
-bool OptimizedBuild();
-
-/// Provenance gate: refuses to run (exits with a loud message) when the
-/// bench was built non-optimized, so debug numbers can't silently end up
-/// in BENCH_*.json records. Setting BDISK_BENCH_ALLOW_DEBUG=1 downgrades
-/// the refusal to a tagged warning for local smoke tests. Called by
-/// PrintBanner and by the google-benchmark mains.
-void RequireOptimizedBuild(const char* binary_name);
-
-/// Worker threads for bench sweeps: the BDISK_THREADS environment variable
-/// parsed as a non-negative integer (unset, empty, or unparsable = 0 =
-/// hardware concurrency). Results are bit-identical either way; the knob
-/// only trades wall-clock for core use.
-unsigned SweepThreads();
-
-/// core::RunSweep with the thread count taken from BDISK_THREADS. Every
-/// figure bench funnels through this so the knob applies uniformly.
-std::vector<core::SweepOutcome> RunSweep(
-    const std::vector<core::SweepPoint>& points,
-    const core::SteadyStateProtocol& steady = {},
-    const core::WarmupProtocol& warmup = {});
-
-/// Prints the standard experiment banner: figure id, paper reference, and
-/// the Table 3 parameters that apply to every run.
+/// Prints the standard experiment banner: figure id, paper reference, the
+/// build's provenance, and the Table 3 parameters that apply to every run.
+/// Refuses to run a non-optimized build (core::RequireOptimizedBuild).
 void PrintBanner(const std::string& figure, const std::string& description);
 
 /// Pivots sweep outcomes into a curve-per-column table of mean response

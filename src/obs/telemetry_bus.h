@@ -107,7 +107,7 @@ class TelemetryBus {
   std::vector<std::uint64_t> credited_;
   std::chrono::steady_clock::time_point started_;
   // Per-frame scratch, reused so the steady-state window path allocates
-  // nothing (part of the <5% attach budget on EndToEndSlots/250).
+  // nothing (perfbench's obs.overhead_frac measures the attach cost).
   JsonWriter scratch_writer_;
   std::vector<std::uint64_t> scratch_current_;
   std::vector<std::uint64_t> scratch_deltas_;

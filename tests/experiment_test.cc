@@ -85,11 +85,12 @@ TEST(ExperimentTest, BadPointSurfacesAsExceptionNotCrash) {
   }
 }
 
-// Satellite of the fusion PR: a small fig03-style grid (all three delivery
-// modes x two loads, Table-3 shape scaled to db=100) must produce
-// bit-identical outcomes whether the sweep runs on 1 thread or 4 — the
-// shared artifact cache and work-stealing order must not leak into
-// results.
+// A small fig03-style grid (all three delivery modes x two loads, Table-3
+// shape scaled to db=100) must produce bit-identical outcomes whether the
+// sweep runs on 1 thread or 4 — the shared artifact cache and
+// work-stealing order must not leak into results. Each point is followed
+// by its unfused twin (vc_fusion = false, the oracle), so fused and
+// unfused runs also share the threaded sweep.
 std::vector<SweepPoint> SmallFig03Grid() {
   std::vector<SweepPoint> points;
   const DeliveryMode modes[] = {DeliveryMode::kPurePush,
@@ -101,6 +102,9 @@ std::vector<SweepPoint> SmallFig03Grid() {
       point.x = ttr;
       point.config = SmallConfig(ttr);
       point.config.mode = mode;
+      points.push_back(point);
+      point.curve += " unfused";
+      point.config.vc_fusion = false;
       points.push_back(point);
     }
   }
@@ -127,6 +131,18 @@ TEST(ExperimentTest, SweepIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.sim_time_end, b.sim_time_end);
     EXPECT_EQ(a.kernel.events_executed, b.kernel.events_executed);
     EXPECT_EQ(a.kernel.lazy_arrivals_fused, b.kernel.lazy_arrivals_fused);
+  }
+  // Fusion changes how arrivals are scheduled, never the trajectory.
+  for (std::size_t i = 0; i + 1 < parallel.size(); i += 2) {
+    SCOPED_TRACE(parallel[i + 1].point.curve + " ttr=" +
+                 std::to_string(parallel[i + 1].point.x));
+    const RunResult& fused = parallel[i].result;
+    const RunResult& unfused = parallel[i + 1].result;
+    EXPECT_EQ(fused.mean_response, unfused.mean_response);
+    EXPECT_EQ(fused.response_stats.Count(), unfused.response_stats.Count());
+    EXPECT_EQ(fused.sim_time_end, unfused.sim_time_end);
+    EXPECT_EQ(fused.requests_submitted, unfused.requests_submitted);
+    EXPECT_EQ(fused.requests_dropped, unfused.requests_dropped);
   }
 }
 

@@ -31,6 +31,7 @@
 #include "cli_numbers.h"
 #include "obs/json.h"
 #include "obs/phase_profiler.h"
+#include "write_output.h"
 
 namespace {
 
@@ -330,17 +331,7 @@ int main(int argc, char** argv) {
     json.Value(regressions == 0);
     json.EndObject();
     json.EndObject();
-    const std::string document = json.str() + "\n";
-    if (json_path == "-") {
-      std::fwrite(document.data(), 1, document.size(), stdout);
-    } else {
-      std::ofstream file(json_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      file << document;
-    }
+    if (!bdisk::cli::WriteOutput(json_path, json.str())) return 2;
   }
 
   return regressions > 0 ? 1 : 0;

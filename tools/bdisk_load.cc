@@ -37,6 +37,7 @@
 #include "sim/rng.h"
 #include "transport/datagram_client.h"
 #include "transport/wire.h"
+#include "write_output.h"
 
 namespace {
 
@@ -57,8 +58,9 @@ void PrintUsage() {
       "  --reconcile        BYE -> STATS exact accounting check (exit 1 on\n"
       "                     mismatch)\n"
       "  --seed N           page-draw / jitter RNG seed (default 42)\n"
-      "  --report FILE      write a bdisk-load-v1 JSON report (requires an\n"
-      "                     optimized build, or BDISK_BENCH_ALLOW_DEBUG=1)\n"
+      "  --report FILE      write a bdisk-load-v1 JSON report (\"-\" for\n"
+      "                     stdout; requires an optimized build, or\n"
+      "                     BDISK_BENCH_ALLOW_DEBUG=1)\n"
       "  --help             this message\n");
 }
 
@@ -284,6 +286,11 @@ int main(int argc, char** argv) {
       elapsed > 0.0 ? static_cast<double>(c.slots_rx_total) / elapsed : 0.0;
   double rtt_sum = 0.0;
   for (const double r : rtts_ms) rtt_sum += r;
+  const double rtt_mean =
+      rtts_ms.empty() ? 0.0 : rtt_sum / static_cast<double>(rtts_ms.size());
+  const double p50 = Quantile(rtts_ms, 0.50);
+  const double p90 = Quantile(rtts_ms, 0.90);
+  const double p99 = Quantile(rtts_ms, 0.99);
 
   std::printf(
       "bdisk_load: %llu/%llu rounds in %.3fs (%.1f pull round-trips/s, "
@@ -297,40 +304,33 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(c.pulls_send_failed),
       static_cast<unsigned long long>(c.slots_rx_total),
       static_cast<unsigned long long>(c.reconnects),
-      static_cast<unsigned long long>(restarts),
-      rtts_ms.empty() ? 0.0 : rtt_sum / static_cast<double>(rtts_ms.size()),
-      Quantile(rtts_ms, 0.50), Quantile(rtts_ms, 0.90),
-      Quantile(rtts_ms, 0.99));
+      static_cast<unsigned long long>(restarts), rtt_mean, p50, p90, p99);
 
   if (!report_path.empty()) {
-    std::FILE* out = std::fopen(report_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", report_path.c_str());
-      return 2;
-    }
-    std::fprintf(
-        out,
-        "{\"schema\":\"bdisk-load-v1\",\"build_type\":\"%s\","
-        "\"git_rev\":\"%s\",\"optimized\":%s,\"socket\":\"%s\","
-        "\"rounds\":%llu,\"completed\":%llu,\"failed\":%llu,"
-        "\"elapsed_s\":%.6f,\"pull_rt_per_s\":%.3f,\"slots_per_s\":%.3f,"
-        "\"pulls_sent\":%llu,\"slots_rx\":%llu,\"reconnects\":%llu,"
-        "\"rtt_ms\":{\"mean\":%.4f,\"p50\":%.4f,\"p90\":%.4f,"
-        "\"p99\":%.4f}}\n",
-        core::BuildType(), core::GitRev(),
-        core::OptimizedBuild() ? "true" : "false", socket_path.c_str(),
-        static_cast<unsigned long long>(rounds),
-        static_cast<unsigned long long>(completed),
-        static_cast<unsigned long long>(failed),
-        elapsed, rt_per_s, slots_per_s,
-        static_cast<unsigned long long>(c.pulls_sent),
-        static_cast<unsigned long long>(c.slots_rx_total),
-        static_cast<unsigned long long>(c.reconnects),
-        rtts_ms.empty() ? 0.0
-                        : rtt_sum / static_cast<double>(rtts_ms.size()),
-        Quantile(rtts_ms, 0.50), Quantile(rtts_ms, 0.90),
-        Quantile(rtts_ms, 0.99));
-    std::fclose(out);
+    const auto format = [&](char* buf, std::size_t size) {
+      return std::snprintf(
+          buf, size,
+          "{\"schema\":\"bdisk-load-v1\",\"build_type\":\"%s\","
+          "\"git_rev\":\"%s\",\"optimized\":%s,\"socket\":\"%s\","
+          "\"rounds\":%llu,\"completed\":%llu,\"failed\":%llu,"
+          "\"elapsed_s\":%.6f,\"pull_rt_per_s\":%.3f,\"slots_per_s\":%.3f,"
+          "\"pulls_sent\":%llu,\"slots_rx\":%llu,\"reconnects\":%llu,"
+          "\"rtt_ms\":{\"mean\":%.4f,\"p50\":%.4f,\"p90\":%.4f,"
+          "\"p99\":%.4f}}",
+          core::BuildType(), core::GitRev(),
+          core::OptimizedBuild() ? "true" : "false", socket_path.c_str(),
+          static_cast<unsigned long long>(rounds),
+          static_cast<unsigned long long>(completed),
+          static_cast<unsigned long long>(failed),
+          elapsed, rt_per_s, slots_per_s,
+          static_cast<unsigned long long>(c.pulls_sent),
+          static_cast<unsigned long long>(c.slots_rx_total),
+          static_cast<unsigned long long>(c.reconnects), rtt_mean, p50, p90,
+          p99);
+    };
+    std::string report(static_cast<std::size_t>(format(nullptr, 0)), '\0');
+    format(report.data(), report.size() + 1);
+    if (!cli::WriteOutput(report_path, report)) return 2;
   }
 
   if (reconcile_failed) return 1;

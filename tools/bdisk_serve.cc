@@ -66,6 +66,7 @@
 #include "server/broadcast_server.h"
 #include "sim/simulator.h"
 #include "transport/datagram_transport.h"
+#include "write_output.h"
 
 namespace {
 
@@ -95,6 +96,7 @@ void PrintUsage() {
       "  --frames DEST      stream live bdisk-frame-v1 frames (\"-\" stdout,\n"
       "                     \"unix:PATH\" datagram, else file)\n"
       "  --metrics-json F   write a bdisk-metrics-v1 snapshot on exit\n"
+      "                     (\"-\" stdout)\n"
       "  --help             this message\n"
       "SIGTERM/SIGINT drains gracefully: FIN to every peer, summary, exit "
       "0.\n");
@@ -350,15 +352,7 @@ int main(int argc, char** argv) {
     // that frame-delta reconciliation sums over.
     registry.GetGauge("transport.peers")
         ->Set(static_cast<double>(transport.PeerCount()));
-    std::FILE* out = std::fopen(metrics_json.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_json.c_str());
-      return 2;
-    }
-    const std::string json = registry.ToJson();
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fputc('\n', out);
-    std::fclose(out);
+    if (!cli::WriteOutput(metrics_json, registry.ToJson())) return 2;
   }
 
   const double elapsed = wall_s();

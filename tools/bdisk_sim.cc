@@ -43,6 +43,7 @@
 #include "obs/telemetry_bus.h"
 #include "obs/trace_sink.h"
 #include "obs/windowed_collector.h"
+#include "write_output.h"
 
 namespace {
 
@@ -86,20 +87,6 @@ void PrintUsage() {
       "  --recommend        run the analytic advisor for this config\n"
       "  --help             this message\n"
       "observability flags run a single point (no multi-point --sweep).\n");
-}
-
-bool WriteFileOrComplain(const std::string& path, const std::string& body) {
-  if (path == "-") {
-    std::fwrite(body.data(), 1, body.size(), stdout);
-    return true;
-  }
-  std::ofstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  file << body;
-  return true;
 }
 
 bool EndsWith(const std::string& text, const char* suffix) {
@@ -398,29 +385,25 @@ int main(int argc, char** argv) {
     outcomes.push_back(outcome);
     if (!metrics_json_path.empty()) {
       system.SnapshotMetrics(&registry);
-      if (!WriteFileOrComplain(metrics_json_path, registry.ToJson())) {
-        return 1;
-      }
+      if (!cli::WriteOutput(metrics_json_path, registry.ToJson())) return 1;
     }
     if (!trace_path.empty()) {
       const std::string body =
           EndsWith(trace_path, ".csv") ? sink.ToCsv() : sink.ToJsonl();
-      if (!WriteFileOrComplain(trace_path, body)) return 1;
+      if (!cli::WriteOutput(trace_path, body)) return 1;
     }
     if (!profile_path.empty()) {
-      if (!WriteFileOrComplain(profile_path, profiler.ToProfJson())) {
-        return 1;
-      }
+      if (!cli::WriteOutput(profile_path, profiler.ToProfJson())) return 1;
     }
     if (!folded_path.empty()) {
-      if (!WriteFileOrComplain(folded_path, profiler.ToFolded())) return 1;
+      if (!cli::WriteOutput(folded_path, profiler.ToFolded())) return 1;
     }
     if (!chrome_trace_path.empty()) {
       obs::SpanAssembler assembler(sink.DroppedEvents() > 0);
       assembler.FeedAll(sink.Events());
       const std::vector<obs::RequestSpan> spans = assembler.Finish();
-      if (!WriteFileOrComplain(chrome_trace_path,
-                               profiler.ToChromeTrace(&spans))) {
+      if (!cli::WriteOutput(chrome_trace_path,
+                            profiler.ToChromeTrace(&spans))) {
         return 1;
       }
     }

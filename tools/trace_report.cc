@@ -39,6 +39,7 @@
 #include "cli_numbers.h"
 #include "obs/span_assembler.h"
 #include "obs/trace_sink.h"
+#include "write_output.h"
 
 namespace {
 
@@ -307,17 +308,7 @@ bool WriteSpansCsv(const std::string& path, const PhaseBreakdown& b,
                row.response_sum / n, row.queue_wait_sum / n,
                row.broadcast_wait_sum / n);
   }
-  if (path == "-") {
-    std::fwrite(body.data(), 1, body.size(), stdout);
-    return true;
-  }
-  std::ofstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  file << body;
-  return true;
+  return bdisk::cli::WriteOutput(path, body);
 }
 
 }  // namespace
