@@ -14,20 +14,13 @@ bool QuickMode() {
 }
 
 core::SteadyStateProtocol BenchSteadyProtocol() {
+  if (QuickMode()) return core::SteadyStateProtocol::Quick();
   core::SteadyStateProtocol protocol;
-  if (QuickMode()) {
-    protocol.post_fill_accesses = 500;
-    protocol.min_measured_accesses = 1000;
-    protocol.max_measured_accesses = 3000;
-    protocol.batch_size = 500;
-    protocol.tolerance = 0.1;
-  } else {
-    protocol.post_fill_accesses = 4000;  // Paper §4.
-    protocol.min_measured_accesses = 3000;
-    protocol.max_measured_accesses = 12000;
-    protocol.batch_size = 1000;
-    protocol.tolerance = 0.03;
-  }
+  protocol.post_fill_accesses = 4000;  // Paper §4.
+  protocol.min_measured_accesses = 3000;
+  protocol.max_measured_accesses = 12000;
+  protocol.batch_size = 1000;
+  protocol.tolerance = 0.03;
   return protocol;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/config_io.h"
 #include "obs/flight_recorder.h"
 #include "obs/frame_sink.h"
 
@@ -34,36 +35,17 @@ double SystemConfig::EffectivePullBw() const {
 
 std::string SystemConfig::Validate() const {
   // Every double first: NaN passes every range check below (each
-  // comparison is false), and an infinity passes the one-sided ones.
+  // comparison is false), and an infinity passes the one-sided ones. The
+  // controllers' doubles have no config key, so they are listed here.
+  for (const ConfigKey& key : ConfigKeys()) {
+    const auto number = key.codec.number;
+    if (number != nullptr && !std::isfinite(number(*this))) {
+      return std::string(key.name) + " must be finite";
+    }
+  }
   const adaptive::ServerControllerOptions& sc = server_controller;
   const adaptive::ClientControllerOptions& cc = client_controller;
-  const std::pair<const char*, double> doubles[] = {
-      {"pull_bw", pull_bw},
-      {"thres_perc", thres_perc},
-      {"zipf_theta", zipf_theta},
-      {"noise", noise},
-      {"mc_think_time", mc_think_time},
-      {"think_time_ratio", think_time_ratio},
-      {"steady_state_perc", steady_state_perc},
-      {"mc_retry_interval", mc_retry_interval},
-      {"update_rate", update_rate},
-      {"update_zipf_theta", update_zipf_theta.value_or(0.0)},
-      {"obs_window", obs_window},
-      {"fault.slot_loss", fault.slot_loss},
-      {"fault.slot_corruption", fault.slot_corruption},
-      {"fault.request_loss", fault.request_loss},
-      {"fault.request_delay", fault.request_delay},
-      {"fault.outage_start", fault.outage_start},
-      {"fault.outage_duration", fault.outage_duration},
-      {"fault.outage_period", fault.outage_period},
-      {"fault.mc_timeout", fault.mc_timeout},
-      {"fault.mc_backoff", fault.mc_backoff},
-      {"fault.mc_backoff_cap", fault.mc_backoff_cap},
-      {"fault.mc_jitter", fault.mc_jitter},
-      {"fault.mc_probe_interval", fault.mc_probe_interval},
-      {"fault.shed_hi", fault.shed_hi},
-      {"fault.shed_lo", fault.shed_lo},
-      {"fault.degraded_pull_bw", fault.degraded_pull_bw},
+  const std::pair<const char*, double> controller_doubles[] = {
       {"server_controller.control_period", sc.control_period},
       {"server_controller.bw_step", sc.bw_step},
       {"server_controller.bw_min", sc.bw_min},
@@ -78,7 +60,7 @@ std::string SystemConfig::Validate() const {
       {"client_controller.ratio_high", cc.ratio_high},
       {"client_controller.ratio_low", cc.ratio_low},
   };
-  for (const auto& [key, value] : doubles) {
+  for (const auto& [key, value] : controller_doubles) {
     if (!std::isfinite(value)) return std::string(key) + " must be finite";
   }
   if (server_db_size == 0) return "server_db_size must be positive";

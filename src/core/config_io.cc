@@ -1,11 +1,13 @@
 #include "core/config_io.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <limits>
+#include <iterator>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,8 @@
 namespace bdisk::core {
 
 namespace {
+
+using fault::FaultPlan;
 
 std::string Trim(const std::string& s) {
   const std::size_t begin = s.find_first_not_of(" \t\r\n");
@@ -25,10 +29,12 @@ std::string Trim(const std::string& s) {
 // Numbers fail closed: the whole value must be one finite double, or one
 // unsigned decimal integer that fits the field (no sign, no wraparound),
 // and nothing is written unless it is.
-bool ParseDouble(const std::string& value, double* out) {
+bool ParseValue(const std::string& value, double* out) {
+  const char* begin = value.c_str();
   char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+  const double parsed = std::strtod(begin, &end);
+  // strtod stops at a NUL inside the value; the value does not end there.
+  if (end == begin || end != begin + value.size() || !std::isfinite(parsed)) {
     return false;
   }
   *out = parsed;
@@ -38,7 +44,7 @@ bool ParseDouble(const std::string& value, double* out) {
 // T is std::uint32_t or std::uint64_t; from_chars refuses a sign and
 // reports values past T's range.
 template <typename T>
-bool ParseUnsigned(const std::string& value, T* out) {
+bool ParseValue(const std::string& value, T* out) {
   T parsed = 0;
   const char* end = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
@@ -47,7 +53,7 @@ bool ParseUnsigned(const std::string& value, T* out) {
   return true;
 }
 
-bool ParseBool(const std::string& value, bool* out) {
+bool ParseValue(const std::string& value, bool* out) {
   if (value == "true" || value == "1" || value == "yes") {
     *out = true;
     return true;
@@ -59,13 +65,13 @@ bool ParseBool(const std::string& value, bool* out) {
   return false;
 }
 
-bool ParseU32List(const std::string& value, std::vector<std::uint32_t>* out) {
+bool ParseValue(const std::string& value, std::vector<std::uint32_t>* out) {
   std::vector<std::uint32_t> list;
   std::stringstream stream(value);
   std::string item;
   while (std::getline(stream, item, ',')) {
     std::uint32_t parsed = 0;
-    if (!ParseUnsigned(Trim(item), &parsed)) return false;
+    if (!ParseValue(Trim(item), &parsed)) return false;
     list.push_back(parsed);
   }
   if (list.empty()) return false;
@@ -73,223 +79,337 @@ bool ParseU32List(const std::string& value, std::vector<std::uint32_t>* out) {
   return true;
 }
 
+// %g when that reads back as the same double; otherwise the fewest more
+// significant digits that do (17 always do).
+std::string FormatDouble(double value) {
+  char text[32];
+  for (int digits = 6;; ++digits) {
+    std::snprintf(text, sizeof text, "%.*g", digits, value);
+    if (digits == 17 || std::strtod(text, nullptr) == value) return text;
+  }
+}
+
+std::string Invalid(const char* key) {
+  return std::string("invalid value for ") + key;
+}
+
+// ----------------------------------------------------------- Typed codecs
+
+// A typed key's field: a member of SystemConfig, of its fault plan, or of
+// its disk shape.
+template <auto kMember, typename Config>
+auto& FieldOf(Config& config) {
+  if constexpr (requires { config.*kMember; }) {
+    return config.*kMember;
+  } else if constexpr (requires { config.fault.*kMember; }) {
+    return config.fault.*kMember;
+  } else {
+    return config.disks.*kMember;
+  }
+}
+
+template <auto kMember>
+using FieldType = std::remove_cvref_t<decltype(FieldOf<kMember>(
+    std::declval<SystemConfig&>()))>;
+
+// The range a number is checked against at parse time, so that a bad plan
+// fails with the offending key named, not later at System construction.
+enum class Range { kAny, kUnit, kNonNegative, kAuto, kAtLeastOne, kPositive };
+
+// Null when `value` is in `range`; else the range as "<key> must be ..."
+// names it.
+const char* OutOf(Range range, double value) {
+  switch (range) {
+    case Range::kAny:
+      return nullptr;
+    case Range::kUnit:
+      return value >= 0.0 && value <= 1.0 ? nullptr : "in [0,1]";
+    case Range::kNonNegative:
+      return value >= 0.0 ? nullptr : ">= 0";
+    case Range::kAuto:
+      return value >= 0.0 ? nullptr : ">= 0 (0 = auto)";
+    case Range::kAtLeastOne:
+      return value >= 1.0 ? nullptr : ">= 1";
+    case Range::kPositive:
+      return value > 0.0 ? nullptr : "positive";
+  }
+  return nullptr;
+}
+
+template <auto kMember, Range kRange = Range::kAny>
+std::string ParseField(const char* key, const std::string& value,
+                       SystemConfig* config) {
+  FieldType<kMember> parsed{};
+  if (!ParseValue(value, &parsed)) return Invalid(key);
+  if constexpr (kRange != Range::kAny) {
+    if (const char* range = OutOf(kRange, parsed)) {
+      return std::string(key) + " must be " + range;
+    }
+  }
+  FieldOf<kMember>(*config) = std::move(parsed);
+  return "";
+}
+
+template <auto kMember>
+std::string PrintField(const SystemConfig& config) {
+  const auto& value = FieldOf<kMember>(config);
+  using T = FieldType<kMember>;
+  if constexpr (std::is_same_v<T, double>) {
+    return FormatDouble(value);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return value;
+  } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+    std::string joined;
+    for (const std::uint32_t v : value) {
+      if (!joined.empty()) joined += ",";
+      joined += std::to_string(v);
+    }
+    return joined;
+  } else {
+    return std::to_string(value);
+  }
+}
+
+template <auto kMember>
+double NumberOf(const SystemConfig& config) {
+  return FieldOf<kMember>(config);
+}
+
+template <auto kMember, Range kRange = Range::kAny>
+constexpr ConfigKey::Codec Field() {
+  if constexpr (std::is_same_v<FieldType<kMember>, double>) {
+    return {&ParseField<kMember, kRange>, &PrintField<kMember>,
+            &NumberOf<kMember>};
+  } else {
+    return {&ParseField<kMember, kRange>, &PrintField<kMember>};
+  }
+}
+
+// A key whose value is one of a few words, each naming one value of its
+// field. Parse and print read the same spellings.
+template <typename T>
+struct Word {
+  const char* text;
+  T value;
+};
+
+constexpr Word<DeliveryMode> kModeWords[] = {
+    {"push", DeliveryMode::kPurePush},
+    {"pull", DeliveryMode::kPurePull},
+    {"ipp", DeliveryMode::kIpp}};
+constexpr Word<broadcast::ChunkingMode> kChunkingWords[] = {
+    {"balanced", broadcast::ChunkingMode::kBalanced},
+    {"pad", broadcast::ChunkingMode::kPad}};
+// "default" leaves the policy to the mode: PIX with a push program, else P.
+constexpr Word<std::optional<cache::PolicyKind>> kPolicyWords[] = {
+    {"pix", cache::PolicyKind::kPix},
+    {"p", cache::PolicyKind::kP},
+    {"lru", cache::PolicyKind::kLru},
+    {"lfu", cache::PolicyKind::kLfu},
+    {"default", std::nullopt}};
+
+template <auto kMember, const auto& kWords>
+std::string ParseWord(const char* key, const std::string& value,
+                      SystemConfig* config) {
+  const std::size_t n = std::size(kWords);
+  std::string choices;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (value == kWords[i].text) {
+      FieldOf<kMember>(*config) = kWords[i].value;
+      return "";
+    }
+    choices += i == 0 ? "" : n == 2 ? " or " : i + 1 == n ? ", or " : ", ";
+    choices += kWords[i].text;
+  }
+  return std::string(key) + " must be " + choices;
+}
+
+template <auto kMember, const auto& kWords>
+std::string PrintWord(const SystemConfig& config) {
+  for (const auto& word : kWords) {
+    if (FieldOf<kMember>(config) == word.value) return word.text;
+  }
+  return "";
+}
+
+template <auto kMember, const auto& kWords>
+constexpr ConfigKey::Codec Words() {
+  return {&ParseWord<kMember, kWords>, &PrintWord<kMember, kWords>};
+}
+
+// ---------------------------------------------------------- Custom codecs
+
+// An unset policy is written as no line at all.
+std::string PrintMcPolicy(const SystemConfig& config) {
+  if (!config.mc_policy) return "";
+  return PrintWord<&SystemConfig::mc_policy, kPolicyWords>(config);
+}
+
+// The key's name, and the word `offset = cache_size` resets offset with.
+constexpr char kCacheSize[] = "cache_size";
+
+std::string ParseOffset(const char* key, const std::string& value,
+                        SystemConfig* config) {
+  std::uint32_t parsed = 0;
+  if (value == kCacheSize) {
+    config->offset.reset();
+    return "";
+  }
+  if (!ParseValue(value, &parsed)) return Invalid(key);
+  config->offset = parsed;
+  return "";
+}
+
+std::string PrintOffset(const SystemConfig& config) {
+  return config.offset ? std::to_string(*config.offset) : kCacheSize;
+}
+
+std::string ParseUpdateZipfTheta(const char* key, const std::string& value,
+                                 SystemConfig* config) {
+  double parsed = 0.0;
+  if (!ParseValue(value, &parsed)) return Invalid(key);
+  config->update_zipf_theta = parsed;
+  return "";
+}
+
+std::string PrintUpdateZipfTheta(const SystemConfig& config) {
+  return config.update_zipf_theta ? FormatDouble(*config.update_zipf_theta)
+                                  : "";
+}
+
+double UpdateZipfTheta(const SystemConfig& config) {
+  return config.update_zipf_theta.value_or(0.0);
+}
+
+// Validated eagerly so a bad spec fails at parse time with the trigger
+// grammar's own message, not at System construction. Empty or "off"
+// disarms.
+std::string ParseFlightRecorder(const char* key, const std::string& value,
+                                SystemConfig* config) {
+  if (value.empty() || value == "off") {
+    config->flight_recorder.clear();
+    return "";
+  }
+  obs::FlightTriggers triggers;
+  const std::string error = obs::ParseFlightTriggerSpec(value, &triggers);
+  if (!error.empty()) return std::string(key) + ": " + error;
+  config->flight_recorder = value;
+  return "";
+}
+
+std::string PrintMaxDumps(const SystemConfig& config) {
+  return config.flight_recorder_max_dumps == 1
+             ? ""
+             : std::to_string(config.flight_recorder_max_dumps);
+}
+
+// Destination grammar only; the sink itself is opened by the CLI at attach
+// time ("-" stdout, "unix:PATH" datagram socket, else a file). "off"
+// clears it.
+std::string ParseFrames(const char*, const std::string& value,
+                        SystemConfig* config) {
+  config->frames = value == "off" ? "" : value;
+  return "";
+}
+
+// ------------------------------------------------------------------ Table
+
+constexpr bool kServed = true;
+// Read only by an in-process client, the update generator or the flight
+// recorder.
+constexpr bool kSimOnly = false;
+
+constexpr ConfigKey kKeys[] = {
+    {"mode", kServed, Words<&SystemConfig::mode, kModeWords>()},
+    {"server_db_size", kServed, Field<&SystemConfig::server_db_size>()},
+    {"disk_sizes", kServed, Field<&broadcast::DiskConfig::sizes>()},
+    {"disk_freqs", kServed, Field<&broadcast::DiskConfig::rel_freqs>()},
+    {"server_queue_size", kServed, Field<&SystemConfig::server_queue_size>()},
+    {"pull_bw", kServed, Field<&SystemConfig::pull_bw>()},
+    {"thres_perc", kSimOnly, Field<&SystemConfig::thres_perc>()},
+    {"chop_count", kServed, Field<&SystemConfig::chop_count>()},
+    {"offset", kServed, {&ParseOffset, &PrintOffset}},
+    {"chunking", kServed, Words<&SystemConfig::chunking, kChunkingWords>()},
+    {"zipf_theta", kServed, Field<&SystemConfig::zipf_theta>()},
+    {"noise", kSimOnly, Field<&SystemConfig::noise>()},
+    // cache_size is served: it is the default offset, which shapes the
+    // program.
+    {kCacheSize, kServed, Field<&SystemConfig::cache_size>()},
+    {"mc_think_time", kSimOnly, Field<&SystemConfig::mc_think_time>()},
+    {"think_time_ratio", kSimOnly, Field<&SystemConfig::think_time_ratio>()},
+    {"steady_state_perc", kSimOnly,
+     Field<&SystemConfig::steady_state_perc>()},
+    {"vc_enabled", kSimOnly, Field<&SystemConfig::vc_enabled>()},
+    {"vc_fusion", kSimOnly, Field<&SystemConfig::vc_fusion>()},
+    {"mc_retry_interval", kSimOnly,
+     Field<&SystemConfig::mc_retry_interval>()},
+    {"mc_policy", kSimOnly,
+     {&ParseWord<&SystemConfig::mc_policy, kPolicyWords>, &PrintMcPolicy}},
+    {"seed", kServed, Field<&SystemConfig::seed>()},
+    {"update_rate", kSimOnly, Field<&SystemConfig::update_rate>()},
+    {"update_zipf_theta", kSimOnly,
+     {&ParseUpdateZipfTheta, &PrintUpdateZipfTheta, &UpdateZipfTheta}},
+    {"mc_prefetch", kSimOnly, Field<&SystemConfig::mc_prefetch>()},
+    {"adaptive_pull_bw", kServed, Field<&SystemConfig::adaptive_pull_bw>()},
+    {"adaptive_threshold", kSimOnly,
+     Field<&SystemConfig::adaptive_threshold>()},
+    // obs_window and frames configure the serving half's telemetry.
+    {"obs_window", kServed,
+     Field<&SystemConfig::obs_window, Range::kPositive>()},
+    {"flight_recorder", kSimOnly,
+     {&ParseFlightRecorder, &PrintField<&SystemConfig::flight_recorder>}},
+    {"flight_recorder_max_dumps", kSimOnly,
+     {&ParseField<&SystemConfig::flight_recorder_max_dumps,
+                  Range::kAtLeastOne>,
+      &PrintMaxDumps}},
+    {"frames", kServed, {&ParseFrames, &PrintField<&SystemConfig::frames>}},
+    {"fault.slot_loss", kServed, Field<&FaultPlan::slot_loss, Range::kUnit>()},
+    {"fault.slot_corruption", kServed,
+     Field<&FaultPlan::slot_corruption, Range::kUnit>()},
+    {"fault.request_loss", kServed,
+     Field<&FaultPlan::request_loss, Range::kUnit>()},
+    {"fault.request_delay", kServed,
+     Field<&FaultPlan::request_delay, Range::kNonNegative>()},
+    {"fault.outage_start", kServed,
+     Field<&FaultPlan::outage_start, Range::kNonNegative>()},
+    {"fault.outage_duration", kServed,
+     Field<&FaultPlan::outage_duration, Range::kNonNegative>()},
+    {"fault.outage_period", kServed,
+     Field<&FaultPlan::outage_period, Range::kNonNegative>()},
+    {"fault.brownout", kServed, Field<&FaultPlan::brownout>()},
+    {"fault.mc_timeout", kSimOnly,
+     Field<&FaultPlan::mc_timeout, Range::kAuto>()},
+    {"fault.mc_max_retries", kSimOnly, Field<&FaultPlan::mc_max_retries>()},
+    {"fault.mc_backoff", kSimOnly,
+     Field<&FaultPlan::mc_backoff, Range::kAtLeastOne>()},
+    {"fault.mc_backoff_cap", kSimOnly,
+     Field<&FaultPlan::mc_backoff_cap, Range::kAuto>()},
+    {"fault.mc_jitter", kSimOnly, Field<&FaultPlan::mc_jitter, Range::kUnit>()},
+    {"fault.mc_dead_threshold", kSimOnly,
+     Field<&FaultPlan::mc_dead_threshold>()},
+    {"fault.mc_probe_interval", kSimOnly,
+     Field<&FaultPlan::mc_probe_interval, Range::kAuto>()},
+    {"fault.shed_hi", kServed, Field<&FaultPlan::shed_hi, Range::kUnit>()},
+    {"fault.shed_lo", kServed, Field<&FaultPlan::shed_lo, Range::kUnit>()},
+    {"fault.shed_distance", kServed, Field<&FaultPlan::shed_distance>()},
+    {"fault.degraded_pull_bw", kServed,
+     Field<&FaultPlan::degraded_pull_bw, Range::kUnit>()},
+};
+
 }  // namespace
+
+std::span<const ConfigKey> ConfigKeys() { return kKeys; }
 
 std::string ApplyConfigOption(const std::string& raw_key,
                               const std::string& raw_value,
                               SystemConfig* config) {
   const std::string key = Trim(raw_key);
-  const std::string value = Trim(raw_value);
-  const auto bad_value = [&] { return "invalid value for " + key; };
-
-  if (key == "mode") {
-    if (value == "push") {
-      config->mode = DeliveryMode::kPurePush;
-    } else if (value == "pull") {
-      config->mode = DeliveryMode::kPurePull;
-    } else if (value == "ipp") {
-      config->mode = DeliveryMode::kIpp;
-    } else {
-      return "mode must be push, pull, or ipp";
+  for (const ConfigKey& row : kKeys) {
+    if (key == row.name) {
+      return row.codec.parse(row.name, Trim(raw_value), config);
     }
-    return "";
-  }
-  if (key == "chunking") {
-    if (value == "balanced") {
-      config->chunking = broadcast::ChunkingMode::kBalanced;
-    } else if (value == "pad") {
-      config->chunking = broadcast::ChunkingMode::kPad;
-    } else {
-      return "chunking must be balanced or pad";
-    }
-    return "";
-  }
-  if (key == "mc_policy") {
-    if (value == "pix") {
-      config->mc_policy = cache::PolicyKind::kPix;
-    } else if (value == "p") {
-      config->mc_policy = cache::PolicyKind::kP;
-    } else if (value == "lru") {
-      config->mc_policy = cache::PolicyKind::kLru;
-    } else if (value == "lfu") {
-      config->mc_policy = cache::PolicyKind::kLfu;
-    } else if (value == "default") {
-      config->mc_policy.reset();
-    } else {
-      return "mc_policy must be pix, p, lru, lfu, or default";
-    }
-    return "";
-  }
-  if (key == "disk_sizes") {
-    return ParseU32List(value, &config->disks.sizes) ? "" : bad_value();
-  }
-  if (key == "disk_freqs") {
-    return ParseU32List(value, &config->disks.rel_freqs) ? "" : bad_value();
-  }
-  if (key == "offset") {
-    std::uint32_t parsed = 0;
-    if (value == "cache_size") {
-      config->offset.reset();
-      return "";
-    }
-    if (!ParseUnsigned(value, &parsed)) return bad_value();
-    config->offset = parsed;
-    return "";
-  }
-  if (key == "update_zipf_theta") {
-    double parsed = 0;
-    if (!ParseDouble(value, &parsed)) return bad_value();
-    config->update_zipf_theta = parsed;
-    return "";
-  }
-  if (key == "obs_window") {
-    double parsed = 0;
-    if (!ParseDouble(value, &parsed)) return bad_value();
-    if (parsed <= 0.0) return "obs_window must be positive";
-    config->obs_window = parsed;
-    return "";
-  }
-  if (key == "flight_recorder") {
-    // Validate eagerly so a bad spec fails at parse time with the trigger
-    // grammar's own message, not at System construction.
-    if (!value.empty() && value != "off") {
-      obs::FlightTriggers triggers;
-      const std::string error = obs::ParseFlightTriggerSpec(value, &triggers);
-      if (!error.empty()) return "flight_recorder: " + error;
-      config->flight_recorder = value;
-    } else {
-      config->flight_recorder.clear();
-    }
-    return "";
-  }
-  if (key == "flight_recorder_max_dumps") {
-    std::uint32_t parsed = 0;
-    if (!ParseUnsigned(value, &parsed)) return bad_value();
-    if (parsed < 1) return "flight_recorder_max_dumps must be >= 1";
-    config->flight_recorder_max_dumps = parsed;
-    return "";
-  }
-  if (key == "frames") {
-    // Destination grammar only; the sink itself is opened by the CLI at
-    // attach time ("-" stdout, "unix:PATH" datagram socket, else a file).
-    if (value == "off") {
-      config->frames.clear();
-    } else {
-      config->frames = value;
-    }
-    return "";
-  }
-
-  // fault.* doubles carry eager range checks so a bad plan fails at parse
-  // time with the offending key named, not later at System construction.
-  struct FaultDoubleKey {
-    const char* name;
-    double* field;
-    double lo;
-    double hi;  // Infinity for unbounded-above.
-    const char* range;
-  };
-  const double inf = std::numeric_limits<double>::infinity();
-  const FaultDoubleKey fault_doubles[] = {
-      {"fault.slot_loss", &config->fault.slot_loss, 0.0, 1.0, "in [0,1]"},
-      {"fault.slot_corruption", &config->fault.slot_corruption, 0.0, 1.0,
-       "in [0,1]"},
-      {"fault.request_loss", &config->fault.request_loss, 0.0, 1.0,
-       "in [0,1]"},
-      {"fault.request_delay", &config->fault.request_delay, 0.0, inf,
-       ">= 0"},
-      {"fault.outage_start", &config->fault.outage_start, 0.0, inf, ">= 0"},
-      {"fault.outage_duration", &config->fault.outage_duration, 0.0, inf,
-       ">= 0"},
-      {"fault.outage_period", &config->fault.outage_period, 0.0, inf,
-       ">= 0"},
-      {"fault.mc_timeout", &config->fault.mc_timeout, 0.0, inf,
-       ">= 0 (0 = auto)"},
-      {"fault.mc_backoff", &config->fault.mc_backoff, 1.0, inf, ">= 1"},
-      {"fault.mc_backoff_cap", &config->fault.mc_backoff_cap, 0.0, inf,
-       ">= 0 (0 = auto)"},
-      {"fault.mc_jitter", &config->fault.mc_jitter, 0.0, 1.0, "in [0,1]"},
-      {"fault.mc_probe_interval", &config->fault.mc_probe_interval, 0.0,
-       inf, ">= 0 (0 = auto)"},
-      {"fault.shed_hi", &config->fault.shed_hi, 0.0, 1.0, "in [0,1]"},
-      {"fault.shed_lo", &config->fault.shed_lo, 0.0, 1.0, "in [0,1]"},
-      {"fault.degraded_pull_bw", &config->fault.degraded_pull_bw, 0.0, 1.0,
-       "in [0,1]"},
-  };
-  for (const FaultDoubleKey& entry : fault_doubles) {
-    if (key == entry.name) {
-      double parsed = 0.0;
-      if (!ParseDouble(value, &parsed)) return bad_value();
-      if (parsed < entry.lo || parsed > entry.hi) {
-        return key + " must be " + entry.range;
-      }
-      *entry.field = parsed;
-      return "";
-    }
-  }
-  if (key == "fault.brownout") {
-    return ParseBool(value, &config->fault.brownout) ? "" : bad_value();
-  }
-
-  struct DoubleKey {
-    const char* name;
-    double* field;
-  };
-  const DoubleKey doubles[] = {
-      {"pull_bw", &config->pull_bw},
-      {"thres_perc", &config->thres_perc},
-      {"zipf_theta", &config->zipf_theta},
-      {"noise", &config->noise},
-      {"mc_think_time", &config->mc_think_time},
-      {"think_time_ratio", &config->think_time_ratio},
-      {"steady_state_perc", &config->steady_state_perc},
-      {"mc_retry_interval", &config->mc_retry_interval},
-      {"update_rate", &config->update_rate},
-  };
-  for (const DoubleKey& entry : doubles) {
-    if (key == entry.name) {
-      return ParseDouble(value, entry.field) ? "" : bad_value();
-    }
-  }
-
-  struct U32Key {
-    const char* name;
-    std::uint32_t* field;
-  };
-  const U32Key u32s[] = {
-      {"server_db_size", &config->server_db_size},
-      {"server_queue_size", &config->server_queue_size},
-      {"chop_count", &config->chop_count},
-      {"cache_size", &config->cache_size},
-      {"fault.mc_max_retries", &config->fault.mc_max_retries},
-      {"fault.mc_dead_threshold", &config->fault.mc_dead_threshold},
-      {"fault.shed_distance", &config->fault.shed_distance},
-  };
-  for (const U32Key& entry : u32s) {
-    if (key == entry.name) {
-      return ParseUnsigned(value, entry.field) ? "" : bad_value();
-    }
-  }
-
-  struct BoolKey {
-    const char* name;
-    bool* field;
-  };
-  const BoolKey bools[] = {
-      {"vc_enabled", &config->vc_enabled},
-      {"vc_fusion", &config->vc_fusion},
-      {"mc_prefetch", &config->mc_prefetch},
-      {"adaptive_pull_bw", &config->adaptive_pull_bw},
-      {"adaptive_threshold", &config->adaptive_threshold},
-  };
-  for (const BoolKey& entry : bools) {
-    if (key == entry.name) {
-      return ParseBool(value, entry.field) ? "" : bad_value();
-    }
-  }
-
-  if (key == "seed") {
-    return ParseUnsigned(value, &config->seed) ? "" : bad_value();
   }
   return "unknown key: " + key;
 }
@@ -320,85 +440,10 @@ std::string ParseConfigText(const std::string& text, SystemConfig* config) {
 std::vector<std::pair<std::string, std::string>> ConfigEntries(
     const SystemConfig& config) {
   std::vector<std::pair<std::string, std::string>> entries;
-  const auto text = [](const auto& value) {
-    std::ostringstream out;
-    out << value;
-    return out.str();
-  };
-  const auto add = [&entries, &text](const char* key, const auto& value) {
-    entries.emplace_back(key, text(value));
-  };
-  const auto list = [](const std::vector<std::uint32_t>& values) {
-    std::string joined;
-    for (const std::uint32_t v : values) {
-      if (!joined.empty()) joined += ",";
-      joined += std::to_string(v);
-    }
-    return joined;
-  };
-  const auto flag = [](bool on) { return on ? "true" : "false"; };
-  add("mode", config.mode == DeliveryMode::kPurePush   ? "push"
-              : config.mode == DeliveryMode::kPurePull ? "pull"
-                                                       : "ipp");
-  add("server_db_size", config.server_db_size);
-  add("disk_sizes", list(config.disks.sizes));
-  add("disk_freqs", list(config.disks.rel_freqs));
-  add("server_queue_size", config.server_queue_size);
-  add("pull_bw", config.pull_bw);
-  add("thres_perc", config.thres_perc);
-  add("chop_count", config.chop_count);
-  add("offset", config.offset ? text(*config.offset) : "cache_size");
-  add("chunking",
-      config.chunking == broadcast::ChunkingMode::kPad ? "pad" : "balanced");
-  add("zipf_theta", config.zipf_theta);
-  add("noise", config.noise);
-  add("cache_size", config.cache_size);
-  add("mc_think_time", config.mc_think_time);
-  add("think_time_ratio", config.think_time_ratio);
-  add("steady_state_perc", config.steady_state_perc);
-  add("vc_enabled", flag(config.vc_enabled));
-  add("vc_fusion", flag(config.vc_fusion));
-  add("mc_retry_interval", config.mc_retry_interval);
-  std::string policy;
-  if (config.mc_policy.has_value()) {
-    policy = cache::PolicyKindName(*config.mc_policy);
-    for (char& c : policy) c = static_cast<char>(std::tolower(c));
+  entries.reserve(std::size(kKeys));
+  for (const ConfigKey& row : kKeys) {
+    entries.emplace_back(row.name, row.codec.print(config));
   }
-  add("mc_policy", policy);
-  add("seed", config.seed);
-  add("update_rate", config.update_rate);
-  add("update_zipf_theta",
-      config.update_zipf_theta ? text(*config.update_zipf_theta) : "");
-  add("mc_prefetch", flag(config.mc_prefetch));
-  add("adaptive_pull_bw", flag(config.adaptive_pull_bw));
-  add("adaptive_threshold", flag(config.adaptive_threshold));
-  add("obs_window", config.obs_window);
-  add("flight_recorder", config.flight_recorder);
-  add("flight_recorder_max_dumps",
-      config.flight_recorder_max_dumps == 1
-          ? std::string()
-          : std::to_string(config.flight_recorder_max_dumps));
-  add("frames", config.frames);
-  const fault::FaultPlan& f = config.fault;
-  add("fault.slot_loss", f.slot_loss);
-  add("fault.slot_corruption", f.slot_corruption);
-  add("fault.request_loss", f.request_loss);
-  add("fault.request_delay", f.request_delay);
-  add("fault.outage_start", f.outage_start);
-  add("fault.outage_duration", f.outage_duration);
-  add("fault.outage_period", f.outage_period);
-  add("fault.brownout", flag(f.brownout));
-  add("fault.mc_timeout", f.mc_timeout);
-  add("fault.mc_max_retries", f.mc_max_retries);
-  add("fault.mc_backoff", f.mc_backoff);
-  add("fault.mc_backoff_cap", f.mc_backoff_cap);
-  add("fault.mc_jitter", f.mc_jitter);
-  add("fault.mc_dead_threshold", f.mc_dead_threshold);
-  add("fault.mc_probe_interval", f.mc_probe_interval);
-  add("fault.shed_hi", f.shed_hi);
-  add("fault.shed_lo", f.shed_lo);
-  add("fault.shed_distance", f.shed_distance);
-  add("fault.degraded_pull_bw", f.degraded_pull_bw);
   return entries;
 }
 

@@ -1,8 +1,5 @@
 #include "core/server_stack.h"
 
-#include <algorithm>
-#include <iterator>
-
 #include "core/config_io.h"
 #include "sim/check.h"
 
@@ -58,15 +55,10 @@ void ServerStack::Start() {
 }
 
 std::string UnservedKey(const SystemConfig& config) {
-  const auto defaults = ConfigEntries(SystemConfig{});
-  const auto entries = ConfigEntries(config);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::string& key = entries[i].first;
-    if (entries[i].second != defaults[i].second &&
-        std::find(std::begin(ServerStack::kConfigKeys),
-                  std::end(ServerStack::kConfigKeys),
-                  key) == std::end(ServerStack::kConfigKeys)) {
-      return key;
+  const SystemConfig defaults;
+  for (const ConfigKey& key : ConfigKeys()) {
+    if (!key.served && key.codec.print(config) != key.codec.print(defaults)) {
+      return key.name;
     }
   }
   return "";

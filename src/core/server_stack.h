@@ -64,19 +64,6 @@ class ServerStack {
     kDatagram,
   };
 
-  /// The config keys the serving half reads: the builder's own, plus
-  /// obs_window and frames, which configure its telemetry. cache_size is
-  /// one because it is the default Offset, which shapes the program.
-  static constexpr const char* kConfigKeys[] = {
-      "mode", "server_db_size", "disk_sizes", "disk_freqs",
-      "server_queue_size", "pull_bw", "chop_count", "offset", "chunking",
-      "zipf_theta", "cache_size", "seed", "adaptive_pull_bw", "obs_window",
-      "frames", "fault.slot_loss", "fault.slot_corruption",
-      "fault.request_loss", "fault.request_delay", "fault.outage_start",
-      "fault.outage_duration", "fault.outage_period", "fault.brownout",
-      "fault.shed_hi", "fault.shed_lo", "fault.shed_distance",
-      "fault.degraded_pull_bw"};
-
   /// Validates `config` (aborting when it is invalid), then builds the
   /// server over `artifacts.program` with the root's first Split(), the
   /// fault split, and the ServerController when adaptive_pull_bw is set.
@@ -127,8 +114,8 @@ class ServerStack {
   std::unique_ptr<adaptive::ServerController> controller_;
 };
 
-/// The first key of ConfigEntries whose value differs from its default and
-/// that ServerStack::kConfigKeys does not name; empty when there is none.
+/// The first config key whose value differs from its default and that the
+/// stack does not read (ConfigKey::served); empty when there is none.
 /// bdisk_serve refuses such a key: only an in-process client, the update
 /// generator or the flight recorder would read it.
 std::string UnservedKey(const SystemConfig& config);

@@ -46,6 +46,16 @@ struct SteadyStateProtocol {
   /// fast as it gains them and may never be literally full, so the phase
   /// also ends after this many accesses.
   std::uint64_t max_fill_accesses = 20000;
+
+  /// The short protocol of the tools' --quick and the figure benches'
+  /// BDISK_BENCH_QUICK: seconds per point, at a looser tolerance.
+  static SteadyStateProtocol Quick() {
+    return {.post_fill_accesses = 500,
+            .min_measured_accesses = 1000,
+            .max_measured_accesses = 3000,
+            .batch_size = 500,
+            .tolerance = 0.1};
+  }
 };
 
 /// Measurement protocol for warm-up experiments (paper §4.1.3): start with

@@ -1,5 +1,7 @@
 #include "core/config_io.h"
 
+#include <bit>
+#include <cstdint>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -275,6 +277,70 @@ TEST(ConfigIoTest, ObservabilityKeysRejectBadValuesWithSpecificErrors) {
   EXPECT_EQ(config.Validate(),
             "flight_recorder: trigger \"p99\" has unparsable threshold "
             "\"nope\"");
+}
+
+TEST(ConfigIoTest, EveryDoubleKeyRoundTripsExactly) {
+  // Ten significant digits, more than %g's six: a printer that wrote %g
+  // alone would round each of them.
+  struct DoubleKey {
+    const char* name;
+    double (*at)(const SystemConfig&);
+  };
+#define KEY(name, member) \
+  DoubleKey { name, [](const SystemConfig& c) -> double { return c.member; } }
+  const DoubleKey keys[] = {
+      KEY("pull_bw", pull_bw),
+      KEY("thres_perc", thres_perc),
+      KEY("zipf_theta", zipf_theta),
+      KEY("noise", noise),
+      KEY("mc_think_time", mc_think_time),
+      KEY("think_time_ratio", think_time_ratio),
+      KEY("steady_state_perc", steady_state_perc),
+      KEY("mc_retry_interval", mc_retry_interval),
+      KEY("update_rate", update_rate),
+      KEY("update_zipf_theta", update_zipf_theta.value_or(-1.0)),
+      KEY("obs_window", obs_window),
+      KEY("fault.slot_loss", fault.slot_loss),
+      KEY("fault.slot_corruption", fault.slot_corruption),
+      KEY("fault.request_loss", fault.request_loss),
+      KEY("fault.request_delay", fault.request_delay),
+      KEY("fault.outage_start", fault.outage_start),
+      KEY("fault.outage_duration", fault.outage_duration),
+      KEY("fault.outage_period", fault.outage_period),
+      KEY("fault.mc_timeout", fault.mc_timeout),
+      KEY("fault.mc_backoff", fault.mc_backoff),
+      KEY("fault.mc_backoff_cap", fault.mc_backoff_cap),
+      KEY("fault.mc_jitter", fault.mc_jitter),
+      KEY("fault.mc_probe_interval", fault.mc_probe_interval),
+      KEY("fault.shed_hi", fault.shed_hi),
+      KEY("fault.shed_lo", fault.shed_lo),
+      KEY("fault.degraded_pull_bw", fault.degraded_pull_bw),
+  };
+#undef KEY
+  SystemConfig config;
+  for (const DoubleKey& key : keys) {
+    const std::string value =
+        key.name == std::string("fault.mc_backoff") ? "1.234567891"
+                                                    : "0.1234567891";
+    ASSERT_EQ(ApplyConfigOption(key.name, value, &config), "") << key.name;
+    ASSERT_EQ(key.at(config), std::stod(value)) << key.name;
+  }
+  SystemConfig parsed;
+  ASSERT_EQ(ParseConfigText(ConfigToText(config), &parsed), "");
+  for (const DoubleKey& key : keys) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(key.at(parsed)),
+              std::bit_cast<std::uint64_t>(key.at(config)))
+        << key.name << " read back as " << key.at(parsed);
+  }
+}
+
+TEST(ConfigIoTest, NulInsideADoubleIsRefused) {
+  // strtod stops reading at a NUL; the value goes on past it.
+  SystemConfig config;
+  const std::string text = std::string("thres_perc = 0.25") + '\0' + "x\n";
+  EXPECT_EQ(ParseConfigText(text, &config),
+            "line 1: invalid value for thres_perc");
+  EXPECT_EQ(config.thres_perc, 0.0);
 }
 
 }  // namespace

@@ -1,14 +1,20 @@
 // Randomized model-checking ("fuzz") tests: drive components with long
 // random operation sequences and compare against trivially correct
-// reference models.
+// reference models, and feed parsers seeded mutations of valid input.
 
+#include <charconv>
 #include <deque>
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "config_samples.h"
+#include "core/config_io.h"
 #include "server/pull_queue.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -141,6 +147,123 @@ TEST(SimulatorFuzzTest, NestedSchedulingNeverGoesBackwards) {
   }
   sim.RunUntil(1e9);
   EXPECT_GT(fired, 10);
+}
+
+// ---------------------------------------------------- ParseConfigText
+
+// `text` split at each '\n'; joining the pieces with '\n' gives it back.
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = text.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    lines.push_back(text.substr(start, nl - start));
+  }
+  lines.push_back(text.substr(start));
+  return lines;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i > 0) text += '\n';
+    text += lines[i];
+  }
+  return text;
+}
+
+// One mutation: a byte flipped, inserted or deleted, a line duplicated or
+// dropped, or one line's value spliced onto another line's key.
+std::string Mutate(std::string text, sim::Rng& rng) {
+  static const char kBytes[] = "=#\n\r\t ,.-+0123456789eExp:>\0\x80\xff";
+  const std::uint64_t op = rng.NextBounded(6);
+  if (op == 0 && !text.empty()) {
+    text[rng.NextBounded(text.size())] ^=
+        static_cast<char>(1U << rng.NextBounded(8));
+  } else if (op == 1) {
+    text.insert(rng.NextBounded(text.size() + 1), 1,
+                kBytes[rng.NextBounded(sizeof kBytes - 1)]);
+  } else if (op == 2 && !text.empty()) {
+    text.erase(rng.NextBounded(text.size()), 1);
+  } else if (op >= 3) {
+    std::vector<std::string> lines = SplitLines(text);
+    const std::size_t i = rng.NextBounded(lines.size());
+    const std::size_t j = rng.NextBounded(lines.size());
+    if (op == 3) {
+      const std::string copy = lines[j];
+      lines.insert(lines.begin() + i, copy);
+    } else if (op == 4) {
+      lines.erase(lines.begin() + i);
+    } else {
+      const std::size_t at = lines[i].find('=');
+      const std::size_t from = lines[j].find('=');
+      if (at != std::string::npos && from != std::string::npos) {
+        lines[i] = lines[i].substr(0, at) + lines[j].substr(from);
+      }
+    }
+    text = JoinLines(lines);
+  }
+  return text;
+}
+
+TEST(ConfigTextFuzzTest, MutatedTextRoundTripsOrFailsAtItsLine) {
+  core::SystemConfig every;
+  for (const auto& [key, value] : core::kEveryKeyNonDefault) {
+    ASSERT_EQ(core::ApplyConfigOption(key, value, &every), "") << key;
+  }
+  core::SystemConfig faulty;
+  faulty.fault.slot_loss = 0.05;
+  faulty.fault.request_loss = 0.1;
+  faulty.fault.outage_duration = 40.0;
+  faulty.fault.outage_period = 300.0;
+  faulty.fault.shed_hi = 0.75;
+  const std::string seeds[] = {core::ConfigToText(core::SystemConfig{}),
+                               core::ConfigToText(every),
+                               core::ConfigToText(faulty)};
+  sim::Rng rng(20261018);
+  int accepted = 0;
+  int refused = 0;
+  for (int iteration = 0; iteration < 5000; ++iteration) {
+    std::string text = seeds[rng.NextBounded(std::size(seeds))];
+    for (std::uint64_t n = 1 + rng.NextBounded(4); n > 0; --n) {
+      text = Mutate(std::move(text), rng);
+    }
+    SCOPED_TRACE(::testing::PrintToString(text));
+    core::SystemConfig config;
+    const std::string error = core::ParseConfigText(text, &config);
+    if (error.empty()) {
+      // An accepted config prints to a text that reads back and prints
+      // the same.
+      ++accepted;
+      const std::string printed = core::ConfigToText(config);
+      core::SystemConfig reread;
+      ASSERT_EQ(core::ParseConfigText(printed, &reread), "") << printed;
+      ASSERT_EQ(core::ConfigToText(reread), printed);
+      continue;
+    }
+    // A refusal is "line N: <reason>", and leaves the config that lines
+    // 1..N-1 alone make.
+    ++refused;
+    ASSERT_EQ(error.rfind("line ", 0), 0U) << error;
+    std::size_t line = 0;
+    const char* number = error.data() + 5;
+    const auto [end, ec] =
+        std::from_chars(number, error.data() + error.size(), line);
+    ASSERT_EQ(ec, std::errc()) << error;
+    const std::string_view reason(end, error.data() + error.size() - end);
+    ASSERT_TRUE(reason.starts_with(": ") && reason.size() > 2) << error;
+    std::vector<std::string> lines = SplitLines(text);
+    ASSERT_GE(line, 1U) << error;
+    ASSERT_LE(line, lines.size()) << error;
+    lines.resize(line - 1);
+    core::SystemConfig before;
+    ASSERT_EQ(core::ParseConfigText(JoinLines(lines), &before), "");
+    ASSERT_EQ(core::ConfigEntries(config), core::ConfigEntries(before))
+        << error;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(refused, 500);
 }
 
 }  // namespace

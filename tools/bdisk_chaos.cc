@@ -24,16 +24,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cli_config.h"
 #include "cli_numbers.h"
-#include "core/config_io.h"
 #include "core/system.h"
 #include "core/table_printer.h"
 #include "obs/frame_sink.h"
@@ -101,7 +99,10 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool csv = false;
 
+  const cli::ConfigAlias aliases[] = {{"--seed", "seed"},
+                                      {"--frames", "frames"}};
   for (int i = 1; i < argc; ++i) {
+    if (cli::ConfigFlag(argc, argv, &i, aliases, &base)) continue;
     const std::string arg = argv[i];
     const auto next_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -128,43 +129,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--outage-start") {
       outage_start =
           cli::DoubleFlag("--outage-start", next_value("--outage-start"), 0.0);
-    } else if (arg == "--set") {
-      const std::string kv = next_value("--set");
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "--set wants KEY=VALUE\n");
-        return 2;
-      }
-      const std::string error = core::ApplyConfigOption(
-          kv.substr(0, eq), kv.substr(eq + 1), &base);
-      if (!error.empty()) {
-        std::fprintf(stderr, "--set %s: %s\n", kv.c_str(), error.c_str());
-        return 2;
-      }
-    } else if (arg == "--config") {
-      const char* path = next_value("--config");
-      std::ifstream file(path);
-      if (!file) {
-        std::fprintf(stderr, "cannot read %s\n", path);
-        return 2;
-      }
-      std::stringstream body;
-      body << file.rdbuf();
-      const std::string error = core::ParseConfigText(body.str(), &base);
-      if (!error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-        return 2;
-      }
-    } else if (arg == "--seed") {
-      base.seed =
-          cli::UnsignedFlag("--seed", next_value("--seed"), 0, UINT64_MAX);
-    } else if (arg == "--frames") {
-      const std::string error =
-          core::ApplyConfigOption("frames", next_value("--frames"), &base);
-      if (!error.empty()) {
-        std::fprintf(stderr, "--frames: %s\n", error.c_str());
-        return 2;
-      }
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--csv") {
@@ -213,14 +177,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  core::SteadyStateProtocol protocol;
-  if (quick) {
-    protocol.post_fill_accesses = 500;
-    protocol.min_measured_accesses = 1000;
-    protocol.max_measured_accesses = 3000;
-    protocol.batch_size = 500;
-    protocol.tolerance = 0.1;
-  }
+  const core::SteadyStateProtocol protocol =
+      quick ? core::SteadyStateProtocol::Quick() : core::SteadyStateProtocol{};
 
   if (outage_sweep) {
     // Blackout/brownout crossed with every duration x period point, each

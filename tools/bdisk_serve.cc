@@ -45,16 +45,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cli_config.h"
 #include "cli_numbers.h"
-#include "core/config_io.h"
 #include "core/counter_table.h"
 #include "core/provenance.h"
 #include "core/server_stack.h"
@@ -115,7 +113,10 @@ int main(int argc, char** argv) {
   double heartbeat_s = 5.0;
   std::uint32_t max_peers = 64;
 
+  const cli::ConfigAlias aliases[] = {{"--seed", "seed"},
+                                      {"--frames", "frames"}};
   for (int i = 1; i < argc; ++i) {
+    if (cli::ConfigFlag(argc, argv, &i, aliases, &config)) continue;
     const std::string arg = argv[i];
     const auto next_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -140,43 +141,6 @@ int main(int argc, char** argv) {
           cli::DoubleFlag("--heartbeat-s", next_value("--heartbeat-s"), 0.0);
     } else if (arg == "--max-peers") {
       max_peers = positive_u32("--max-peers");
-    } else if (arg == "--set") {
-      const std::string kv = next_value("--set");
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "--set wants KEY=VALUE\n");
-        return 2;
-      }
-      const std::string error = core::ApplyConfigOption(
-          kv.substr(0, eq), kv.substr(eq + 1), &config);
-      if (!error.empty()) {
-        std::fprintf(stderr, "--set %s: %s\n", kv.c_str(), error.c_str());
-        return 2;
-      }
-    } else if (arg == "--config") {
-      const char* path = next_value("--config");
-      std::ifstream file(path);
-      if (!file) {
-        std::fprintf(stderr, "cannot read %s\n", path);
-        return 2;
-      }
-      std::stringstream body;
-      body << file.rdbuf();
-      const std::string error = core::ParseConfigText(body.str(), &config);
-      if (!error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-        return 2;
-      }
-    } else if (arg == "--seed") {
-      config.seed =
-          cli::UnsignedFlag("--seed", next_value("--seed"), 0, UINT64_MAX);
-    } else if (arg == "--frames") {
-      const std::string error =
-          core::ApplyConfigOption("frames", next_value("--frames"), &config);
-      if (!error.empty()) {
-        std::fprintf(stderr, "--frames: %s\n", error.c_str());
-        return 2;
-      }
     } else if (arg == "--metrics-json") {
       metrics_json = next_value("--metrics-json");
     } else if (arg == "--help") {

@@ -10,8 +10,8 @@
 //   bdisk_sim --print-config                    # dump effective config
 //   bdisk_sim --recommend                       # analytic advisor
 //
-// Config file syntax: `key = value` lines, `#` comments; keys documented
-// in src/core/config_io.h.
+// Config file syntax: `key = value` lines, `#` comments; the keys are the
+// table in src/core/config_io.cc.
 
 #include <algorithm>
 #include <climits>
@@ -19,15 +19,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/advisor.h"
+#include "cli_config.h"
 #include "cli_numbers.h"
 #include "core/config_io.h"
 #include "core/csv.h"
@@ -115,7 +114,16 @@ int main(int argc, char** argv) {
   bool progress = false;
   bool windows = false;
 
+  // Each of these maps onto its config key, so the flag and the file share
+  // one validator.
+  const cli::ConfigAlias aliases[] = {
+      {"--windows", "obs_window", &windows},
+      {"--flight-recorder", "flight_recorder"},
+      {"--flight-recorder-max-dumps", "flight_recorder_max_dumps"},
+      {"--frames", "frames"},
+  };
   for (int i = 1; i < argc; ++i) {
+    if (cli::ConfigFlag(argc, argv, &i, aliases, &config)) continue;
     const std::string arg = argv[i];
     const auto next_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -127,34 +135,6 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       return 0;
-    } else if (arg == "--config") {
-      const char* path = next_value("--config");
-      std::ifstream file(path);
-      if (!file) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        return 2;
-      }
-      std::stringstream buffer;
-      buffer << file.rdbuf();
-      const std::string error = core::ParseConfigText(buffer.str(), &config);
-      if (!error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-        return 2;
-      }
-    } else if (arg == "--set") {
-      const std::string assignment = next_value("--set");
-      const std::size_t eq = assignment.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "--set expects KEY=VALUE\n");
-        return 2;
-      }
-      const std::string error = core::ApplyConfigOption(
-          assignment.substr(0, eq), assignment.substr(eq + 1), &config);
-      if (!error.empty()) {
-        std::fprintf(stderr, "--set %s: %s\n", assignment.c_str(),
-                     error.c_str());
-        return 2;
-      }
     } else if (arg == "--sweep") {
       cli::DoubleListFlag("--sweep", next_value("--sweep"), 0.0, HUGE_VAL,
                           &sweep);
@@ -175,52 +155,6 @@ int main(int argc, char** argv) {
       chrome_trace_path = next_value("--chrome-trace");
     } else if (arg == "--progress") {
       progress = true;
-    } else if (arg == "--windows" || arg.rfind("--windows=", 0) == 0) {
-      // Both `--windows W` and `--windows=W` map onto the obs_window
-      // config key, so the flag and the file share one validator.
-      const std::string value = arg == "--windows"
-                                    ? next_value("--windows")
-                                    : arg.substr(std::strlen("--windows="));
-      const std::string err =
-          core::ApplyConfigOption("obs_window", value, &config);
-      if (!err.empty()) {
-        std::fprintf(stderr, "--windows: %s\n", err.c_str());
-        return 2;
-      }
-      windows = true;
-    } else if (arg == "--flight-recorder-max-dumps" ||
-               arg.rfind("--flight-recorder-max-dumps=", 0) == 0) {
-      const std::string value =
-          arg == "--flight-recorder-max-dumps"
-              ? next_value("--flight-recorder-max-dumps")
-              : arg.substr(std::strlen("--flight-recorder-max-dumps="));
-      const std::string err =
-          core::ApplyConfigOption("flight_recorder_max_dumps", value, &config);
-      if (!err.empty()) {
-        std::fprintf(stderr, "--flight-recorder-max-dumps: %s\n", err.c_str());
-        return 2;
-      }
-    } else if (arg == "--flight-recorder" ||
-               arg.rfind("--flight-recorder=", 0) == 0) {
-      const std::string value =
-          arg == "--flight-recorder"
-              ? next_value("--flight-recorder")
-              : arg.substr(std::strlen("--flight-recorder="));
-      const std::string err =
-          core::ApplyConfigOption("flight_recorder", value, &config);
-      if (!err.empty()) {
-        std::fprintf(stderr, "--flight-recorder: %s\n", err.c_str());
-        return 2;
-      }
-    } else if (arg == "--frames" || arg.rfind("--frames=", 0) == 0) {
-      const std::string value = arg == "--frames"
-                                    ? next_value("--frames")
-                                    : arg.substr(std::strlen("--frames="));
-      const std::string err = core::ApplyConfigOption("frames", value, &config);
-      if (!err.empty()) {
-        std::fprintf(stderr, "--frames: %s\n", err.c_str());
-        return 2;
-      }
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg == "--quick") {
@@ -259,15 +193,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  core::SteadyStateProtocol steady;
+  const core::SteadyStateProtocol steady =
+      quick ? core::SteadyStateProtocol::Quick() : core::SteadyStateProtocol{};
   core::WarmupProtocol warm;
-  if (quick) {
-    steady.post_fill_accesses = 500;
-    steady.min_measured_accesses = 1000;
-    steady.max_measured_accesses = 3000;
-    steady.batch_size = 500;
-    steady.tolerance = 0.1;
-  }
 
   std::vector<core::SweepPoint> points;
   if (sweep.empty()) sweep.push_back(config.think_time_ratio);
