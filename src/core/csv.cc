@@ -20,7 +20,7 @@ std::string Quote(const std::string& field) {
 
 }  // namespace
 
-std::string SweepToCsv(const std::vector<SweepOutcome>& outcomes) {
+std::string SweepCsv(const std::vector<SweepOutcome>& outcomes) {
   std::string out =
       "curve,x,mean_response,response_p50,response_p90,response_p95,"
       "response_p99,response_max,drop_rate,hit_rate,pulls_sent,"
@@ -46,7 +46,7 @@ std::string SweepToCsv(const std::vector<SweepOutcome>& outcomes) {
   return out;
 }
 
-std::string WarmupToCsv(const std::vector<SweepOutcome>& outcomes) {
+std::string WarmupCsv(const std::vector<SweepOutcome>& outcomes) {
   std::string out = "curve,x,fraction,time\n";
   char line[128];
   for (const SweepOutcome& outcome : outcomes) {

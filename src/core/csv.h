@@ -13,11 +13,11 @@ namespace bdisk::core {
 /// response_p95, response_p99, response_max, drop_rate, hit_rate,
 /// pulls_sent, requests_submitted, requests_dropped, push_frac, pull_frac,
 /// idle_frac, converged.
-std::string SweepToCsv(const std::vector<SweepOutcome>& outcomes);
+std::string SweepCsv(const std::vector<SweepOutcome>& outcomes);
 
 /// Renders warm-up trajectories as CSV: curve, x, fraction, time.
 /// Unreached fractions are omitted.
-std::string WarmupToCsv(const std::vector<SweepOutcome>& outcomes);
+std::string WarmupCsv(const std::vector<SweepOutcome>& outcomes);
 
 }  // namespace bdisk::core
 

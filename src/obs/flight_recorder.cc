@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -51,11 +52,19 @@ std::string ParseFlightTriggerSpec(const std::string& spec,
     }
     const std::string name = Trimmed(part.substr(0, gt));
     const std::string value_text = Trimmed(part.substr(gt + 1));
+    const char* begin = value_text.c_str();
     char* end = nullptr;
-    const double value = std::strtod(value_text.c_str(), &end);
-    if (value_text.empty() || end == nullptr || *end != '\0') {
+    const double value = std::strtod(begin, &end);
+    // strtod stops at a NUL inside the text; the threshold does not end
+    // there.
+    if (end == begin || end != begin + value_text.size()) {
       return "trigger \"" + name + "\" has unparsable threshold \"" +
              value_text + "\"";
+    }
+    // Infinity is also FlightTriggers::kDisarmed, and no window compares
+    // above NaN: neither arms anything.
+    if (!std::isfinite(value)) {
+      return "trigger \"" + name + "\" threshold must be finite";
     }
     if (value < 0.0) {
       return "trigger \"" + name + "\" threshold must be >= 0";

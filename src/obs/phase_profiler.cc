@@ -43,18 +43,6 @@ const char* PhaseName(Phase p) {
   return "unknown";
 }
 
-namespace {
-
-const char* ClockName() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return "rdtsc";
-#else
-  return "steady_clock";
-#endif
-}
-
-}  // namespace
-
 PhaseProfiler::PhaseProfiler(std::size_t slice_capacity) {
   // Deterministic per-phase sampling strides ((calls & mask) == 0 times
   // the frame). Rare phases (run, mc.request) are exact. Span and drain
@@ -219,7 +207,7 @@ std::string DecodePath(std::uint64_t key) {
 
 }  // namespace
 
-std::vector<std::pair<std::string, double>> PhaseProfiler::FoldedNs() {
+std::string PhaseProfiler::ToFolded() {
   Finalize();
   std::vector<std::pair<std::string, double>> lines;
   const std::uint64_t run_key = PackPhase(Phase::kRun);
@@ -241,13 +229,9 @@ std::vector<std::pair<std::string, double>> PhaseProfiler::FoldedNs() {
     lines.emplace_back("run", std::max(0.0, run_total - attributed));
   }
   std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
-std::string PhaseProfiler::ToFolded() {
   std::string out;
   char buf[32];
-  for (const auto& [path, ns] : FoldedNs()) {
+  for (const auto& [path, ns] : lines) {
     out += path;
     std::snprintf(buf, sizeof(buf), " %llu\n",
                   static_cast<unsigned long long>(std::llround(ns)));
@@ -274,56 +258,6 @@ void PhaseProfiler::MergeInto(MetricsRegistry* registry) {
   registry->GetGauge("prof.ns_per_tick")->Set(ns_per_tick_);
   registry->GetGauge("prof.leak_ns_per_frame")->Set(leak_ticks_ *
                                                     ns_per_tick_);
-}
-
-std::string PhaseProfiler::ToProfJson() {
-  Finalize();
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("schema");
-  w.Value("bdisk-prof-v1");
-  w.Key("clock");
-  w.Value(ClockName());
-  w.Key("ns_per_tick");
-  w.Value(ns_per_tick_);
-  w.Key("leak_ns_per_frame");
-  w.Value(leak_ticks_ * ns_per_tick_);
-  w.Key("phases");
-  w.BeginObject();
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    const Phase p = static_cast<Phase>(i);
-    const PhaseStats& s = stats_[i];
-    if (s.calls == 0) continue;
-    w.Key(PhaseName(p));
-    w.BeginObject();
-    w.Key("calls");
-    w.Value(s.calls);
-    w.Key("timed_calls");
-    w.Value(s.timed_calls);
-    w.Key("ops");
-    w.Value(s.ops);
-    w.Key("total_ns");
-    w.Value(EstTotalNs(p));
-    w.Key("self_ns");
-    w.Value(EstSelfNs(p));
-    w.Key("ns_per_op");
-    w.Value(NsPerOp(p));
-    w.EndObject();
-  }
-  w.EndObject();
-  w.Key("folded");
-  w.BeginObject();
-  for (const auto& [path, ns] : FoldedNs()) {
-    w.Key(path);
-    w.Value(ns);
-  }
-  w.EndObject();
-  w.Key("slices_dropped");
-  w.Value(slices_dropped_);
-  w.Key("depth_overflow");
-  w.Value(depth_overflow_);
-  w.EndObject();
-  return w.str();
 }
 
 std::string PhaseProfiler::ToChromeTrace(

@@ -7,13 +7,12 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace bdisk::obs {
 
 /// Wall-clock phases instrumented across the stack. The names exported for
-/// each (see PhaseName) form the `bdisk-prof-v1` taxonomy documented in
+/// each (see PhaseName) form the `prof.*` taxonomy documented in
 /// OBSERVABILITY.md §7.
 enum class Phase : std::uint8_t {
   kRun = 0,        ///< Whole Simulator::RunUntil, the root frame.
@@ -95,7 +94,6 @@ struct RequestSpan;
 /// Exports (definitions in phase_profiler.cc, so translation units that
 /// only *instrument* — sim/server/client — take no obs link dependency):
 ///   - MergeInto(): `prof.*` counters/gauges into a bdisk-metrics-v1 doc.
-///   - ToProfJson(): the `bdisk-prof-v1` document for tools/bdisk_prof.
 ///   - ToFolded(): folded stacks ("run;kernel.span;server.slot NNN") for
 ///     flamegraph rendering.
 ///   - ToChromeTrace(): trace-event JSON; wall-clock slices from a bounded
@@ -189,18 +187,12 @@ class PhaseProfiler {
   /// `prof.<phase>.{total_ns,self_ns,ns_per_op}` gauges into `registry`.
   void MergeInto(MetricsRegistry* registry);
 
-  /// The `bdisk-prof-v1` JSON document (phases + folded stacks).
-  std::string ToProfJson();
-
-  /// Folded-stack lines ("run;kernel.span;server.slot 123456\n"), self
-  /// nanoseconds per path, scaled for sampling — flamegraph.pl input.
+  /// Folded-stack lines ("run;kernel.span;server.slot 123456\n"), sorted
+  /// by path — flamegraph.pl input. Each path's sampled self ticks are
+  /// scaled by its leaf phase's calls/timed_calls ratio, in nanoseconds,
+  /// with the root "run" line replaced by the unattributed residual so
+  /// the lines sum to the wall-clock run time.
   std::string ToFolded();
-
-  /// The folded stacks as (path, self-ns) pairs, sorted by path: each
-  /// path's sampled self ticks scaled by its leaf phase's
-  /// calls/timed_calls ratio, with the root "run" entry replaced by the
-  /// unattributed residual so the entries sum to the wall-clock run time.
-  std::vector<std::pair<std::string, double>> FoldedNs();
 
   /// Chrome trace-event JSON (chrome://tracing, Perfetto). Wall-clock
   /// phase slices on one track; if `spans` is non-null, completed sim-time

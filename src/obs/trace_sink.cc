@@ -152,16 +152,4 @@ std::string TraceSink::ToJsonl() const {
   return out;
 }
 
-std::string TraceSink::ToCsv() const {
-  std::string out = "time,event,client,page,value\n";
-  char line[128];
-  for (const SpanRecord& r : Events()) {
-    std::snprintf(line, sizeof(line), "%.3f,%s,%lld,%lld,%g\n", r.time,
-                  SpanEventName(r.event), SignedId(r.client),
-                  SignedId(r.page), r.value);
-    out += line;
-  }
-  return out;
-}
-
 }  // namespace bdisk::obs

@@ -56,7 +56,7 @@ enum class SpanEvent : std::uint8_t {
   kMaxValue,         // Sentinel; keep last.
 };
 
-/// Human-readable record kind name (stable, used in JSONL/CSV output).
+/// Human-readable record kind name (stable, used in JSONL output).
 const char* SpanEventName(SpanEvent event);
 
 /// Inverse of SpanEventName; kMaxValue for an unknown name.
@@ -83,8 +83,8 @@ bool ParseTraceJsonlLine(const std::string& line, SpanRecord* out);
 /// Ring semantics: the most recent `capacity` records are retained (older
 /// ones are overwritten and counted in DroppedEvents()), so at all times
 /// DroppedEvents() + Events().size() == TotalEvents(), while per-kind
-/// lifetime counts stay exact. Export as JSONL (one object per record —
-/// the format tools/trace_report consumes) or CSV.
+/// lifetime counts stay exact. Exports as JSONL, one object per record —
+/// the format tools/trace_report consumes.
 class TraceSink {
  public:
   /// `capacity` >= 1 bounds memory; default keeps the last 256Ki records.
@@ -108,9 +108,6 @@ class TraceSink {
   /// {"t":2.0,"ev":"delivery","client":0,"page":5,"v":2.0}
   /// `client` is -1 for server-side records, `page` -1 for idle slots.
   std::string ToJsonl() const;
-
-  /// CSV with header: time,event,client,page,value (same -1 conventions).
-  std::string ToCsv() const;
 
  private:
   std::size_t capacity_;

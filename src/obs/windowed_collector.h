@@ -6,27 +6,14 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace_sink.h"
+#include "sim/check.h"
 #include "sim/types.h"
 
 namespace bdisk::obs {
 
 class FlightRecorder;
 class TelemetryBus;
-
-/// What a slot decision carried (mirrors the server's MUX outcome without
-/// making obs depend on server types).
-enum class SlotSample : std::uint8_t { kPush = 0, kPull, kIdle };
-
-/// What happened to one backchannel submit. The last three arise only
-/// under bdisk::fault (shedding, outage windows, channel loss).
-enum class SubmitSample : std::uint8_t {
-  kAccepted = 0,
-  kCoalesced,
-  kDropped,
-  kShed,
-  kOutage,
-  kLost,
-};
 
 /// Aggregates over one telemetry window [start, end).
 struct WindowStats {
@@ -94,19 +81,23 @@ class WindowedCollector {
   void SetTelemetryBus(TelemetryBus* bus) { bus_ = bus; }
 
   /// Instrumentation feeds (call sites hold a null-checked raw pointer).
+  /// Slots and submits arrive as the trace's record kinds: OnSlot takes a
+  /// kSlotPush/kSlotPull/kSlotIdle decision, OnSubmit a kSubmit* outcome
+  /// (shed, outage and lost arise only under bdisk::fault).
   /// Inline on purpose: these run once per slot / submit / access, and the
   /// common case is "window still open" — one compare, a few increments.
   /// Window rollover takes the out-of-line slow path.
-  void OnSlot(sim::SimTime now, SlotSample kind, std::uint32_t queue_depth) {
+  void OnSlot(sim::SimTime now, SpanEvent kind, std::uint32_t queue_depth) {
     Roll(now);
     switch (kind) {
-      case SlotSample::kPush:
+      case SpanEvent::kSlotPush:
         ++current_.slots_push;
         break;
-      case SlotSample::kPull:
+      case SpanEvent::kSlotPull:
         ++current_.slots_pull;
         break;
-      case SlotSample::kIdle:
+      default:
+        BDISK_DCHECK(kind == SpanEvent::kSlotIdle);
         ++current_.slots_idle;
         break;
     }
@@ -115,27 +106,28 @@ class WindowedCollector {
       current_.queue_depth_max = queue_depth;
     }
   }
-  void OnSubmit(sim::SimTime at, SubmitSample outcome,
+  void OnSubmit(sim::SimTime at, SpanEvent outcome,
                 std::uint32_t queue_depth) {
     Roll(at);
     ++current_.submits;
     switch (outcome) {
-      case SubmitSample::kAccepted:
+      case SpanEvent::kSubmitAccepted:
         ++current_.accepted;
         break;
-      case SubmitSample::kCoalesced:
+      case SpanEvent::kSubmitCoalesced:
         ++current_.coalesced;
         break;
-      case SubmitSample::kDropped:
+      case SpanEvent::kSubmitDropped:
         ++current_.dropped;
         break;
-      case SubmitSample::kShed:
+      case SpanEvent::kSubmitShed:
         ++current_.shed;
         break;
-      case SubmitSample::kOutage:
+      case SpanEvent::kSubmitOutage:
         ++current_.outage_dropped;
         break;
-      case SubmitSample::kLost:
+      default:
+        BDISK_DCHECK(outcome == SpanEvent::kSubmitLost);
         ++current_.lost;
         break;
     }

@@ -8,6 +8,42 @@
 
 namespace bdisk::server {
 
+namespace {
+
+// The trace's record kinds are the one vocabulary of the server's
+// observers: the trace sink and the windowed collector both take them.
+obs::SpanEvent SubmitEvent(SubmitResult result) {
+  switch (result) {
+    case SubmitResult::kAccepted:
+      return obs::SpanEvent::kSubmitAccepted;
+    case SubmitResult::kCoalesced:
+      return obs::SpanEvent::kSubmitCoalesced;
+    case SubmitResult::kDroppedFull:
+      return obs::SpanEvent::kSubmitDropped;
+    case SubmitResult::kShedOverload:
+      return obs::SpanEvent::kSubmitShed;
+    case SubmitResult::kDroppedOutage:
+      return obs::SpanEvent::kSubmitOutage;
+    case SubmitResult::kLostChannel:
+      break;
+  }
+  return obs::SpanEvent::kSubmitLost;
+}
+
+obs::SpanEvent SlotEvent(SlotKind kind) {
+  switch (kind) {
+    case SlotKind::kPush:
+      return obs::SpanEvent::kSlotPush;
+    case SlotKind::kPull:
+      return obs::SpanEvent::kSlotPull;
+    case SlotKind::kIdle:
+      break;
+  }
+  return obs::SpanEvent::kSlotIdle;
+}
+
+}  // namespace
+
 BroadcastServer::BroadcastServer(
     sim::Simulator* simulator,
     std::shared_ptr<const broadcast::BroadcastProgram> program, double pull_bw,
@@ -118,7 +154,7 @@ SubmitResult BroadcastServer::SubmitRequestAt(PageId page,
       delay = lost ? 0.0 : injector_->JudgeRequestDelay();
     }
     if (lost) {
-      RecordFaultSubmit(SubmitResult::kLostChannel, page, client, at);
+      RecordSubmit(SubmitResult::kLostChannel, page, client, at);
       return SubmitResult::kLostChannel;
     }
     if (delay > 0.0) {
@@ -141,7 +177,7 @@ SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
     // alike: the request processor is what is down).
     if (injector_->InOutage(simulator_->Now())) {
       queue_.NoteOutageDrop();
-      RecordFaultSubmit(SubmitResult::kDroppedOutage, page, client, at);
+      RecordSubmit(SubmitResult::kDroppedOutage, page, client, at);
       return SubmitResult::kDroppedOutage;
     }
     // Degraded-mode admission control: shed requests whose page has a
@@ -157,55 +193,26 @@ SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
               : DistanceToNextPush(page) <= shed_distance_;
       if (near_push) {
         queue_.NoteShed();
-        RecordFaultSubmit(SubmitResult::kShedOverload, page, client, at);
+        RecordSubmit(SubmitResult::kShedOverload, page, client, at);
         return SubmitResult::kShedOverload;
       }
     }
   }
   const SubmitResult result = queue_.Submit(page);
-  if (sink_ != nullptr) {
-    const obs::SpanEvent ev =
-        result == SubmitResult::kAccepted
-            ? obs::SpanEvent::kSubmitAccepted
-            : (result == SubmitResult::kCoalesced
-                   ? obs::SpanEvent::kSubmitCoalesced
-                   : obs::SpanEvent::kSubmitDropped);
-    sink_->Record(at, ev, client, page, static_cast<double>(queue_.Size()));
-  }
-  if (collector_ != nullptr) {
-    const obs::SubmitSample sample =
-        result == SubmitResult::kAccepted
-            ? obs::SubmitSample::kAccepted
-            : (result == SubmitResult::kCoalesced
-                   ? obs::SubmitSample::kCoalesced
-                   : obs::SubmitSample::kDropped);
-    collector_->OnSubmit(at, sample, queue_.Size());
-  }
+  RecordSubmit(result, page, client, at);
   if (shed_enter_depth_ > 0) UpdateDegraded();
   return result;
 }
 
-void BroadcastServer::RecordFaultSubmit(SubmitResult result, PageId page,
-                                        std::uint32_t client,
-                                        sim::SimTime at) {
+void BroadcastServer::RecordSubmit(SubmitResult result, PageId page,
+                                   std::uint32_t client, sim::SimTime at) {
+  if (sink_ == nullptr && collector_ == nullptr) return;
+  const obs::SpanEvent ev = SubmitEvent(result);
+  const std::uint32_t depth = queue_.Size();
   if (sink_ != nullptr) {
-    const obs::SpanEvent ev =
-        result == SubmitResult::kShedOverload
-            ? obs::SpanEvent::kSubmitShed
-            : (result == SubmitResult::kDroppedOutage
-                   ? obs::SpanEvent::kSubmitOutage
-                   : obs::SpanEvent::kSubmitLost);
-    sink_->Record(at, ev, client, page, static_cast<double>(queue_.Size()));
+    sink_->Record(at, ev, client, page, static_cast<double>(depth));
   }
-  if (collector_ != nullptr) {
-    const obs::SubmitSample sample =
-        result == SubmitResult::kShedOverload
-            ? obs::SubmitSample::kShed
-            : (result == SubmitResult::kDroppedOutage
-                   ? obs::SubmitSample::kOutage
-                   : obs::SubmitSample::kLost);
-    collector_->OnSubmit(at, sample, queue_.Size());
-  }
+  if (collector_ != nullptr) collector_->OnSubmit(at, ev, depth);
 }
 
 void BroadcastServer::UpdateDegraded() {
@@ -341,24 +348,15 @@ void BroadcastServer::ChooseNextSlot() {
     in_flight_kind_ = SlotKind::kIdle;
     ++idle_slots_;
   }
-  if (sink_ != nullptr) {
-    const obs::SpanEvent ev =
-        in_flight_kind_ == SlotKind::kPull
-            ? obs::SpanEvent::kSlotPull
-            : (in_flight_kind_ == SlotKind::kPush
-                   ? obs::SpanEvent::kSlotPush
-                   : obs::SpanEvent::kSlotIdle);
-    sink_->Record(simulator_->Now(), ev, obs::kNoClient,
-                  in_flight_page_ == broadcast::kNoPage ? obs::kNoTracePage
-                                                        : in_flight_page_);
-  }
-  if (collector_ != nullptr) {
-    const obs::SlotSample sample =
-        in_flight_kind_ == SlotKind::kPull
-            ? obs::SlotSample::kPull
-            : (in_flight_kind_ == SlotKind::kPush ? obs::SlotSample::kPush
-                                                  : obs::SlotSample::kIdle);
-    collector_->OnSlot(simulator_->Now(), sample, queue_.Size());
+  if (sink_ != nullptr || collector_ != nullptr) {
+    const obs::SpanEvent ev = SlotEvent(in_flight_kind_);
+    const sim::SimTime now = simulator_->Now();
+    if (sink_ != nullptr) {
+      sink_->Record(now, ev, obs::kNoClient,
+                    in_flight_page_ == broadcast::kNoPage ? obs::kNoTracePage
+                                                          : in_flight_page_);
+    }
+    if (collector_ != nullptr) collector_->OnSlot(now, ev, queue_.Size());
   }
   if (ts_push_frac_ != nullptr) SampleSlotWindow();
 }

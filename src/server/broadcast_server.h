@@ -197,9 +197,10 @@ class BroadcastServer : public sim::EventHandler {
                              sim::SimTime at);
   /// Re-evaluates the degraded-mode watermarks after a depth change.
   void UpdateDegraded();
-  /// Shared instrumentation for submit outcomes that never reach Submit().
-  void RecordFaultSubmit(SubmitResult result, PageId page,
-                         std::uint32_t client, sim::SimTime at);
+  /// Feeds one submit outcome, queue and fault outcomes alike, to the
+  /// attached trace sink and windowed collector.
+  void RecordSubmit(SubmitResult result, PageId page, std::uint32_t client,
+                    sim::SimTime at);
 
   sim::Simulator* simulator_;
   std::shared_ptr<const broadcast::BroadcastProgram> program_;

@@ -21,7 +21,7 @@ SweepOutcome MakeOutcome(const std::string& curve, double x,
 
 TEST(CsvTest, HeaderAndRows) {
   const std::string csv =
-      SweepToCsv({MakeOutcome("Push", 10, 158.2),
+      SweepCsv({MakeOutcome("Push", 10, 158.2),
                   MakeOutcome("Pull", 10, 0.4)});
   EXPECT_NE(csv.find("curve,x,mean_response"), std::string::npos);
   EXPECT_NE(csv.find("Push,10,158.2"), std::string::npos);
@@ -30,12 +30,12 @@ TEST(CsvTest, HeaderAndRows) {
 }
 
 TEST(CsvTest, QuotesLabelsWithCommas) {
-  const std::string csv = SweepToCsv({MakeOutcome("IPP, bw=50%", 25, 7.0)});
+  const std::string csv = SweepCsv({MakeOutcome("IPP, bw=50%", 25, 7.0)});
   EXPECT_NE(csv.find("\"IPP, bw=50%\""), std::string::npos);
 }
 
 TEST(CsvTest, EmptySweepIsJustHeader) {
-  const std::string csv = SweepToCsv({});
+  const std::string csv = SweepCsv({});
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 1);
 }
 
@@ -44,7 +44,7 @@ TEST(CsvTest, WarmupRowsSkipUnreachedFractions) {
   outcome.result.warmup = {{0.1, 100.0},
                            {0.5, 500.0},
                            {0.9, sim::kTimeNever}};
-  const std::string csv = WarmupToCsv({outcome});
+  const std::string csv = WarmupCsv({outcome});
   EXPECT_NE(csv.find("Push,25,0.1,100"), std::string::npos);
   EXPECT_NE(csv.find("Push,25,0.5,500"), std::string::npos);
   EXPECT_EQ(csv.find("0.9"), std::string::npos);

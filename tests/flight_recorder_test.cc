@@ -55,6 +55,34 @@ TEST(FlightTriggerSpecTest, ErrorMessagesAreSpecific) {
             "trigger \"p99\" given twice");
 }
 
+TEST(FlightTriggerSpecTest, RefusesNonFiniteThresholds) {
+  FlightTriggers t;
+  EXPECT_EQ(ParseFlightTriggerSpec("p99>nan", &t),
+            "trigger \"p99\" threshold must be finite");
+  EXPECT_EQ(ParseFlightTriggerSpec("drop_rate>inf", &t),
+            "trigger \"drop_rate\" threshold must be finite");
+  EXPECT_EQ(ParseFlightTriggerSpec("queue_depth>-inf", &t),
+            "trigger \"queue_depth\" threshold must be finite");
+  // An infinite first threshold would equal kDisarmed and let the second
+  // one past the given-twice check.
+  EXPECT_EQ(ParseFlightTriggerSpec("p99>inf,p99>5", &t),
+            "trigger \"p99\" threshold must be finite");
+  EXPECT_EQ(ParseFlightTriggerSpec("p99>2000", &t), "");
+  EXPECT_DOUBLE_EQ(t.p99, 2000.0);
+}
+
+TEST(FlightTriggerSpecTest, RefusesBytesAfterTheThreshold) {
+  FlightTriggers t;
+  EXPECT_EQ(ParseFlightTriggerSpec("p99>5x", &t),
+            "trigger \"p99\" has unparsable threshold \"5x\"");
+  // strtod stops at a NUL; the threshold must not read as 5.
+  const std::string nul_inside("p99>5\0x", 7);
+  EXPECT_EQ(ParseFlightTriggerSpec(nul_inside, &t)
+                .rfind("trigger \"p99\" has unparsable threshold", 0),
+            0U);
+  EXPECT_EQ(t.p99, FlightTriggers::kDisarmed);
+}
+
 // -------------------------------------------------------------- recorder
 
 WindowStats QuietWindow(double start) {

@@ -262,14 +262,6 @@ TEST(TraceSinkTest, ParseRejectsMalformedLines) {
       &record));
 }
 
-TEST(TraceSinkTest, CsvHasHeaderRow) {
-  TraceSink sink;
-  sink.Record(1.0, SpanEvent::kRequest, kMeasuredClientId, 9);
-  const std::string csv = sink.ToCsv();
-  EXPECT_EQ(csv.find("time,event,client,page,value\n"), 0U);
-  EXPECT_NE(csv.find("request"), std::string::npos);
-}
-
 TEST(TraceSinkTest, EventNamesAreStable) {
   EXPECT_STREQ(SpanEventName(SpanEvent::kSubmitCoalesced),
                "submit_coalesced");

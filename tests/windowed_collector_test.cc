@@ -7,19 +7,20 @@
 #include "core/experiment.h"
 #include "core/system.h"
 #include "obs/metrics.h"
+#include "obs/trace_sink.h"
 
 namespace bdisk::obs {
 namespace {
 
 TEST(WindowedCollectorTest, AggregatesOneWindow) {
   WindowedCollector collector(/*window=*/10.0);
-  collector.OnSlot(0.0, SlotSample::kPush, 2);
-  collector.OnSlot(1.0, SlotSample::kPull, 3);
-  collector.OnSlot(2.0, SlotSample::kIdle, 0);
-  collector.OnSubmit(2.5, SubmitSample::kAccepted, 4);
-  collector.OnSubmit(2.5, SubmitSample::kCoalesced, 4);
-  collector.OnSubmit(3.0, SubmitSample::kDropped, 4);
-  collector.OnSubmit(3.0, SubmitSample::kDropped, 4);
+  collector.OnSlot(0.0, SpanEvent::kSlotPush, 2);
+  collector.OnSlot(1.0, SpanEvent::kSlotPull, 3);
+  collector.OnSlot(2.0, SpanEvent::kSlotIdle, 0);
+  collector.OnSubmit(2.5, SpanEvent::kSubmitAccepted, 4);
+  collector.OnSubmit(2.5, SpanEvent::kSubmitCoalesced, 4);
+  collector.OnSubmit(3.0, SpanEvent::kSubmitDropped, 4);
+  collector.OnSubmit(3.0, SpanEvent::kSubmitDropped, 4);
   collector.OnResponse(4.0, 1.0);
   collector.OnResponse(5.0, 3.0);
   collector.Finish();
@@ -43,10 +44,32 @@ TEST(WindowedCollectorTest, AggregatesOneWindow) {
   EXPECT_GT(w.response_p99, 0.0);
 }
 
+TEST(WindowedCollectorTest, FaultOutcomesCountApartFromQueueDrops) {
+  WindowedCollector collector(/*window=*/10.0);
+  collector.OnSubmit(1.0, SpanEvent::kSubmitShed, 2);
+  collector.OnSubmit(2.0, SpanEvent::kSubmitOutage, 2);
+  collector.OnSubmit(3.0, SpanEvent::kSubmitOutage, 2);
+  collector.OnSubmit(4.0, SpanEvent::kSubmitLost, 2);
+  collector.OnSlot(5.0, SpanEvent::kSlotPush, 2);
+  collector.OnSlotLoss(6.0);
+  collector.Finish();
+
+  const std::vector<WindowStats> windows = collector.Windows();
+  ASSERT_EQ(windows.size(), 1U);
+  const WindowStats& w = windows[0];
+  EXPECT_EQ(w.submits, 4U);
+  EXPECT_EQ(w.shed, 1U);
+  EXPECT_EQ(w.outage_dropped, 2U);
+  EXPECT_EQ(w.lost, 1U);
+  EXPECT_EQ(w.dropped, 0U);
+  EXPECT_DOUBLE_EQ(w.ShedRate(), 0.75);
+  EXPECT_DOUBLE_EQ(w.LossRate(), 1.0);
+}
+
 TEST(WindowedCollectorTest, WindowGridIsAnchoredAndGapsEmitEmptyWindows) {
   WindowedCollector collector(/*window=*/10.0);
-  collector.OnSlot(12.0, SlotSample::kPush, 0);  // Opens [10, 20).
-  collector.OnSlot(47.0, SlotSample::kPull, 0);  // Skips two empty windows.
+  collector.OnSlot(12.0, SpanEvent::kSlotPush, 0);  // Opens [10, 20).
+  collector.OnSlot(47.0, SpanEvent::kSlotPull, 0);  // Skips two empty windows.
   collector.Finish();
 
   const std::vector<WindowStats> windows = collector.Windows();
@@ -63,8 +86,8 @@ TEST(WindowedCollectorTest, WindowGridIsAnchoredAndGapsEmitEmptyWindows) {
 
 TEST(WindowedCollectorTest, QueueDepthKeepsLastAndHighWater) {
   WindowedCollector collector(/*window=*/10.0);
-  collector.OnSubmit(1.0, SubmitSample::kAccepted, 7);
-  collector.OnSubmit(2.0, SubmitSample::kAccepted, 3);
+  collector.OnSubmit(1.0, SpanEvent::kSubmitAccepted, 7);
+  collector.OnSubmit(2.0, SpanEvent::kSubmitAccepted, 3);
   collector.Finish();
   const std::vector<WindowStats> windows = collector.Windows();
   ASSERT_EQ(windows.size(), 1U);
@@ -88,7 +111,7 @@ TEST(WindowedCollectorTest, PerWindowPercentilesResetBetweenWindows) {
 TEST(WindowedCollectorTest, RingEvictsOldestBeyondCapacity) {
   WindowedCollector collector(/*window=*/1.0, /*capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    collector.OnSlot(static_cast<double>(i), SlotSample::kPush, 0);
+    collector.OnSlot(static_cast<double>(i), SpanEvent::kSlotPush, 0);
   }
   collector.Finish();
   EXPECT_EQ(collector.WindowsCompleted(), 10U);
@@ -101,8 +124,8 @@ TEST(WindowedCollectorTest, RingEvictsOldestBeyondCapacity) {
 
 TEST(WindowedCollectorTest, PublishToEmitsSeriesAndGauges) {
   WindowedCollector collector(/*window=*/10.0);
-  collector.OnSlot(1.0, SlotSample::kPush, 1);
-  collector.OnSlot(11.0, SlotSample::kPull, 2);
+  collector.OnSlot(1.0, SpanEvent::kSlotPush, 1);
+  collector.OnSlot(11.0, SpanEvent::kSlotPull, 2);
   collector.Finish();
 
   MetricsRegistry registry;
@@ -174,6 +197,62 @@ TEST(WindowedCollectorIntegrationTest, SystemRunFillsConsistentWindows) {
   system.SnapshotMetrics(&registry);
   EXPECT_EQ(registry.time_series().at("window.drop_rate").size(),
             windows.size());
+}
+
+// The server feeds the trace sink and the collector the same event for
+// every slot decision and submit outcome, fault outcomes included.
+TEST(WindowedCollectorIntegrationTest, SinkAndCollectorSeeTheSameEvents) {
+  core::SystemConfig config = SmallConfig();
+  config.think_time_ratio = 250.0;
+  config.fault.slot_loss = 0.05;
+  config.fault.request_loss = 0.05;
+  config.fault.request_delay = 2.0;
+  config.fault.outage_start = 500.0;
+  config.fault.outage_duration = 300.0;
+  config.fault.outage_period = 3000.0;
+  config.fault.shed_hi = 0.8;
+  core::System system(config);
+  TraceSink sink;
+  WindowedCollector collector(/*window=*/100.0);
+  system.AttachTrace(&sink);
+  system.AttachWindowedCollector(&collector);
+  const core::RunResult result = system.RunSteadyState(QuickProtocol());
+  collector.Finish();
+
+  WindowStats total;
+  for (const WindowStats& w : collector.Windows()) {
+    total.slots_push += w.slots_push;
+    total.slots_pull += w.slots_pull;
+    total.slots_idle += w.slots_idle;
+    total.accepted += w.accepted;
+    total.coalesced += w.coalesced;
+    total.dropped += w.dropped;
+    total.shed += w.shed;
+    total.outage_dropped += w.outage_dropped;
+    total.lost += w.lost;
+  }
+  ASSERT_EQ(collector.WindowsEvicted(), 0U);
+  EXPECT_EQ(total.slots_push, sink.Count(SpanEvent::kSlotPush));
+  EXPECT_EQ(total.slots_pull, sink.Count(SpanEvent::kSlotPull));
+  EXPECT_EQ(total.slots_idle, sink.Count(SpanEvent::kSlotIdle));
+  EXPECT_EQ(total.accepted, sink.Count(SpanEvent::kSubmitAccepted));
+  EXPECT_EQ(total.coalesced, sink.Count(SpanEvent::kSubmitCoalesced));
+  EXPECT_EQ(total.dropped, sink.Count(SpanEvent::kSubmitDropped));
+  EXPECT_EQ(total.shed, sink.Count(SpanEvent::kSubmitShed));
+  EXPECT_EQ(total.outage_dropped, sink.Count(SpanEvent::kSubmitOutage));
+  EXPECT_EQ(total.lost, sink.Count(SpanEvent::kSubmitLost));
+  // Both agree with the server's own books, and each fault kind occurred,
+  // so a kind mapped to the wrong event shows.
+  EXPECT_EQ(total.accepted, result.requests_accepted);
+  EXPECT_EQ(total.coalesced, result.requests_coalesced);
+  EXPECT_EQ(total.dropped, result.requests_dropped);
+  EXPECT_EQ(total.shed, result.requests_shed);
+  EXPECT_EQ(total.outage_dropped, result.requests_dropped_outage);
+  EXPECT_EQ(total.lost, result.fault_requests_lost);
+  EXPECT_GT(total.shed, 0U);
+  EXPECT_GT(total.outage_dropped, 0U);
+  EXPECT_GT(total.lost, 0U);
+  EXPECT_GT(total.slots_idle, 0U);
 }
 
 TEST(WindowedCollectorIntegrationTest, AttachingCollectorIsTrajectoryNeutral) {

@@ -16,10 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -31,7 +29,6 @@
 #include "cli_numbers.h"
 #include "obs/json.h"
 #include "obs/phase_profiler.h"
-#include "write_output.h"
 
 namespace {
 
@@ -48,10 +45,6 @@ void PrintUsage() {
       "                   kernel.wall_seconds); skipped by default because\n"
       "                   they measure the host, not the simulation\n"
       "  --all            print unchanged metrics too\n"
-      "  --json PATH      also write a machine-readable diff\n"
-      "                   (bdisk-compare-v1: per-metric baseline/current/\n"
-      "                   delta/verdict plus a summary) to PATH; \"-\"\n"
-      "                   writes it to stdout and suppresses the table\n"
       "exit: 0 within tolerance, 1 regression, 2 usage/parse error\n");
 }
 
@@ -141,7 +134,6 @@ int main(int argc, char** argv) {
       std::begin(bdisk::obs::kNondeterministicMetricSubstrings),
       std::end(bdisk::obs::kNondeterministicMetricSubstrings));
   bool print_all = false;
-  std::string json_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -168,8 +160,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--all") {
       print_all = true;
-    } else if (arg == "--json") {
-      json_path = next_value("--json");
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       PrintUsage();
@@ -203,136 +193,47 @@ int main(int argc, char** argv) {
     return false;
   };
 
-  // One diff row per metric. Verdicts: "ok" (equal), "changed" (within
-  // tolerance), "regressed" (beyond it), "missing_in_current",
-  // "missing_in_baseline".
-  struct Finding {
-    std::string name;
-    bool in_baseline = false;
-    bool in_current = false;
-    double baseline = 0.0;
-    double current = 0.0;
-    double delta_pct = 0.0;
-    const char* verdict = "ok";
-  };
-
-  std::vector<Finding> findings;
+  // One row per metric, baseline order first, then the metrics only the
+  // current snapshot has. A metric present on one side only is a
+  // regression; so is a delta beyond the tolerance, or any change from 0.
+  std::printf("  %-48s %16s %16s %11s\n", "metric", "baseline", "current",
+              "delta");
   std::size_t compared = 0, changed = 0, regressions = 0;
   for (const auto& [name, old_v] : baseline) {
     if (ignored(name)) continue;
-    Finding finding;
-    finding.name = name;
-    finding.in_baseline = true;
-    finding.baseline = old_v;
     const auto it = current.find(name);
     if (it == current.end()) {
-      finding.verdict = "missing_in_current";
       ++regressions;
-      findings.push_back(std::move(finding));
+      std::printf("! %-48s %16.6g %16s %11s\n", name.c_str(), old_v,
+                  "(missing)", "");
       continue;
     }
     ++compared;
-    finding.in_current = true;
-    finding.current = it->second;
-    if (finding.current != old_v) {
-      finding.delta_pct =
-          old_v != 0.0
-              ? 100.0 * (finding.current - old_v) / std::fabs(old_v)
-              : std::numeric_limits<double>::infinity();
+    const double new_v = it->second;
+    double delta_pct = 0.0;
+    if (new_v != old_v) {
+      delta_pct = old_v != 0.0 ? 100.0 * (new_v - old_v) / std::fabs(old_v)
+                               : std::numeric_limits<double>::infinity();
     }
-    const bool regressed = std::fabs(finding.delta_pct) > tolerance ||
-                           !std::isfinite(finding.delta_pct);
-    if (finding.delta_pct != 0.0) ++changed;
+    const bool regressed =
+        std::fabs(delta_pct) > tolerance || !std::isfinite(delta_pct);
+    if (delta_pct != 0.0) ++changed;
     if (regressed) ++regressions;
-    finding.verdict =
-        regressed ? "regressed" : (finding.delta_pct != 0.0 ? "changed" : "ok");
-    findings.push_back(std::move(finding));
+    if (print_all || delta_pct != 0.0 || regressed) {
+      std::printf("%c %-48s %16.6g %16.6g %+10.3f%%\n",
+                  regressed ? '!' : (delta_pct != 0.0 ? '~' : ' '),
+                  name.c_str(), old_v, new_v, delta_pct);
+    }
   }
   for (const auto& [name, new_v] : current) {
     if (ignored(name) || baseline.count(name) > 0) continue;
-    Finding finding;
-    finding.name = name;
-    finding.in_current = true;
-    finding.current = new_v;
-    finding.verdict = "missing_in_baseline";
     ++regressions;
-    findings.push_back(std::move(finding));
+    std::printf("! %-48s %16s %16.6g %11s\n", name.c_str(), "(missing)",
+                new_v, "");
   }
-
-  // --json - claims stdout for the document, so the table goes away
-  // instead of corrupting it.
-  if (json_path != "-") {
-    std::printf("  %-48s %16s %16s %11s\n", "metric", "baseline", "current",
-                "delta");
-    for (const Finding& f : findings) {
-      if (!f.in_current) {
-        std::printf("! %-48s %16.6g %16s %11s\n", f.name.c_str(), f.baseline,
-                    "(missing)", "");
-      } else if (!f.in_baseline) {
-        std::printf("! %-48s %16s %16.6g %11s\n", f.name.c_str(), "(missing)",
-                    f.current, "");
-      } else if (print_all || f.delta_pct != 0.0 ||
-                 std::strcmp(f.verdict, "regressed") == 0) {
-        std::printf("%c %-48s %16.6g %16.6g %+10.3f%%\n",
-                    std::strcmp(f.verdict, "regressed") == 0
-                        ? '!'
-                        : (f.delta_pct != 0.0 ? '~' : ' '),
-                    f.name.c_str(), f.baseline, f.current, f.delta_pct);
-      }
-    }
-    std::printf("compared %zu metrics: %zu changed, %zu beyond %.3g%% "
-                "tolerance\n",
-                compared, changed, regressions, tolerance);
-  }
-
-  if (!json_path.empty()) {
-    bdisk::obs::JsonWriter json;
-    json.BeginObject();
-    json.Key("schema");
-    json.Value("bdisk-compare-v1");
-    json.Key("baseline");
-    json.Value(baseline_path);
-    json.Key("current");
-    json.Value(current_path);
-    json.Key("metrics");
-    json.BeginArray();
-    for (const Finding& f : findings) {
-      json.BeginObject();
-      json.Key("name");
-      json.Value(f.name);
-      if (f.in_baseline) {
-        json.Key("baseline");
-        json.Value(f.baseline);
-      }
-      if (f.in_current) {
-        json.Key("current");
-        json.Value(f.current);
-      }
-      if (f.in_baseline && f.in_current) {
-        json.Key("delta_pct");
-        json.Value(f.delta_pct);  // Non-finite becomes null per JsonWriter.
-      }
-      json.Key("verdict");
-      json.Value(f.verdict);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.Key("summary");
-    json.BeginObject();
-    json.Key("tolerance_pct");
-    json.Value(tolerance);
-    json.Key("compared");
-    json.Value(static_cast<std::uint64_t>(compared));
-    json.Key("changed");
-    json.Value(static_cast<std::uint64_t>(changed));
-    json.Key("regressions");
-    json.Value(static_cast<std::uint64_t>(regressions));
-    json.Key("pass");
-    json.Value(regressions == 0);
-    json.EndObject();
-    json.EndObject();
-    if (!bdisk::cli::WriteOutput(json_path, json.str())) return 2;
-  }
+  std::printf("compared %zu metrics: %zu changed, %zu beyond %.3g%% "
+              "tolerance\n",
+              compared, changed, regressions, tolerance);
 
   return regressions > 0 ? 1 : 0;
 }

@@ -17,7 +17,6 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -58,11 +57,9 @@ void PrintUsage() {
       "  --csv              emit CSV instead of a table\n"
       "  --quick            short measurement protocol\n"
       "  --metrics-json F   write a metrics-registry snapshot (JSON) to F\n"
-      "                     (\"-\" writes to stdout)\n"
-      "  --trace F          write a structured trace to F (JSONL, or CSV\n"
-      "                     when F ends in .csv)\n"
-      "  --profile F        write a wall-clock phase profile (bdisk-prof-v1\n"
-      "                     JSON) to F; see tools/bdisk_prof\n"
+      "                     (\"-\" writes to stdout); a profiled run adds\n"
+      "                     the per-phase wall-clock prof.* rows\n"
+      "  --trace F          write a structured JSONL trace to F\n"
       "  --profile-folded F write folded stacks to F (flamegraph.pl input)\n"
       "  --chrome-trace F   write Chrome trace-event JSON to F (\"-\" for\n"
       "                     stdout): wall-clock phase slices plus sim-time\n"
@@ -88,11 +85,6 @@ void PrintUsage() {
       "observability flags run a single point (no multi-point --sweep).\n");
 }
 
-bool EndsWith(const std::string& text, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return text.size() >= n && text.compare(text.size() - n, n, suffix) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,7 +100,6 @@ int main(int argc, char** argv) {
   bool recommend = false;
   std::string metrics_json_path;
   std::string trace_path;
-  std::string profile_path;
   std::string folded_path;
   std::string chrome_trace_path;
   bool progress = false;
@@ -147,8 +138,6 @@ int main(int argc, char** argv) {
       metrics_json_path = next_value("--metrics-json");
     } else if (arg == "--trace") {
       trace_path = next_value("--trace");
-    } else if (arg == "--profile") {
-      profile_path = next_value("--profile");
     } else if (arg == "--profile-folded") {
       folded_path = next_value("--profile-folded");
     } else if (arg == "--chrome-trace") {
@@ -216,8 +205,7 @@ int main(int argc, char** argv) {
 
   const bool recorder_armed = !config.flight_recorder.empty();
   const bool frames_on = !config.frames.empty();
-  const bool profiled = !profile_path.empty() || !folded_path.empty() ||
-                        !chrome_trace_path.empty();
+  const bool profiled = !folded_path.empty() || !chrome_trace_path.empty();
   const bool observed = !metrics_json_path.empty() || !trace_path.empty() ||
                         progress || windows || recorder_armed || profiled ||
                         frames_on;
@@ -234,7 +222,7 @@ int main(int argc, char** argv) {
     // the observed path runs a single point inline instead of sweeping.
     if (points.size() != 1) {
       std::fprintf(stderr,
-                   "--metrics-json/--trace/--profile/--progress need a "
+                   "--metrics-json/--trace/--progress need a "
                    "single-point run; drop --sweep or give it one value\n");
       return 2;
     }
@@ -316,12 +304,7 @@ int main(int argc, char** argv) {
       if (!cli::WriteOutput(metrics_json_path, registry.ToJson())) return 1;
     }
     if (!trace_path.empty()) {
-      const std::string body =
-          EndsWith(trace_path, ".csv") ? sink.ToCsv() : sink.ToJsonl();
-      if (!cli::WriteOutput(trace_path, body)) return 1;
-    }
-    if (!profile_path.empty()) {
-      if (!cli::WriteOutput(profile_path, profiler.ToProfJson())) return 1;
+      if (!cli::WriteOutput(trace_path, sink.ToJsonl())) return 1;
     }
     if (!folded_path.empty()) {
       if (!cli::WriteOutput(folded_path, profiler.ToFolded())) return 1;
@@ -355,10 +338,9 @@ int main(int argc, char** argv) {
   }
 
   if (csv) {
-    std::fputs((warmup ? core::WarmupToCsv(outcomes)
-                       : core::SweepToCsv(outcomes))
-                   .c_str(),
-               stdout);
+    std::fputs(
+        (warmup ? core::WarmupCsv(outcomes) : core::SweepCsv(outcomes)).c_str(),
+        stdout);
     return 0;
   }
 

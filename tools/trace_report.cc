@@ -475,11 +475,11 @@ int main(int argc, char** argv) {
     }
 
     // --- Slot-utilization timeline ---------------------------------------
-    struct SlotSampleRow {
+    struct SlotRow {
       double t;
       int kind;  // 0 push, 1 pull, 2 idle.
     };
-    std::vector<SlotSampleRow> slots;
+    std::vector<SlotRow> slots;
     for (const SpanRecord& r : records) {
       if (r.event == SpanEvent::kSlotPush) {
         slots.push_back({r.time, 0});
@@ -491,14 +491,14 @@ int main(int argc, char** argv) {
     }
     if (!slots.empty()) {
       double t_lo = slots.front().t, t_hi = slots.front().t;
-      for (const SlotSampleRow& s : slots) {
+      for (const SlotRow& s : slots) {
         t_lo = std::min(t_lo, s.t);
         t_hi = std::max(t_hi, s.t);
       }
       const double width = (t_hi - t_lo) / static_cast<double>(bins);
       std::vector<std::array<std::uint64_t, 3>> counts(
           bins, std::array<std::uint64_t, 3>{});
-      for (const SlotSampleRow& s : slots) {
+      for (const SlotRow& s : slots) {
         std::size_t b = width <= 0.0 ? 0
                                      : static_cast<std::size_t>(
                                            (s.t - t_lo) / width);
