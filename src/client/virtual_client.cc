@@ -1,6 +1,9 @@
 #include "client/virtual_client.h"
 
+#include <span>
+
 #include "sim/check.h"
+#include "sim/log1p_batch.h"
 
 namespace bdisk::client {
 
@@ -20,6 +23,7 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
       ideal_warm_(pattern.DbSize(), false),
       rng_(rng),
       snapshot_(server->program()) {
+  batch_.at[kArrivalBatch] = sim::kTimeNever;
   BDISK_CHECK_MSG(simulator != nullptr, "client needs a simulator");
   BDISK_CHECK_MSG(server != nullptr, "client needs a server");
   BDISK_CHECK_MSG(options.think_time_ratio > 0.0,
@@ -54,7 +58,7 @@ void VirtualClient::Start() {
   // consumed at the same point regardless of fusion.
   const sim::SimTime first = think_.Next(rng_);
   if (options_.fused) {
-    next_arrival_ = simulator_->Now() + first;
+    batch_.at[kArrivalBatch] = simulator_->Now() + first;
     simulator_->RegisterLazySource(this);
     registered_ = true;
   } else {
@@ -69,10 +73,42 @@ void VirtualClient::OnInvalidate(PageId page, sim::SimTime /*now*/) {
   warm_cached_[page] = false;
 }
 
+void VirtualClient::RefillArrivals() {
+  obs::PhaseScope prof(simulator_->phase_profiler(), obs::Phase::kVcDraw);
+  // The next batch starts at the arrival the last one ended on.
+  batch_.at[0] = batch_.at[kArrivalBatch];
+  // Per arrival the oracle's draw order: page, steady coin, then the
+  // think uniform, whose -u lands in at[i + 1] until the log1p pass.
+  // NextBernoulli draws no uniform when SteadyStatePerc is 0 or 1.
+  sim::Rng local = rng_;
+  const double steady_perc = options_.steady_state_perc;
+  std::uint64_t steady = 0;
+  for (std::uint32_t i = 0; i < kArrivalBatch; ++i) {
+    batch_.page[i] = generator_.Next(local);
+    steady |= std::uint64_t{local.NextBernoulli(steady_perc)} << i;
+    batch_.at[i + 1] = -local.NextDouble();
+  }
+  rng_ = local;
+  batch_.steady = steady;
+  const std::span<double> thinks(batch_.at.data() + 1, kArrivalBatch);
+  sim::Log1pInPlace(thinks);
+  // Rng::NextExponential's arithmetic, one rounding per step: the VC's
+  // think time is always exponential (see the ctor).
+  const double mean = think_.Mean();
+  sim::SimTime t = batch_.at[0];
+  for (double& slot : thinks) {
+    const double think = -mean * slot;
+    t = t + think;
+    slot = t;
+  }
+  prof.AddOps(kArrivalBatch);
+}
+
 std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
-  if (next_arrival_ > horizon) return 0;
+  if (batch_.at[cursor_] > horizon) return 0;
   // The VC arrival hot path (ROADMAP): one frame per non-empty drain,
-  // arrivals as ops — never a per-arrival timestamp.
+  // arrivals as ops — never a per-arrival timestamp. Inclusive of the
+  // refills (vc.draw) it runs.
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
   // Barrier-frozen snapshot: the cursor cannot move during a drain (it
@@ -84,28 +120,24 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   const broadcast::CycleSpanTable* table = span_table_.get();
   const std::uint8_t* ideal = ideal_warm_.data();
   std::uint8_t* warm = warm_cached_.data();
-  const double steady_perc = options_.steady_state_perc;
-  // The VC's think time is always exponential (see the ctor); drawing
-  // through NextExponential directly skips ThinkTime's per-draw kind
-  // branch without touching the draw stream.
-  const double think_mean = think_.Mean();
-  // Fused draw+classify pass. The RNG state and the arrival clock live in
-  // locals (registers) for the whole drain; per arrival the draw order is
-  // page, steady coin, think — the oracle's order. Arrivals stay
-  // sequential because warm re-fetches are order-dependent: an arrival
-  // can re-warm a page a later arrival in the same drain then hits. Only
-  // the rare submit arrivals (typically a few percent) take the call into
-  // the server, in timestamp order.
-  sim::Rng local = rng_;
-  sim::SimTime next = next_arrival_;
+  // Classify pass over the pre-drawn arrivals. Arrivals stay sequential
+  // because warm re-fetches are order-dependent: an arrival can re-warm a
+  // page a later arrival in the same drain then hits. Only the rare
+  // submit arrivals (typically a few percent) take the call into the
+  // server, in timestamp order.
+  std::uint32_t i = cursor_;
+  sim::SimTime at = batch_.at[i];
   std::uint64_t processed = 0;
   std::uint64_t hits = 0;
   std::uint64_t filtered = 0;
-  while (next <= horizon) {
-    const sim::SimTime at = next;
-    const PageId page = generator_.Next(local);
-    const unsigned s = local.NextBernoulli(steady_perc) ? 1U : 0U;
-    next = at + local.NextExponential(think_mean);
+  while (at <= horizon) {
+    if (i == kArrivalBatch) {
+      RefillArrivals();
+      i = 0;
+    }
+    const PageId page = batch_.page[i];
+    const auto s = static_cast<unsigned>(batch_.steady >> i) & 1U;
+    ++i;
     const unsigned w = warm[page];
     const unsigned hit = s & w;
     const unsigned miss = hit ^ 1U;
@@ -122,14 +154,14 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
     warm[page] = static_cast<std::uint8_t>(w | (miss & s & ideal[page]));
     if ((miss & pull) != 0U) {
       // SubmitRequestAt never re-enters the VC (it does not drain lazy
-      // sources), so the register-resident locals stay coherent.
+      // sources), so the batch cannot change under this loop.
       server_->SubmitRequestAt(page, obs::kVirtualClientId, at);
       ++submitted_;
     }
     ++processed;
+    at = batch_.at[i];
   }
-  rng_ = local;
-  next_arrival_ = next;
+  cursor_ = i;
   generated_ += processed;
   cache_hits_ += hits;
   filtered_ += filtered;

@@ -1,6 +1,7 @@
 #ifndef BDISK_CLIENT_VIRTUAL_CLIENT_H_
 #define BDISK_CLIENT_VIRTUAL_CLIENT_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -44,13 +45,13 @@ struct VirtualClientOptions {
   std::uint32_t cache_size = 100;
 
   /// Fused (default, the production path): arrivals are drained in
-  /// batches through the simulator's lazy-source barrier — one
-  /// register-resident draw+classify pass against a barrier-frozen
-  /// distance snapshot — instead of costing one heap event each. Unfused
-  /// is the semantic oracle: a separately written evented path that
-  /// schedules one heap event per arrival (SystemConfig::vc_fusion, and
-  /// forced by fault.request_delay). Either way the trajectory is
-  /// bit-identical; see DESIGN.md, "The lazy-source contract".
+  /// batches through the simulator's lazy-source barrier — a classify pass
+  /// over pre-drawn arrivals against a barrier-frozen distance snapshot —
+  /// instead of costing one heap event each. Unfused is the semantic
+  /// oracle: a separately written evented path that schedules one heap
+  /// event per arrival (SystemConfig::vc_fusion, and forced by
+  /// fault.request_delay). Either way the trajectory is bit-identical; see
+  /// DESIGN.md, "The lazy-source contract".
   bool fused = true;
 };
 
@@ -96,9 +97,14 @@ class VirtualClient : public sim::LazySource,
   /// A barrier: arrivals up to `now` still see the page as warm.
   void OnInvalidate(PageId page, sim::SimTime now) override;
 
+  /// Arrivals the fused path draws per refill of its batch.
+  static constexpr std::uint32_t kArrivalBatch = 64;
+
   /// LazySource: the pre-drawn time of the next arrival (kTimeNever before
   /// Start()).
-  sim::SimTime NextArrivalTime() const override { return next_arrival_; }
+  sim::SimTime NextArrivalTime() const override {
+    return batch_.at[cursor_];
+  }
 
   /// LazySource: processes every arrival with timestamp <= `horizon`.
   std::uint64_t CatchUp(sim::SimTime horizon) override;
@@ -119,6 +125,10 @@ class VirtualClient : public sim::LazySource,
   /// filter / backchannel, and schedule the next wakeup.
   void OnEvent() override;
 
+  /// Fused path: draws the next kArrivalBatch arrivals into batch_, in the
+  /// oracle's per-arrival order (page, steady coin, think).
+  void RefillArrivals();
+
   sim::Simulator* simulator_;
   server::BroadcastServer* server_;
   workload::AccessGenerator generator_;
@@ -129,9 +139,23 @@ class VirtualClient : public sim::LazySource,
   sim::ByteMask ideal_warm_;   // The warm set itself (never changes).
   sim::Rng rng_;
 
-  sim::SimTime next_arrival_ = sim::kTimeNever;   // Fused path.
   bool registered_ = false;                       // Fused path.
   sim::EventId wakeup_ = sim::kInvalidEventId;    // Unfused oracle.
+
+  // Fused path: pre-drawn arrivals, consumed from `cursor_`; the next
+  // arrival is at[cursor_] (kTimeNever before Start()). The draws depend
+  // only on rng_, so they can run ahead of the simulated clock. Bit i of
+  // `steady` is arrival i's steady-state coin, at[i] its time, and
+  // at[kArrivalBatch] the first arrival of the next batch, whose page and
+  // coin are not drawn yet.
+  struct ArrivalBatch {
+    std::array<PageId, kArrivalBatch> page{};
+    std::uint64_t steady = 0;
+    std::array<sim::SimTime, kArrivalBatch + 1> at{};
+  };
+  static_assert(kArrivalBatch == 64, "one steady-coin bit per arrival");
+  ArrivalBatch batch_;
+  std::uint32_t cursor_ = kArrivalBatch;
 
   // Fused-drain state: the barrier-frozen distance snapshot and the
   // optional whole-cycle threshold-decision table (null → fall back to the

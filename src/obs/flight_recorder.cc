@@ -35,6 +35,24 @@ std::string Trimmed(const std::string& s) {
   return s.substr(b, e - b);
 }
 
+/// `text` as it may be echoed in a message: printable ASCII as is, every
+/// other byte as \xNN, so a NUL or a control byte cannot cut or garble
+/// the line a tool prints with %s.
+std::string Escaped(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f) {
+      out += c;
+    } else {
+      char hex[5];
+      std::snprintf(hex, sizeof(hex), "\\x%02x", byte);
+      out += hex;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string ParseFlightTriggerSpec(const std::string& spec,
@@ -48,9 +66,11 @@ std::string ParseFlightTriggerSpec(const std::string& spec,
     const std::string part = Trimmed(raw);
     const std::size_t gt = part.find('>');
     if (gt == std::string::npos) {
-      return "trigger \"" + part + "\" is missing '>' (want name>threshold)";
+      return "trigger \"" + Escaped(part) +
+             "\" is missing '>' (want name>threshold)";
     }
     const std::string name = Trimmed(part.substr(0, gt));
+    const std::string shown = Escaped(name);
     const std::string value_text = Trimmed(part.substr(gt + 1));
     const char* begin = value_text.c_str();
     char* end = nullptr;
@@ -58,16 +78,16 @@ std::string ParseFlightTriggerSpec(const std::string& spec,
     // strtod stops at a NUL inside the text; the threshold does not end
     // there.
     if (end == begin || end != begin + value_text.size()) {
-      return "trigger \"" + name + "\" has unparsable threshold \"" +
-             value_text + "\"";
+      return "trigger \"" + shown + "\" has unparsable threshold \"" +
+             Escaped(value_text) + "\"";
     }
     // Infinity is also FlightTriggers::kDisarmed, and no window compares
     // above NaN: neither arms anything.
     if (!std::isfinite(value)) {
-      return "trigger \"" + name + "\" threshold must be finite";
+      return "trigger \"" + shown + "\" threshold must be finite";
     }
     if (value < 0.0) {
-      return "trigger \"" + name + "\" threshold must be >= 0";
+      return "trigger \"" + shown + "\" threshold must be >= 0";
     }
     double* slot = nullptr;
     if (name == "drop_rate") {
@@ -81,11 +101,11 @@ std::string ParseFlightTriggerSpec(const std::string& spec,
     } else if (name == "loss_rate") {
       slot = &out->loss_rate;
     } else {
-      return "unknown trigger \"" + name +
+      return "unknown trigger \"" + shown +
              "\" (know drop_rate, p99, queue_depth, shed_rate, loss_rate)";
     }
     if (*slot != FlightTriggers::kDisarmed) {
-      return "trigger \"" + name + "\" given twice";
+      return "trigger \"" + shown + "\" given twice";
     }
     *slot = value;
   }

@@ -25,6 +25,8 @@ const char* PhaseName(Phase p) {
       return "kernel.drain";
     case Phase::kVcArrival:
       return "vc.arrival";
+    case Phase::kVcDraw:
+      return "vc.draw";
     case Phase::kServerSlot:
       return "server.slot";
     case Phase::kServerMux:
@@ -52,7 +54,8 @@ PhaseProfiler::PhaseProfiler(std::size_t slice_capacity) {
   // get the longest strides: server.queue rides every pull submit
   // (several per slot), and whenever a one-shot event breaks a span the
   // next slot rides queue.pop, whose sampled windows force the whole slot
-  // subtree.
+  // subtree. vc.draw runs once per 64 arrivals, so a short stride costs
+  // little.
   static constexpr std::uint64_t kMasks[kPhaseCount] = {
       /*run*/ 0,
       /*queue.schedule*/ 255,
@@ -60,6 +63,7 @@ PhaseProfiler::PhaseProfiler(std::size_t slice_capacity) {
       /*kernel.span*/ 127,
       /*kernel.drain*/ 127,
       /*vc.arrival*/ 127,
+      /*vc.draw*/ 15,
       /*server.slot*/ 127,
       /*server.mux*/ 127,
       /*server.queue*/ 255,

@@ -21,6 +21,8 @@ enum class Phase : std::uint8_t {
   kKernelSpan,     ///< Batched periodic slot span (ops = slots fired).
   kDrain,          ///< Lazy-source drain barrier (ops = arrivals fused).
   kVcArrival,      ///< Fused virtual-client arrival loop (ops = arrivals).
+  kVcDraw,         ///< VC arrival-batch refill, inside kVcArrival (ops =
+                   ///< arrivals drawn).
   kServerSlot,     ///< BroadcastServer::OnSlotBoundary.
   kServerMux,      ///< MUX decision: push vs pull for the next slot.
   kServerQueue,    ///< Pull-queue submit path (ops = submits).

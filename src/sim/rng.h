@@ -15,11 +15,13 @@ namespace bdisk::sim {
 /// a given seed, so every experiment in this repo is exactly reproducible.
 /// Satisfies the C++ UniformRandomBitGenerator concept.
 ///
-/// The draw methods are defined inline: the batched arrival spine copies
-/// the generator into a local and draws millions of times per run, and
-/// keeping the state in registers across the drain loop is worth more than
-/// any single algorithmic change in that path (DESIGN.md § "The batched
-/// arrival spine").
+/// The draw methods are defined inline: the virtual client's batch refill
+/// copies the generator into a local and draws millions of times per run,
+/// and keeping the state in registers across the refill loop is worth more
+/// than any single algorithmic change in that path. That loop draws the
+/// think uniforms itself and turns a whole batch of them into log1p values
+/// with one sim::Log1pInPlace call; NextExponential stays the one-draw
+/// form for everything else (DESIGN.md § "The batched arrival spine").
 class Rng {
  public:
   using result_type = std::uint64_t;

@@ -75,12 +75,23 @@ TEST(FlightTriggerSpecTest, RefusesBytesAfterTheThreshold) {
   FlightTriggers t;
   EXPECT_EQ(ParseFlightTriggerSpec("p99>5x", &t),
             "trigger \"p99\" has unparsable threshold \"5x\"");
-  // strtod stops at a NUL; the threshold must not read as 5.
+  // strtod stops at a NUL; the threshold must not read as 5, and the
+  // echo shows the NUL rather than ending at it.
   const std::string nul_inside("p99>5\0x", 7);
-  EXPECT_EQ(ParseFlightTriggerSpec(nul_inside, &t)
-                .rfind("trigger \"p99\" has unparsable threshold", 0),
-            0U);
+  EXPECT_EQ(ParseFlightTriggerSpec(nul_inside, &t),
+            "trigger \"p99\" has unparsable threshold \"5\\x00x\"");
   EXPECT_EQ(t.p99, FlightTriggers::kDisarmed);
+}
+
+TEST(FlightTriggerSpecTest, EscapesBytesBeforeTheThreshold) {
+  FlightTriggers t;
+  EXPECT_EQ(ParseFlightTriggerSpec(std::string("p9\09>5", 6), &t),
+            "unknown trigger \"p9\\x009\" (know drop_rate, p99, queue_depth, "
+            "shed_rate, loss_rate)");
+  EXPECT_EQ(ParseFlightTriggerSpec(std::string("p99\0=3", 6), &t),
+            "trigger \"p99\\x00=3\" is missing '>' (want name>threshold)");
+  EXPECT_EQ(ParseFlightTriggerSpec("p99\x7f>\x01", &t),
+            "trigger \"p99\\x7f\" has unparsable threshold \"\\x01\"");
 }
 
 // -------------------------------------------------------------- recorder

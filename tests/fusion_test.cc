@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "client/virtual_client.h"
 #include "core/experiment.h"
 #include "core/system.h"
 #include "obs/trace_sink.h"
@@ -102,8 +103,8 @@ TEST(LazySourceTest, UnregisteredSourceIsNotDrained) {
 // the bit between a fused and an unfused run of the same config; only the
 // kernel accounting may differ, and there the sum events_executed +
 // lazy_arrivals_fused is invariant (each fused arrival is exactly one
-// saved heap event).
-void ExpectFusionInvariant(core::SystemConfig config) {
+// saved heap event). Returns the fused run's result.
+core::RunResult ExpectFusionInvariant(core::SystemConfig config) {
   core::SteadyStateProtocol protocol;
   protocol.post_fill_accesses = 100;
   protocol.min_measured_accesses = 500;
@@ -151,6 +152,7 @@ void ExpectFusionInvariant(core::SystemConfig config) {
             unfused.kernel.events_executed);
   // The config drives real VC load, so fusion actually moved something.
   EXPECT_GT(fused.kernel.lazy_arrivals_fused, 0U);
+  return fused;
 }
 
 core::SystemConfig SmallLoadedConfig(core::DeliveryMode mode) {
@@ -198,6 +200,29 @@ TEST(FusionTest, FusedMatchesUnfusedWithNoiseAndPrefetch) {
   config.noise = 0.3;
   config.mc_prefetch = true;
   ExpectFusionInvariant(config);
+}
+
+TEST(FusionTest, FusedMatchesUnfusedWithEveryClientSteady) {
+  // NextBernoulli draws no uniform at SteadyStatePerc 0 or 1, so a refill
+  // that always drew the coin would shift every later draw.
+  core::SystemConfig config = SmallLoadedConfig(core::DeliveryMode::kIpp);
+  config.steady_state_perc = 1.0;
+  ExpectFusionInvariant(config);
+}
+
+TEST(FusionTest, FusedMatchesUnfusedWithNoClientSteady) {
+  core::SystemConfig config = SmallLoadedConfig(core::DeliveryMode::kIpp);
+  config.steady_state_perc = 0.0;
+  ExpectFusionInvariant(config);
+}
+
+TEST(FusionTest, FusedMatchesUnfusedWhenADrainSpansSeveralRefills) {
+  core::SystemConfig config = SmallLoadedConfig(core::DeliveryMode::kIpp);
+  config.think_time_ratio = 400.0;
+  const core::RunResult fused = ExpectFusionInvariant(config);
+  // The load the case is for: drains longer than the VC's arrival batch.
+  EXPECT_GT(fused.kernel.lazy_arrivals_fused,
+            client::VirtualClient::kArrivalBatch * fused.kernel.lazy_drains);
 }
 
 // Trace-level pins for the same invariant: the span assembler relies on the
