@@ -50,16 +50,6 @@ SplitEvaluation Evaluate(const std::vector<double>& tail_mass,
 
 }  // namespace
 
-SplitEvaluation EvaluateSplit(const std::vector<double>& probs,
-                              double request_rate,
-                              std::uint32_t publication_size) {
-  BDISK_CHECK_MSG(!probs.empty(), "empty database");
-  BDISK_CHECK_MSG(request_rate >= 0.0, "negative request rate");
-  BDISK_CHECK_MSG(publication_size <= probs.size(),
-                  "publication group exceeds the database");
-  return Evaluate(TailMass(probs), request_rate, publication_size);
-}
-
 SplitResult OptimizePublicationSplit(const std::vector<double>& probs,
                                      double request_rate,
                                      double response_bound) {

@@ -34,11 +34,6 @@ struct SplitEvaluation {
   bool stable = false;                 // lambda < 1.
 };
 
-/// Evaluates one split size.
-SplitEvaluation EvaluateSplit(const std::vector<double>& probs,
-                              double request_rate,
-                              std::uint32_t publication_size);
-
 /// Result of the optimization sweep.
 struct SplitResult {
   /// Minimum-uplink split meeting the bound; publication_size ==

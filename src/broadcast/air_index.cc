@@ -60,20 +60,4 @@ std::uint32_t OptimalIndexFrequency(std::uint32_t data_slots,
   return std::clamp(m, 1U, data_slots);
 }
 
-std::vector<std::uint32_t> IndexSegmentStarts(const AirIndexConfig& config) {
-  CheckConfig(config);
-  // Each of the m super-segments holds one index segment followed by a
-  // near-equal share of the data (shares differ by at most one slot).
-  std::vector<std::uint32_t> starts;
-  starts.reserve(config.m);
-  std::uint32_t offset = 0;
-  const std::uint32_t base = config.data_slots / config.m;
-  const std::uint32_t extra = config.data_slots % config.m;
-  for (std::uint32_t i = 0; i < config.m; ++i) {
-    starts.push_back(offset);
-    offset += config.index_slots + base + (i < extra ? 1 : 0);
-  }
-  return starts;
-}
-
 }  // namespace bdisk::broadcast

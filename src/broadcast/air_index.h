@@ -2,7 +2,6 @@
 #define BDISK_BROADCAST_AIR_INDEX_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace bdisk::broadcast {
 
@@ -46,11 +45,6 @@ double UnindexedTuningTime(std::uint32_t data_slots);
 /// at least 1 — the classic (1,m) optimum.
 std::uint32_t OptimalIndexFrequency(std::uint32_t data_slots,
                                     std::uint32_t index_slots);
-
-/// Slot offsets (within the indexed cycle) at which each of the m index
-/// segments begins; segments are maximally evenly spaced. For building a
-/// physical indexed schedule.
-std::vector<std::uint32_t> IndexSegmentStarts(const AirIndexConfig& config);
 
 }  // namespace bdisk::broadcast
 

@@ -1,6 +1,5 @@
 #include "broadcast/broadcast_program.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/check.h"
@@ -35,20 +34,6 @@ BroadcastProgram::BroadcastProgram(std::vector<PageId> schedule,
 std::uint32_t BroadcastProgram::Frequency(PageId page) const {
   BDISK_DCHECK(page < db_size_);
   return occ_offsets_[page + 1] - occ_offsets_[page];
-}
-
-std::uint32_t BroadcastProgram::DistanceToNext(std::uint32_t pos,
-                                               PageId page) const {
-  BDISK_DCHECK(page < db_size_);
-  const std::uint32_t* first = occ_positions_.data() + occ_offsets_[page];
-  const std::uint32_t* last = occ_positions_.data() + occ_offsets_[page + 1];
-  if (first == last) return kNeverBroadcast;
-  BDISK_DCHECK(pos < schedule_.size());
-  // First occurrence at or after pos, else wrap to the first of the next
-  // cycle.
-  const std::uint32_t* it = std::lower_bound(first, last, pos);
-  if (it != last) return *it - pos;
-  return Length() - pos + *first;
 }
 
 double BroadcastProgram::ExpectedWait(PageId page) const {

@@ -50,8 +50,8 @@ class BroadcastProgram {
   /// The raw CSR occurrence index: page p's sorted slot positions are
   /// OccPositionsData()[OccOffsetsData()[p] .. OccOffsetsData()[p+1]).
   /// Hot readers (schedule cursor, DistanceSnapshot) cache these two
-  /// pointers once and run DistanceToNext's lower_bound inline, skipping
-  /// the per-query indirection through the program object.
+  /// pointers once and run the next-occurrence lower_bound inline, with no
+  /// per-query indirection through the program object.
   const std::uint32_t* OccOffsetsData() const { return occ_offsets_.data(); }
   const std::uint32_t* OccPositionsData() const {
     return occ_positions_.data();
@@ -62,11 +62,6 @@ class BroadcastProgram {
 
   /// Times `page` appears per major cycle (the PIX `x` term).
   std::uint32_t Frequency(PageId page) const;
-
-  /// Number of slots from position `pos` (inclusive) until `page` is next
-  /// broadcast: 0 means slot `pos` itself carries the page. Returns
-  /// kNeverBroadcast for pages not on the schedule.
-  std::uint32_t DistanceToNext(std::uint32_t pos, PageId page) const;
 
   /// Mean wait, in slots, for `page` from a uniformly random position —
   /// length/(2*frequency) for scheduled pages assuming even spacing;
@@ -83,8 +78,8 @@ class BroadcastProgram {
   // Occurrence index in CSR layout: the sorted slot positions of page p
   // are occ_positions_[occ_offsets_[p] .. occ_offsets_[p+1]). One flat
   // array instead of a vector-of-vectors keeps the per-query working set
-  // to two contiguous loads — DistanceToNext is the virtual-client hot
-  // path, called once per simulated client arrival.
+  // to two contiguous loads — the next-occurrence search is the
+  // virtual-client hot path, called once per simulated client arrival.
   std::vector<std::uint32_t> occ_offsets_;    // db_size_ + 1 entries.
   std::vector<std::uint32_t> occ_positions_;  // One entry per filled slot.
 };

@@ -14,7 +14,7 @@ namespace bdisk::broadcast {
 /// Within one lazy-source drain the schedule cursor position is constant
 /// (the cursor only advances in the server's slot decision, which runs
 /// after the drain barrier — see DESIGN.md, "The batched arrival spine"),
-/// so every DistanceToNext query in the batch resolves against the same
+/// so every distance query in the batch resolves against the same
 /// `pos`. Freeze(pos) pins that position once per barrier; Distance(page)
 /// then runs the CSR lower_bound with the position hoisted out of the loop
 /// and memoizes the result per page, so a batch that asks about the same
@@ -22,8 +22,8 @@ namespace bdisk::broadcast {
 ///
 /// The memo is invalidated by epoch stamping: Freeze with a new position
 /// bumps the epoch instead of clearing the table, so re-freezing is O(1).
-/// Distances are identical to BroadcastProgram::DistanceToNext(pos, page),
-/// including kNeverBroadcast for unscheduled pages and an empty program.
+/// Distances count the slots from `pos` (inclusive) until the page is next
+/// pushed, kNeverBroadcast for unscheduled pages and an empty program.
 class DistanceSnapshot {
  public:
   /// The program must outlive the snapshot. An empty program (pure pull)
@@ -44,8 +44,8 @@ class DistanceSnapshot {
   /// The frozen position.
   std::uint32_t Position() const { return pos_; }
 
-  /// Slots from the frozen position until `page` is next pushed; identical
-  /// to program.DistanceToNext(Position(), page). Memoized per Freeze.
+  /// Slots from the frozen position until `page` is next pushed. Memoized
+  /// per Freeze.
   std::uint32_t Distance(PageId page) {
     if (memo_epoch_[page] == epoch_) return memo_dist_[page];
     const std::uint32_t d = Resolve(page);

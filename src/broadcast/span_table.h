@@ -11,7 +11,8 @@
 namespace bdisk::broadcast {
 
 /// Precomputed threshold decisions over one whole major cycle: one bit per
-/// (page, position) answering `DistanceToNext(pos, page) > threshold`.
+/// (page, position) answering "are more than `threshold` slots left from
+/// `pos` until `page` is next pushed?".
 ///
 /// The threshold decision — "is the page's next push slot farther than T?"
 /// — is what both the virtual client's filter (T = ThresPerc * cycle) and
@@ -41,8 +42,8 @@ class CycleSpanTable {
       const BroadcastProgram& program, std::uint32_t threshold_slots,
       std::size_t max_bytes = kDefaultMaxBytes);
 
-  /// True iff DistanceToNext(pos, page) > threshold_slots (pull / beyond
-  /// the shed horizon). `pos` must be < the program length.
+  /// True iff more than threshold_slots slots are left from `pos` until
+  /// `page` is next pushed (pull / beyond the shed horizon). `pos` must be < the program length.
   bool ShouldPull(PageId page, std::uint32_t pos) const {
     return (bits_[page * words_per_row_ + (pos >> 6)] >> (pos & 63)) & 1U;
   }

@@ -61,20 +61,6 @@ bool Cache::Remove(PageId page) {
   return true;
 }
 
-const char* PolicyKindName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kPix:
-      return "PIX";
-    case PolicyKind::kP:
-      return "P";
-    case PolicyKind::kLru:
-      return "LRU";
-    case PolicyKind::kLfu:
-      return "LFU";
-  }
-  return "?";
-}
-
 std::unique_ptr<ReplacementPolicy> MakePolicy(
     PolicyKind kind, const std::vector<double>& probs,
     const broadcast::BroadcastProgram* program) {

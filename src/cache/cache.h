@@ -92,9 +92,6 @@ enum class PolicyKind {
   kLfu,
 };
 
-/// Human-readable name of a policy kind.
-const char* PolicyKindName(PolicyKind kind);
-
 /// Builds a replacement policy. `probs` are the owning client's access
 /// probabilities; `program` may be null for kP/kLru/kLfu but is required for
 /// kPix.

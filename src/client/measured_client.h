@@ -21,7 +21,6 @@
 #include "sim/stats.h"
 #include "workload/access_generator.h"
 #include "workload/access_pattern.h"
-#include "workload/think_time.h"
 
 namespace bdisk::client {
 

@@ -15,8 +15,7 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
     : simulator_(simulator),
       server_(server),
       generator_(pattern),
-      think_(workload::ThinkTime::Exponential(options.mc_think_time /
-                                              options.think_time_ratio)),
+      think_mean_(options.mc_think_time / options.think_time_ratio),
       options_(options),
       filter_(options.thres_perc, server->program().Length()),
       warm_cached_(pattern.DbSize(), false),
@@ -24,6 +23,7 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
       rng_(rng),
       snapshot_(server->program()) {
   batch_.at[kArrivalBatch] = sim::kTimeNever;
+  BDISK_CHECK_MSG(think_mean_ > 0.0, "think time mean must be positive");
   BDISK_CHECK_MSG(simulator != nullptr, "client needs a simulator");
   BDISK_CHECK_MSG(server != nullptr, "client needs a server");
   BDISK_CHECK_MSG(options.think_time_ratio > 0.0,
@@ -56,7 +56,7 @@ VirtualClient::~VirtualClient() {
 void VirtualClient::Start() {
   // Both paths draw the first think interval here, so the RNG stream is
   // consumed at the same point regardless of fusion.
-  const sim::SimTime first = think_.Next(rng_);
+  const sim::SimTime first = rng_.NextExponential(think_mean_);
   if (options_.fused) {
     batch_.at[kArrivalBatch] = simulator_->Now() + first;
     simulator_->RegisterLazySource(this);
@@ -92,9 +92,8 @@ void VirtualClient::RefillArrivals() {
   batch_.steady = steady;
   const std::span<double> thinks(batch_.at.data() + 1, kArrivalBatch);
   sim::Log1pInPlace(thinks);
-  // Rng::NextExponential's arithmetic, one rounding per step: the VC's
-  // think time is always exponential (see the ctor).
-  const double mean = think_.Mean();
+  // Rng::NextExponential's arithmetic, one rounding per step.
+  const double mean = think_mean_;
   sim::SimTime t = batch_.at[0];
   for (double& slot : thinks) {
     const double think = -mean * slot;
@@ -188,7 +187,8 @@ void VirtualClient::OnEvent() {
     ++submitted_;
     if (steady) warm_cached_[page] = ideal_warm_[page];  // Re-fetched.
   }
-  wakeup_ = simulator_->ScheduleAfter(think_.Next(rng_), this);
+  wakeup_ = simulator_->ScheduleAfter(rng_.NextExponential(think_mean_),
+                                      this);
 }
 
 }  // namespace bdisk::client

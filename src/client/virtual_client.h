@@ -18,7 +18,6 @@
 #include "sim/simulator.h"
 #include "workload/access_generator.h"
 #include "workload/access_pattern.h"
-#include "workload/think_time.h"
 
 namespace bdisk::client {
 
@@ -100,12 +99,6 @@ class VirtualClient : public sim::LazySource,
   /// Arrivals the fused path draws per refill of its batch.
   static constexpr std::uint32_t kArrivalBatch = 64;
 
-  /// LazySource: the pre-drawn time of the next arrival (kTimeNever before
-  /// Start()).
-  sim::SimTime NextArrivalTime() const override {
-    return batch_.at[cursor_];
-  }
-
   /// LazySource: processes every arrival with timestamp <= `horizon`.
   std::uint64_t CatchUp(sim::SimTime horizon) override;
 
@@ -132,7 +125,7 @@ class VirtualClient : public sim::LazySource,
   sim::Simulator* simulator_;
   server::BroadcastServer* server_;
   workload::AccessGenerator generator_;
-  workload::ThinkTime think_;
+  double think_mean_;  // Exponential think time: mc_think_time / TTR.
   VirtualClientOptions options_;
   ThresholdFilter filter_;
   sim::ByteMask warm_cached_;  // Currently valid warm copies.

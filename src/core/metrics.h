@@ -22,7 +22,7 @@ struct WarmupPoint {
 struct KernelProfile {
   /// Events dispatched by the simulator.
   std::uint64_t events_executed = 0;
-  /// Deepest the event heap ever got (periodic timers bypass the heap, so
+  /// Deepest the event heap ever got (the slot clock bypasses the heap, so
   /// this measures the *aperiodic* load: client wakeups, controllers).
   std::uint64_t heap_high_water = 0;
   /// Periodic-timer re-arms served by the heapless fast path.

@@ -282,11 +282,8 @@ void System::AttachFlightRecorder(obs::FlightRecorder* recorder) {
   recorder_ = recorder;
   collector_->SetFlightRecorder(recorder);
   recorder->SetTraceSink(sink_);
-  recorder->SetSnapshot([this] {
-    obs::MetricsRegistry registry;
-    SnapshotMetrics(&registry);
-    return registry.ToJson();
-  });
+  recorder->SetSnapshot(
+      [this](obs::MetricsRegistry* registry) { SnapshotMetrics(registry); });
   if (bus_ != nullptr) recorder->SetTelemetryBus(bus_);
 }
 

@@ -1,12 +1,13 @@
 #include "obs/flight_recorder.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 #include <vector>
 
-#include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/telemetry_bus.h"
 #include "sim/check.h"
 
@@ -51,6 +52,16 @@ std::string Escaped(const std::string& text) {
     }
   }
   return out;
+}
+
+/// Writes `body` to the file at `path`: "" on success, else what failed.
+std::string WriteFile(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return "cannot open " + path + " for writing";
+  const bool written =
+      std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  if (std::fclose(f) != 0 || !written) return "short write to " + path;
+  return "";
 }
 
 }  // namespace
@@ -139,124 +150,33 @@ void FlightRecorder::OnWindow(const WindowStats& window) {
   }
 }
 
-std::string FlightRecorder::BuildDump(const WindowStats& window,
-                                      const char* trigger, double threshold,
-                                      double value) const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("schema");
-  w.Value("bdisk-flight-v1");
-  w.Key("fired_at");
-  w.Value(window.end);
-  w.Key("trigger");
-  w.Value(trigger);
-  w.Key("threshold");
-  w.Value(threshold);
-  w.Key("value");
-  w.Value(value);
-  w.Key("window");
-  w.BeginObject();
-  w.Key("start");
-  w.Value(window.start);
-  w.Key("end");
-  w.Value(window.end);
-  w.Key("slots_push");
-  w.Value(window.slots_push);
-  w.Key("slots_pull");
-  w.Value(window.slots_pull);
-  w.Key("slots_idle");
-  w.Value(window.slots_idle);
-  w.Key("submits");
-  w.Value(window.submits);
-  w.Key("accepted");
-  w.Value(window.accepted);
-  w.Key("coalesced");
-  w.Value(window.coalesced);
-  w.Key("dropped");
-  w.Value(window.dropped);
-  w.Key("shed");
-  w.Value(window.shed);
-  w.Key("outage_dropped");
-  w.Value(window.outage_dropped);
-  w.Key("lost");
-  w.Value(window.lost);
-  w.Key("slots_lost");
-  w.Value(window.slots_lost);
-  w.Key("drop_rate");
-  w.Value(window.DropRate());
-  w.Key("queue_depth");
-  w.Value(static_cast<std::uint64_t>(window.queue_depth));
-  w.Key("queue_depth_max");
-  w.Value(static_cast<std::uint64_t>(window.queue_depth_max));
-  w.Key("responses");
-  w.Value(window.responses);
-  w.Key("response_mean");
-  w.Value(window.response_mean);
-  w.Key("response_p50");
-  w.Value(window.response_p50);
-  w.Key("response_p99");
-  w.Value(window.response_p99);
-  w.Key("response_max");
-  w.Value(window.response_max);
-  w.EndObject();
-  // JsonWriter has no raw-splice primitive; the snapshot callback returns a
-  // complete JSON document, so assemble the tail by hand.
-  w.Key("metrics");
-  std::string out = w.str();
-  if (snapshot_) {
-    out += snapshot_();
-  } else {
-    out += "null";
-  }
-  out += ",\"trace\":[";
-  if (sink_ != nullptr) {
-    char line[192];
-    bool first = true;
-    for (const SpanRecord& r : sink_->Events()) {
-      if (r.time < window.start) continue;  // Trailing window only.
-      const long long client =
-          r.client == kNoClient ? -1LL : static_cast<long long>(r.client);
-      const long long page =
-          r.page == kNoTracePage ? -1LL : static_cast<long long>(r.page);
-      std::snprintf(line, sizeof(line),
-                    "%s{\"t\":%.3f,\"ev\":\"%s\",\"client\":%lld,"
-                    "\"page\":%lld,\"v\":%g}",
-                    first ? "" : ",", r.time, SpanEventName(r.event), client,
-                    page, r.value);
-      out += line;
-      first = false;
-    }
-  }
-  out += "]}";
-  return out;
-}
-
 void FlightRecorder::Fire(const WindowStats& window, const char* trigger,
                           double threshold, double value) {
   ++fire_count_;
   // Multi-shot: stay armed until the dump budget is spent. Each firing
-  // window has a distinct end time, so filenames never collide.
+  // window has a distinct end time, so file names never collide.
   disarmed_ = fire_count_ >= max_dumps_;
   if (bus_ != nullptr) {
     bus_->OnFlightFire(window.end, trigger, threshold, value, fire_count_);
   }
-  char stamp[48];
-  std::snprintf(stamp, sizeof(stamp), "t%.0f.json", window.end);
-  const std::string path = path_prefix_ + stamp;
-  const std::string dump = BuildDump(window, trigger, threshold, value);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    last_error_ = "cannot open " + path + " for writing";
-    return;
+  // The shortest spelling that reads back as the window's end, so windows
+  // of fractional width get distinct names too.
+  char end[32];
+  const char* end_last =
+      std::to_chars(end, end + sizeof(end), window.end).ptr;
+  const std::string stem = path_prefix_ + "t" +
+                           std::string(end, end_last - end) + "-" + trigger;
+  MetricsRegistry registry;
+  if (snapshot_) snapshot_(&registry);
+  registry.GetGauge("flight.fired_at")->Set(window.end);
+  registry.GetGauge("flight.window_start")->Set(window.start);
+  registry.GetGauge("flight.threshold")->Set(threshold);
+  registry.GetGauge("flight.value")->Set(value);
+  last_error_ = WriteFile(stem + ".json", registry.ToJson());
+  if (last_error_.empty() && sink_ != nullptr) {
+    last_error_ = WriteFile(stem + ".jsonl", sink_->ToJsonl(window.start));
   }
-  const std::size_t written = std::fwrite(dump.data(), 1, dump.size(), f);
-  std::fclose(f);
-  if (written != dump.size()) {
-    last_error_ = "short write to " + path;
-    return;
-  }
-  dump_path_ = path;
-  last_error_.clear();
+  if (last_error_.empty()) dump_stem_ = stem;
 }
 
 }  // namespace bdisk::obs

@@ -40,31 +40,36 @@ std::string ParseFlightTriggerSpec(const std::string& spec,
 class TelemetryBus;
 
 /// An anomaly flight recorder: watches completed telemetry windows and, on
-/// the first window that crosses a trigger, dumps the trailing trace window
-/// and a full metrics snapshot to a timestamped JSON file
-/// ("<prefix>t<sim-time>.json", schema "bdisk-flight-v1").
+/// the first window that crosses a trigger, writes a dump of two files in
+/// formats that already have readers, named by the window's end time and
+/// the trigger, e.g. "<prefix>t100-queue_depth":
+///  - "<stem>.jsonl": the trailing trace slice as trace JSONL
+///    (TraceSink::ToJsonl from the window's start; trace_report reads it);
+///  - "<stem>.json": a "bdisk-metrics-v1" snapshot (bdisk_compare reads
+///    it) with the gauges flight.fired_at (window end),
+///    flight.window_start, flight.threshold and flight.value. Its window.*
+///    series end with the firing window.
 ///
 /// One-shot by default — the interesting state is what led up to the FIRST
 /// anomaly; later windows of a sustained overload would only repeat it.
 /// `max_dumps` > 1 re-arms automatically after each dump until that many
-/// have been written (each with a distinct window-end timestamp in its
-/// filename), so a sustained overload keeps its later anomalies too.
-/// Re-arm explicitly with Rearm() to capture more. Evaluation is pure
-/// observation: no randomness, no events, so an armed-but-silent recorder
-/// keeps the trajectory bit-identical.
+/// have been written (each with a distinct window-end time in its file
+/// names), so a sustained overload keeps its later anomalies too.
+/// Evaluation is pure observation: no randomness, no events, so an
+/// armed-but-silent recorder keeps the trajectory bit-identical.
 class FlightRecorder {
  public:
   FlightRecorder(const FlightTriggers& triggers, std::string path_prefix,
                  std::uint32_t max_dumps = 1);
 
-  /// Trailing trace source for dumps (null = dump without trace).
+  /// Trailing trace source for dumps (null = no trace file).
   void SetTraceSink(const TraceSink* sink) { sink_ = sink; }
 
-  /// Metrics-snapshot source for dumps: a callback returning a complete
-  /// "bdisk-metrics-v1" document (null = dump without metrics). A callback
+  /// Metrics-snapshot source for dumps: a callback that fills the dump's
+  /// registry (null = a snapshot of the flight.* gauges alone). A callback
   /// rather than a registry pointer so the owner can assemble the snapshot
   /// lazily, only when a trigger actually fires.
-  void SetSnapshot(std::function<std::string()> snapshot) {
+  void SetSnapshot(std::function<void(MetricsRegistry*)> snapshot) {
     snapshot_ = std::move(snapshot);
   }
 
@@ -74,23 +79,17 @@ class FlightRecorder {
   /// Evaluates one completed window (WindowedCollector calls this).
   void OnWindow(const WindowStats& window);
 
-  /// Builds the dump document for `window` without touching the
-  /// filesystem (the file path on fire is derived from window.end).
-  std::string BuildDump(const WindowStats& window, const char* trigger,
-                        double threshold, double value) const;
-
-  void Rearm() { disarmed_ = false; }
-
-  /// True while the recorder will not fire again on its own (every
-  /// automatic shot spent; Rearm() grants another).
+  /// True once every dump of the budget is spent: the recorder will not
+  /// fire again.
   bool Fired() const { return disarmed_; }
   std::uint64_t WindowsEvaluated() const { return windows_evaluated_; }
   std::uint64_t FireCount() const { return fire_count_; }
   std::uint32_t MaxDumps() const { return max_dumps_; }
 
-  /// Path of the last dump written; empty if none (or if the write failed,
-  /// in which case LastError() says why).
-  const std::string& DumpPath() const { return dump_path_; }
+  /// Stem of the last dump written ("<prefix>t<end>-<trigger>"; the files
+  /// are the stem plus ".json" and ".jsonl"); empty if none (or if a write
+  /// failed, in which case LastError() says why).
+  const std::string& DumpStem() const { return dump_stem_; }
   const std::string& LastError() const { return last_error_; }
 
  private:
@@ -101,12 +100,12 @@ class FlightRecorder {
   std::string path_prefix_;
   std::uint32_t max_dumps_;
   const TraceSink* sink_ = nullptr;
-  std::function<std::string()> snapshot_;
+  std::function<void(MetricsRegistry*)> snapshot_;
   TelemetryBus* bus_ = nullptr;
   bool disarmed_ = false;
   std::uint64_t windows_evaluated_ = 0;
   std::uint64_t fire_count_ = 0;
-  std::string dump_path_;
+  std::string dump_stem_;
   std::string last_error_;
 };
 

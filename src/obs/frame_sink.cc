@@ -4,7 +4,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -126,19 +125,6 @@ bool DatagramFrameSink::WriteFinal(const std::string& frame) {
   }
   ++dropped_;
   return false;
-}
-
-// ---------------------------------------------------------------------------
-// CaptureFrameSink
-
-bool CaptureFrameSink::Write(const std::string& frame) {
-  const std::uint64_t index = attempts_++;
-  if (std::find(fail_at_.begin(), fail_at_.end(), index) != fail_at_.end()) {
-    ++dropped_;
-    return false;
-  }
-  frames_.push_back(frame);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -94,31 +94,6 @@ class DatagramFrameSink : public FrameSink {
   std::uint64_t dropped_ = 0;
 };
 
-/// In-memory sink for tests: records every accepted frame and can be told
-/// to refuse specific write attempts, to exercise the bus's carry-forward
-/// path.
-class CaptureFrameSink : public FrameSink {
- public:
-  bool Write(const std::string& frame) override;
-  std::string Describe() const override { return "<capture>"; }
-  std::uint64_t Dropped() const override { return dropped_; }
-
-  /// Refuse exactly the zero-based attempt indices in `indices` (attempts
-  /// are counted across accepts and refusals).
-  void FailAt(std::vector<std::uint64_t> indices) {
-    fail_at_ = std::move(indices);
-  }
-
-  const std::vector<std::string>& frames() const { return frames_; }
-  std::uint64_t Attempts() const { return attempts_; }
-
- private:
-  std::vector<std::string> frames_;
-  std::vector<std::uint64_t> fail_at_;
-  std::uint64_t attempts_ = 0;
-  std::uint64_t dropped_ = 0;
-};
-
 /// Validates `path` as a bindable/connectable AF_UNIX socket path:
 /// non-empty and strictly shorter than sizeof(sockaddr_un::sun_path)
 /// (the kernel would otherwise silently truncate it, and sender and

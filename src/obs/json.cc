@@ -187,11 +187,6 @@ void JsonWriter::Value(const char* v) {
   out_ += '"';
 }
 
-void JsonWriter::Null() {
-  Separate();
-  out_ += "null";
-}
-
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [k, v] : object) {

@@ -56,7 +56,6 @@ class JsonWriter {
   void Value(bool v);
   void Value(const std::string& v);
   void Value(const char* v);
-  void Null();
 
   /// The document built so far.
   const std::string& str() const { return out_; }

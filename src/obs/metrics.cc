@@ -14,16 +14,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return &gauges_[name];
 }
 
-LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                                double lo, double hi,
-                                                std::size_t buckets) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, LatencyHistogram(lo, hi, buckets)).first;
-  }
-  return &it->second;
-}
-
 sim::RunningStats* MetricsRegistry::GetStats(const std::string& name) {
   return &stats_[name];
 }

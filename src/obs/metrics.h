@@ -94,12 +94,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Resolve-or-create. Histogram shape parameters apply only on creation;
-  /// re-resolving an existing name returns it unchanged.
+  /// Resolve-or-create.
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  LatencyHistogram* GetHistogram(const std::string& name, double lo,
-                                 double hi, std::size_t buckets);
   sim::RunningStats* GetStats(const std::string& name);
   sim::TimeSeries* GetTimeSeries(const std::string& name);
 

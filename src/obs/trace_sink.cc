@@ -100,7 +100,6 @@ void TraceSink::Record(sim::SimTime time, SpanEvent event,
                        std::uint32_t client, std::uint32_t page,
                        double value) {
   BDISK_DCHECK(event < SpanEvent::kMaxValue);
-  ++counts_[static_cast<std::size_t>(event)];
   ++total_;
   const SpanRecord record{time, event, client, page, value};
   if (ring_.size() < capacity_) {
@@ -125,11 +124,6 @@ std::vector<SpanRecord> TraceSink::Events() const {
   return ordered;
 }
 
-std::uint64_t TraceSink::Count(SpanEvent event) const {
-  BDISK_DCHECK(event < SpanEvent::kMaxValue);
-  return counts_[static_cast<std::size_t>(event)];
-}
-
 namespace {
 
 long long SignedId(std::uint32_t id) {
@@ -138,10 +132,14 @@ long long SignedId(std::uint32_t id) {
 
 }  // namespace
 
-std::string TraceSink::ToJsonl() const {
+std::string TraceSink::ToJsonl(sim::SimTime since) const {
+  const std::vector<SpanRecord> events = Events();
+  auto first = events.begin();
+  while (first != events.end() && first->time < since) ++first;
   std::string out;
   char line[160];
-  for (const SpanRecord& r : Events()) {
+  for (auto it = first; it != events.end(); ++it) {
+    const SpanRecord& r = *it;
     std::snprintf(line, sizeof(line),
                   "{\"t\":%.3f,\"ev\":\"%s\",\"client\":%lld,"
                   "\"page\":%lld,\"v\":%g}\n",

@@ -1,7 +1,6 @@
 #ifndef BDISK_OBS_TRACE_SINK_H_
 #define BDISK_OBS_TRACE_SINK_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -82,9 +81,8 @@ bool ParseTraceJsonlLine(const std::string& line, SpanRecord* out);
 ///
 /// Ring semantics: the most recent `capacity` records are retained (older
 /// ones are overwritten and counted in DroppedEvents()), so at all times
-/// DroppedEvents() + Events().size() == TotalEvents(), while per-kind
-/// lifetime counts stay exact. Exports as JSONL, one object per record —
-/// the format tools/trace_report consumes.
+/// DroppedEvents() + Events().size() == TotalEvents(). Exports as JSONL,
+/// one object per record — the format tools/trace_report consumes.
 class TraceSink {
  public:
   /// `capacity` >= 1 bounds memory; default keeps the last 256Ki records.
@@ -97,9 +95,6 @@ class TraceSink {
   /// Records currently retained, oldest first.
   std::vector<SpanRecord> Events() const;
 
-  /// Lifetime count of records of `event` (including overwritten ones).
-  std::uint64_t Count(SpanEvent event) const;
-
   /// Total records ever recorded / lost to the ring bound.
   std::uint64_t TotalEvents() const { return total_; }
   std::uint64_t DroppedEvents() const { return total_ - ring_.size(); }
@@ -107,15 +102,16 @@ class TraceSink {
   /// One JSON object per line:
   /// {"t":2.0,"ev":"delivery","client":0,"page":5,"v":2.0}
   /// `client` is -1 for server-side records, `page` -1 for idle slots.
-  std::string ToJsonl() const;
+  /// Encodes the retained records from the first one at or after `since`
+  /// on, in order (every record by default: times are nonnegative). The
+  /// flight recorder's trailing slice is ToJsonl(window start).
+  std::string ToJsonl(sim::SimTime since = 0.0) const;
 
  private:
   std::size_t capacity_;
   std::vector<SpanRecord> ring_;
   std::size_t next_ = 0;
   std::uint64_t total_ = 0;
-  std::array<std::uint64_t, static_cast<std::size_t>(SpanEvent::kMaxValue)>
-      counts_{};
 };
 
 }  // namespace bdisk::obs

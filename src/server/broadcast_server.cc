@@ -68,15 +68,6 @@ BroadcastServer::BroadcastServer(
   simulator_->SchedulePeriodic(1.0, this);
 }
 
-BroadcastServer::BroadcastServer(sim::Simulator* simulator,
-                                 broadcast::BroadcastProgram program,
-                                 double pull_bw, std::uint32_t queue_capacity,
-                                 sim::Rng rng)
-    : BroadcastServer(simulator,
-                      std::make_shared<const broadcast::BroadcastProgram>(
-                          std::move(program)),
-                      pull_bw, queue_capacity, rng) {}
-
 void BroadcastServer::AddListener(BroadcastListener* listener) {
   BDISK_CHECK_MSG(listener != nullptr, "null listener");
   listeners_.push_back(listener);

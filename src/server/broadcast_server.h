@@ -71,11 +71,6 @@ class BroadcastServer : public sim::EventHandler {
                   std::shared_ptr<const broadcast::BroadcastProgram> program,
                   double pull_bw, std::uint32_t queue_capacity, sim::Rng rng);
 
-  /// Convenience: takes the program by value and owns it.
-  BroadcastServer(sim::Simulator* simulator,
-                  broadcast::BroadcastProgram program, double pull_bw,
-                  std::uint32_t queue_capacity, sim::Rng rng);
-
   BroadcastServer(const BroadcastServer&) = delete;
   BroadcastServer& operator=(const BroadcastServer&) = delete;
 

@@ -130,19 +130,16 @@ EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   return MakeId(slot, s.generation);
 }
 
-PeriodicId EventQueue::SchedulePeriodic(SimTime first, SimTime interval,
-                                        EventHandler* handler) {
+void EventQueue::SchedulePeriodic(SimTime first, SimTime interval,
+                                  EventHandler* handler) {
   BDISK_CHECK_MSG(std::isfinite(first) && first >= 0.0,
                   "first fire time must be finite and nonnegative");
   BDISK_CHECK_MSG(std::isfinite(interval) && interval > 0.0,
                   "periodic interval must be positive and finite");
   BDISK_CHECK_MSG(handler != nullptr, "periodic timer needs a handler");
-  const auto id = static_cast<PeriodicId>(periodic_.size());
-  BDISK_CHECK_MSG(id < kNotPeriodic, "too many periodic timers");
-  periodic_.push_back(Periodic{first, interval, next_seq_++, handler, true});
-  ++live_periodic_;
+  BDISK_CHECK_MSG(!HasPeriodic(), "a queue holds one periodic timer");
+  periodic_ = Periodic{first, interval, next_seq_++, handler};
   ++mutation_epoch_;
-  return id;
 }
 
 void EventQueue::Cancel(EventId id) {
@@ -156,15 +153,6 @@ void EventQueue::Cancel(EventId id) {
   FreeSlot(slot);
   --live_events_;
   ++mutation_epoch_;
-}
-
-void EventQueue::CancelPeriodic(PeriodicId id) {
-  BDISK_CHECK_MSG(id < periodic_.size(), "unknown periodic timer");
-  if (periodic_[id].live) {
-    periodic_[id].live = false;
-    --live_periodic_;
-    ++mutation_epoch_;
-  }
 }
 
 void EventQueue::FreeSlot(std::uint32_t slot) {
@@ -196,91 +184,59 @@ const EventQueue::HeapEntry* EventQueue::PeekOneShot() {
   return heap_.empty() ? nullptr : &heap_.front();
 }
 
-int EventQueue::EarliestPeriodic() const {
-  int best = -1;
-  for (std::size_t i = 0; i < periodic_.size(); ++i) {
-    const Periodic& p = periodic_[i];
-    if (!p.live) continue;
-    if (best < 0 || p.next < periodic_[best].next ||
-        (p.next == periodic_[best].next && p.seq < periodic_[best].seq)) {
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
 SimTime EventQueue::NextTime() {
   const HeapEntry* top = PeekOneShot();
-  SimTime next = top == nullptr ? kTimeNever : WhenOf(top->key);
-  const int p = EarliestPeriodic();
-  if (p >= 0 && periodic_[p].next < next) next = periodic_[p].next;
-  return next;
+  const SimTime next = top == nullptr ? kTimeNever : WhenOf(top->key);
+  return periodic_.next < next ? periodic_.next : next;
 }
 
-bool EventQueue::PeriodicSpan(PeriodicId* id, EventHandler** handler,
-                              SimTime* barrier) {
-  if (live_periodic_ != 1) return false;
-  const int p = EarliestPeriodic();
-  BDISK_DCHECK(p >= 0);
+bool EventQueue::PeriodicSpan(EventHandler** handler, SimTime* barrier) {
+  if (!HasPeriodic()) return false;
   const HeapEntry* top = PeekOneShot();
   const SimTime limit = top == nullptr ? kTimeNever : WhenOf(top->key);
   // Strict: at when-ties the (when, seq) order must decide, which is
   // Pop()'s job.
-  if (!(periodic_[p].next < limit)) return false;
-  *id = static_cast<PeriodicId>(p);
-  *handler = periodic_[p].handler;
+  if (!(periodic_.next < limit)) return false;
+  *handler = periodic_.handler;
   *barrier = limit;
   return true;
 }
 
 bool EventQueue::Pop(Fired* fired) {
   const HeapEntry* top = PeekOneShot();
-  const int p = EarliestPeriodic();
-  if (top == nullptr && p < 0) return false;
+  if (top == nullptr && !HasPeriodic()) return false;
   // FIFO among ties: the event with the smaller (when, seq) fires first,
-  // whether it lives in the one-shot heap or in the periodic table.
+  // whether it lives in the one-shot heap or is the periodic timer.
   // A periodic key with slot bits 0 compares against heap keys exactly as
   // (when, seq) would: seqs are unique, so the slot bits never decide.
   const bool periodic_wins =
-      p >= 0 &&
+      HasPeriodic() &&
       (top == nullptr ||
-       MakeKey(periodic_[p].next, periodic_[p].seq, 0) < top->key);
+       MakeKey(periodic_.next, periodic_.seq, 0) < top->key);
   if (periodic_wins) {
-    fired->when = periodic_[p].next;
-    fired->fn = EventFn(periodic_[p].handler);
-    fired->periodic = static_cast<PeriodicId>(p);
+    fired->when = periodic_.next;
+    fired->fn = EventFn(periodic_.handler);
+    fired->periodic = true;
     return true;
   }
   const std::uint32_t slot = StoredSlotOf(top->key);
   fired->when = WhenOf(top->key);
   fired->fn = slots_[slot].fn;
-  fired->periodic = kNotPeriodic;
+  fired->periodic = false;
   FreeSlot(slot);
   --live_events_;
   HeapPopFront();
   return true;
 }
 
-void EventQueue::Rearm(PeriodicId id) {
-  BDISK_CHECK_MSG(id < periodic_.size(), "unknown periodic timer");
-  Periodic& p = periodic_[id];
-  if (!p.live) return;  // Cancelled while its action ran.
+void EventQueue::Rearm() {
+  BDISK_DCHECK(HasPeriodic());
   ++periodic_rearms_;
-  p.next += p.interval;
+  periodic_.next += periodic_.interval;
   // Drawing the sequence number here — after the action ran — gives the
   // next occurrence exactly the FIFO position a hand-rescheduled event
   // would get.
-  p.seq = next_seq_++;
-}
-
-void EventQueue::Clear() {
-  heap_.clear();
-  slots_.clear();
-  periodic_.clear();
-  free_head_ = kNilSlot;
-  live_events_ = 0;
-  live_periodic_ = 0;
-  ++mutation_epoch_;
+  periodic_.seq = next_seq_++;
 }
 
 }  // namespace bdisk::sim

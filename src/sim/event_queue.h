@@ -99,9 +99,6 @@ static_assert(sizeof(EventFn) <= 3 * sizeof(void*),
               "EventFn must stay a flat three-word value");
 static_assert(std::is_trivially_copyable_v<EventFn>);
 
-/// Handle to a periodic timer registered with SchedulePeriodic().
-using PeriodicId = std::uint32_t;
-
 /// A time-ordered priority queue of events, allocation-free in steady
 /// state.
 ///
@@ -112,25 +109,24 @@ using PeriodicId = std::uint32_t;
 /// generation compare (no hashing), and cancellation stays lazy — stale
 /// entries are skipped when the queue reaches them, so Cancel() is O(1).
 ///
-/// Periodic timers (SchedulePeriodic) bypass the one-shot heap
-/// entirely: the next fire time of a periodic event is always known, so the
-/// dominant fixed-interval event class (the broadcast slot loop) costs no
-/// push/pop per occurrence. After a periodic event pops and its action
-/// runs, the caller re-arms it with Rearm(); the fresh sequence number is
-/// drawn at re-arm time, which reproduces exactly the FIFO position the
-/// event would have had if the handler had rescheduled it by hand.
+/// The queue also holds at most one periodic timer, the slot clock
+/// (SchedulePeriodic), outside the one-shot heap: its next fire time is
+/// always known, so the dominant fixed-interval event class (the broadcast
+/// slot loop) costs no push/pop per occurrence. After a periodic event pops
+/// and its action runs, the caller re-arms it with Rearm(); the fresh
+/// sequence number is drawn at re-arm time, which reproduces exactly the
+/// FIFO position the event would have had if the handler had rescheduled
+/// it by hand.
 class EventQueue {
  public:
-  /// A popped event: the fire time, the action to run, and — for periodic
-  /// events — the timer to Rearm() after the action returns.
+  /// A popped event: the fire time, the action to run, and whether it is
+  /// the periodic timer, which the caller must Rearm() after the action
+  /// returns.
   struct Fired {
     SimTime when = 0.0;
     EventFn fn;
-    PeriodicId periodic = kNotPeriodic;
+    bool periodic = false;
   };
-
-  /// Marks a Fired as a one-shot event.
-  static constexpr PeriodicId kNotPeriodic = 0xFFFFFFFFu;
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -141,18 +137,16 @@ class EventQueue {
   /// nonnegative (simulated time starts at 0).
   EventId Schedule(SimTime when, EventFn fn);
 
-  /// Registers a periodic timer: `handler->OnEvent()` fires at `first`,
+  /// Registers the periodic timer: `handler->OnEvent()` fires at `first`,
   /// then every `interval` after each Rearm(). `interval` must be positive
-  /// and finite. The handler is not owned and must outlive the timer.
-  PeriodicId SchedulePeriodic(SimTime first, SimTime interval,
-                              EventHandler* handler);
+  /// and finite. The handler is not owned and must outlive the queue. A
+  /// queue holds one periodic timer; a second call fails a check.
+  void SchedulePeriodic(SimTime first, SimTime interval,
+                        EventHandler* handler);
 
   /// Cancels a previously scheduled event. Cancelling an id that already
   /// fired (or was already cancelled) is a harmless no-op.
   void Cancel(EventId id);
-
-  /// Stops a periodic timer. Harmless if already cancelled.
-  void CancelPeriodic(PeriodicId id);
 
   /// True iff `id` is scheduled and not yet fired or cancelled.
   bool IsPending(EventId id) const {
@@ -161,10 +155,10 @@ class EventQueue {
   }
 
   /// True when no live events (one-shot or periodic) remain.
-  bool Empty() const { return live_events_ == 0 && live_periodic_ == 0; }
+  bool Empty() const { return live_events_ == 0 && !HasPeriodic(); }
 
-  /// Number of live events, counting each live periodic timer once.
-  std::size_t Size() const { return live_events_ + live_periodic_; }
+  /// Number of live events, counting the periodic timer once.
+  std::size_t Size() const { return live_events_ + (HasPeriodic() ? 1 : 0); }
 
   /// Time of the earliest live event, or kTimeNever when empty.
   SimTime NextTime();
@@ -185,41 +179,35 @@ class EventQueue {
   std::uint64_t StaleDiscarded() const { return stale_discarded_; }
 
   /// Incremented whenever the set of live events changes shape: Schedule,
-  /// effective Cancel/CancelPeriodic, SchedulePeriodic, Clear. NOT bumped
-  /// by Pop or Rearm. Batched execution (see PeriodicSpan) uses this to
-  /// detect that a handler scheduled or cancelled something mid-span.
+  /// effective Cancel, SchedulePeriodic. NOT bumped by Pop or Rearm.
+  /// Batched execution (see PeriodicSpan) uses this to detect that a
+  /// handler scheduled or cancelled something mid-span.
   std::uint64_t MutationEpoch() const { return mutation_epoch_; }
 
-  /// Batched-execution support: returns true iff exactly one live periodic
-  /// timer exists and its next occurrence fires strictly before every live
-  /// one-shot event. Outputs the timer, its handler, and the barrier — the
-  /// time of the earliest live one-shot (kTimeNever if none). While
-  /// MutationEpoch() is unchanged and PeriodicNextTime(*id) stays strictly
-  /// below the barrier, the caller may fire occurrences back-to-back
-  /// (OnEvent + Rearm) without going through Pop(); the result is
-  /// bit-identical to per-event stepping because within the span no other
-  /// event can be due (ties at the barrier report false, so the seq
-  /// tie-break always goes through Pop()).
-  bool PeriodicSpan(PeriodicId* id, EventHandler** handler, SimTime* barrier);
+  /// Batched-execution support: returns true iff the periodic timer exists
+  /// and its next occurrence fires strictly before every live one-shot
+  /// event. Outputs its handler and the barrier — the time of the earliest
+  /// live one-shot (kTimeNever if none). While MutationEpoch() is unchanged
+  /// and PeriodicNextTime() stays strictly below the barrier, the caller
+  /// may fire occurrences back-to-back (OnEvent + Rearm) without going
+  /// through Pop(); the result is bit-identical to per-event stepping
+  /// because within the span no other event can be due (ties at the
+  /// barrier report false, so the seq tie-break always goes through
+  /// Pop()).
+  bool PeriodicSpan(EventHandler** handler, SimTime* barrier);
 
-  /// Next fire time of a periodic timer; kTimeNever if cancelled.
-  SimTime PeriodicNextTime(PeriodicId id) const {
-    return periodic_[id].live ? periodic_[id].next : kTimeNever;
-  }
+  /// Next fire time of the periodic timer; kTimeNever if there is none.
+  SimTime PeriodicNextTime() const { return periodic_.next; }
 
   /// Removes and returns the earliest live event (FIFO among ties).
-  /// Returns false when Empty(). If the popped event is periodic, the
-  /// caller must invoke Rearm(fired->periodic) after running fired->fn —
-  /// until then the timer is quiescent and will not fire again.
+  /// Returns false when Empty(). If the popped event is the periodic
+  /// timer, the caller must invoke Rearm() after running fired->fn — until
+  /// then the timer is quiescent and will not fire again.
   bool Pop(Fired* fired);
 
-  /// Re-arms a popped periodic timer: advances its fire time by one
-  /// interval and assigns it the next FIFO sequence number. No-op if the
-  /// timer was cancelled while its action ran.
-  void Rearm(PeriodicId id);
-
-  /// Drops all events and periodic timers.
-  void Clear();
+  /// Re-arms the popped periodic timer: advances its fire time by one
+  /// interval and assigns it the next FIFO sequence number.
+  void Rearm();
 
  private:
   // One-shot events live in a slab indexed by the low id bits; the heap
@@ -247,12 +235,13 @@ class EventQueue {
   struct HeapEntry {
     unsigned __int128 key;
   };
+  // The periodic timer; handler is null (and next kTimeNever) until
+  // SchedulePeriodic.
   struct Periodic {
     SimTime next = kTimeNever;
     SimTime interval = 0.0;
     std::uint64_t seq = 0;
     EventHandler* handler = nullptr;
-    bool live = false;
   };
 
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
@@ -291,16 +280,14 @@ class EventQueue {
   // nullptr.
   const HeapEntry* PeekOneShot();
 
-  // Index of the earliest live periodic timer, or -1.
-  int EarliestPeriodic() const;
+  bool HasPeriodic() const { return periodic_.handler != nullptr; }
 
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
-  std::vector<Periodic> periodic_;
+  Periodic periodic_;
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_events_ = 0;    // Scheduled one-shots, not fired/cancelled.
-  std::size_t live_periodic_ = 0;  // Registered, uncancelled periodic timers.
   std::size_t high_water_ = 0;     // Deepest the one-shot store ever got.
   std::uint64_t periodic_rearms_ = 0;  // Fast-path re-arms (profiling).
   std::uint64_t stale_discarded_ = 0;  // Cancelled entries retired (once).

@@ -1,8 +1,6 @@
 #include "sim/histogram.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "sim/check.h"
 
@@ -67,31 +65,6 @@ double Histogram::Quantile(double q) const {
     cum = next;
   }
   return clamp(hi_);
-}
-
-std::string Histogram::ToAscii(std::size_t max_width) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar_len = static_cast<std::size_t>(
-        std::llround(static_cast<double>(counts_[i]) * max_width /
-                     static_cast<double>(peak)));
-    std::snprintf(line, sizeof(line), "[%10.1f, %10.1f) %8llu ",
-                  BucketLow(i), BucketLow(i) + width_,
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar_len, '#');
-    out += '\n';
-  }
-  if (underflow_ > 0 || overflow_ > 0) {
-    std::snprintf(line, sizeof(line), "underflow %llu, overflow %llu\n",
-                  static_cast<unsigned long long>(underflow_),
-                  static_cast<unsigned long long>(overflow_));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace bdisk::sim

@@ -2,7 +2,6 @@
 #define BDISK_SIM_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace bdisk::sim {
@@ -48,9 +47,6 @@ class Histogram {
   /// within the containing bucket and clamped to the observed [Min, Max], so
   /// a low-count histogram can never report a percentile outside the data.
   double Quantile(double q) const;
-
-  /// Multi-line ASCII rendering (for example programs and debugging).
-  std::string ToAscii(std::size_t max_width = 50) const;
 
  private:
   double lo_;

@@ -8,7 +8,8 @@
 namespace bdisk::sim {
 
 /// An open-loop event source drained in batch instead of scheduling one
-/// heap event per occurrence (event fusion).
+/// heap event per occurrence (event fusion). A simulator holds at most one:
+/// the model's one open-loop aggregate client.
 ///
 /// A lazy source pre-draws the time of its next arrival and sits outside
 /// the event heap. Whenever simulation state the source can affect is about
@@ -32,14 +33,8 @@ class LazySource {
  public:
   virtual ~LazySource() = default;
 
-  /// Absolute time of the next pending arrival; kTimeNever when the source
-  /// is exhausted or not yet started. Must be non-decreasing between
-  /// CatchUp calls.
-  virtual SimTime NextArrivalTime() const = 0;
-
   /// Processes every pending arrival with timestamp <= `horizon`, in
-  /// timestamp order, and returns how many were processed. After the call
-  /// NextArrivalTime() > horizon (or kTimeNever).
+  /// timestamp order, and returns how many were processed.
   virtual std::uint64_t CatchUp(SimTime horizon) = 0;
 };
 

@@ -21,8 +21,4 @@ void Process::CancelWakeup() {
   }
 }
 
-bool Process::WakeupPending() const {
-  return wakeup_id_ != kInvalidEventId && simulator_->IsPending(wakeup_id_);
-}
-
 }  // namespace bdisk::sim

@@ -37,9 +37,6 @@ class Process : public EventHandler {
   /// Cancels the pending wakeup, if any.
   void CancelWakeup();
 
-  /// True iff a wakeup is pending.
-  bool WakeupPending() const;
-
   /// Fired when the scheduled wakeup time arrives.
   virtual void OnWakeup() = 0;
 

@@ -2,7 +2,6 @@
 #define BDISK_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "obs/phase_profiler.h"
 #include "sim/event_queue.h"
@@ -14,9 +13,9 @@ namespace bdisk::sim {
 /// The discrete-event simulation engine.
 ///
 /// A Simulator owns the logical clock and the event queue. Model components
-/// schedule actions — an EventHandler or a small inline callable — at
-/// absolute or relative times; Run*() drains events in time order (FIFO
-/// among ties), advancing the clock to each event's time. Scheduling never
+/// schedule actions — an EventHandler or a small inline callable — a delay
+/// after Now(); RunUntil() drains events in time order (FIFO among ties),
+/// advancing the clock to each event's time. Scheduling never
 /// heap-allocates: actions are flat two-word values and event bookkeeping
 /// lives in reusable slabs (see EventQueue).
 ///
@@ -48,37 +47,31 @@ class Simulator {
   std::uint64_t StaleDiscarded() const { return queue_.StaleDiscarded(); }
   std::uint64_t PeriodicSpans() const { return periodic_spans_; }
 
-  /// Schedules `fn` at absolute time `when` (must be >= Now()).
-  EventId ScheduleAt(SimTime when, EventFn fn);
-
   /// Schedules `fn` after `delay` (must be >= 0) broadcast units.
   EventId ScheduleAfter(SimTime delay, EventFn fn);
 
-  /// Registers a periodic timer firing `handler->OnEvent()` every
-  /// `interval` units, first at Now() + interval. The fast path for
-  /// fixed-cadence event sources (the broadcast slot loop): occurrences
+  /// Registers the slot clock: a periodic timer firing `handler->OnEvent()`
+  /// every `interval` units, first at Now() + interval. Its occurrences
   /// never round-trip through the event heap. The handler is not owned and
-  /// must outlive the timer (or cancel it first).
-  PeriodicId SchedulePeriodic(SimTime interval, EventHandler* handler);
+  /// must outlive the simulator. A simulator has one slot clock; a second
+  /// call fails a check.
+  void SchedulePeriodic(SimTime interval, EventHandler* handler);
 
-  /// Stops a periodic timer; safe to call from inside its own OnEvent().
-  void CancelPeriodic(PeriodicId id) { queue_.CancelPeriodic(id); }
-
-  /// Registers a fused event source (not owned; unregister before it
+  /// Registers the fused event source (not owned; unregister before it
   /// dies). Its arrivals are processed in batch by CatchUpLazySources()
   /// instead of riding the event heap. See sim/lazy_source.h for the
-  /// eligibility contract.
+  /// eligibility contract. A simulator has one lazy source; registering a
+  /// second fails a check.
   void RegisterLazySource(LazySource* source);
 
-  /// Unregisters `source`; no-op if it was never registered.
+  /// Unregisters `source`; no-op if it is not the registered source.
   void UnregisterLazySource(LazySource* source);
 
-  /// Drains every registered lazy source up to Now(), interleaving
-  /// multiple sources in global timestamp order (ties: registration
-  /// order). Model components call this at each barrier where a lazy
-  /// source's effects become observable. Reentrant calls (a drain whose
-  /// side effects reach another barrier) are no-ops, which is safe: the
-  /// outer drain is already processing arrivals in timestamp order.
+  /// Drains the lazy source up to Now(). Model components call this at
+  /// each barrier where the source's effects become observable. Reentrant
+  /// calls (a drain whose side effects reach another barrier) are no-ops,
+  /// which is safe: the outer drain is already processing arrivals in
+  /// timestamp order.
   void CatchUpLazySources();
 
   /// Fused-source profiling: arrivals processed via CatchUpLazySources()
@@ -100,17 +93,10 @@ class Simulator {
   /// Cancels a pending event; no-op if it already fired.
   void Cancel(EventId id) { queue_.Cancel(id); }
 
-  /// True iff `id` has been scheduled but has not fired nor been cancelled.
-  bool IsPending(EventId id) const { return queue_.IsPending(id); }
-
-  /// Runs until the event queue is empty or Stop() is called. Note that a
-  /// live periodic timer keeps the queue non-empty forever.
-  void Run();
-
   /// Runs until the clock would pass `deadline`, the queue empties, or
-  /// Stop() is called. Events at exactly `deadline` are executed. While a
-  /// sole live periodic timer fires strictly before every one-shot event,
-  /// its occurrences run back-to-back in a batched span instead of one
+  /// Stop() is called. Events at exactly `deadline` are executed. While
+  /// the slot clock fires strictly before every one-shot event, its
+  /// occurrences run back-to-back in a batched span instead of one
   /// Pop() each; the span re-derives itself whenever a handler schedules
   /// or cancels anything, so the trajectory is exactly that of calling
   /// Step() event by event.
@@ -120,11 +106,11 @@ class Simulator {
   /// reference semantics RunUntil()'s batched spans reproduce.
   bool Step();
 
-  /// Requests that the current Run()/RunUntil() return after the in-flight
+  /// Requests that the current RunUntil() return after the in-flight
   /// event completes. Safe to call from inside event callbacks.
   void Stop() { stop_requested_ = true; }
 
-  /// Number of events currently pending (periodic timers count once).
+  /// Number of events currently pending (the slot clock counts once).
   std::size_t PendingEvents() const { return queue_.Size(); }
 
  private:
@@ -134,7 +120,7 @@ class Simulator {
   bool stop_requested_ = false;
   std::uint64_t periodic_spans_ = 0;  // Batched spans entered (profiling).
 
-  std::vector<LazySource*> lazy_sources_;
+  LazySource* lazy_source_ = nullptr;
   bool draining_ = false;
   std::uint64_t lazy_arrivals_fused_ = 0;
   std::uint64_t lazy_drains_ = 0;

@@ -16,9 +16,6 @@ class RunningStats {
   /// Adds one observation.
   void Add(double x);
 
-  /// Merges another accumulator into this one (Chan et al. parallel form).
-  void Merge(const RunningStats& other);
-
   /// Removes all observations.
   void Reset() { *this = RunningStats(); }
 

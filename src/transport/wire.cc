@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -28,13 +29,18 @@ void AppendU64(std::uint64_t v, std::string* out) {
   out->append(buf, r.ptr);
 }
 
+/// Writes the bytes of %.17g for `v` into `buf` and returns their end.
+/// %.17g round-trips; slot times are integers in practice, so this stays
+/// short on the wire.
+char* DoubleChars(double v, char (&buf)[32]) {
+  return std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                       17)
+      .ptr;
+}
+
 void AppendDouble(double v, std::string* out) {
-  // The bytes of %.17g, which round-trips; slot times are integers in
-  // practice so this stays short on the wire.
   char buf[32];
-  const std::to_chars_result r = std::to_chars(
-      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
-  out->append(buf, r.ptr);
+  out->append(buf, DoubleChars(v, buf));
 }
 
 /// Splits on single spaces into at most `max_fields` views. Returns the
@@ -57,41 +63,64 @@ int SplitFields(std::string_view text, std::string_view* fields,
   return count;
 }
 
-bool ParseU64(std::string_view field, std::uint64_t* out) {
+// The field parsers accept exactly the bytes the formatters write, so
+// Format∘Parse is the identity on every accepted message. Each returns null
+// on success, else the detail of its refusal, which Fail appends to the
+// field's name ("" when the field is not a number at all).
+
+/// A decimal integer as AppendU64 writes it: digits only, no leading zero.
+const char* ParseU64(std::string_view field, std::uint64_t* out) {
   const auto [ptr, ec] =
       std::from_chars(field.data(), field.data() + field.size(), *out);
-  return ec == std::errc() && ptr == field.data() + field.size();
+  if (ec != std::errc() || ptr != field.data() + field.size()) return "";
+  if (field.size() > 1 && field.front() == '0') return ": leading zero";
+  return nullptr;
 }
 
-bool ParseU32(std::string_view field, std::uint32_t* out) {
+const char* ParseU32(std::string_view field, std::uint32_t* out) {
   std::uint64_t wide = 0;
-  if (!ParseU64(field, &wide) || wide > 0xFFFFFFFFull) return false;
+  if (const char* why = ParseU64(field, &wide)) return why;
+  if (wide > 0xFFFFFFFFull) return "";
   *out = static_cast<std::uint32_t>(wide);
-  return true;
+  return nullptr;
 }
 
-bool ParseDouble(std::string_view field, double* out) {
+/// A slot time as AppendDouble writes it: a finite double whose %.17g
+/// bytes are the field itself. The re-format (one to_chars per line)
+/// refuses every other spelling of the value: "81234.", ".9", "0x1p3", a
+/// leading blank.
+const char* ParseSlotTime(std::string_view field, double* out) {
   // std::from_chars<double> is missing on some libstdc++ versions the CI
   // matrix still builds with; strtod on a bounded copy is fine here.
   char buf[64];
-  if (field.size() >= sizeof(buf)) return false;
+  if (field.size() >= sizeof(buf)) return "";
   std::memcpy(buf, field.data(), field.size());
   buf[field.size()] = '\0';
   char* end = nullptr;
   *out = std::strtod(buf, &end);
-  return end == buf + field.size();
+  if (end != buf + field.size()) return "";
+  if (!std::isfinite(*out)) return ": not finite";
+  char written[32];
+  if (std::string_view(written, DoubleChars(*out, written) - written) !=
+      field) {
+    return ": not as the formatter writes it";
+  }
+  return nullptr;
 }
 
-bool ParsePage(std::string_view field, PageId* out) {
+/// A page: "-" for kNoPage, else a decimal page id other than kNoPage.
+const char* ParsePage(std::string_view field, PageId* out) {
   if (field == "-") {
     *out = broadcast::kNoPage;
-    return true;
+    return nullptr;
   }
-  return ParseU32(field, out);
+  if (const char* why = ParseU32(field, out)) return why;
+  if (*out == broadcast::kNoPage) return ": no page is written as -";
+  return nullptr;
 }
 
-bool Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
+bool Fail(std::string* error, const char* message, const char* why = "") {
+  if (error != nullptr) *error = std::string(message) + why;
   return false;
 }
 
@@ -198,25 +227,30 @@ bool ParseMessage(std::string_view datagram, Message* out,
   if (verb == "PULL") {
     if (!want(4)) return Fail(error, "PULL wants id and page");
     if (!ValidClientId(fields[2])) return Fail(error, "bad client id");
-    if (!ParseU32(fields[3], &out->page)) return Fail(error, "bad page");
+    if (const char* why = ParseU32(fields[3], &out->page)) {
+      return Fail(error, "bad page", why);
+    }
     out->type = MsgType::kPull;
     out->client_id.assign(fields[2]);
     return true;
   }
   if (verb == "WELCOME") {
     if (!want(5)) return Fail(error, "WELCOME wants three fields");
-    if (!ParseU32(fields[2], &out->db_size) ||
-        !ParseU32(fields[3], &out->cycle_len) ||
-        !ParseU32(fields[4], &out->slot_us)) {
-      return Fail(error, "bad WELCOME fields");
-    }
+    const char* why = ParseU32(fields[2], &out->db_size);
+    if (why == nullptr) why = ParseU32(fields[3], &out->cycle_len);
+    if (why == nullptr) why = ParseU32(fields[4], &out->slot_us);
+    if (why != nullptr) return Fail(error, "bad WELCOME fields", why);
     out->type = MsgType::kWelcome;
     return true;
   }
   if (verb == "SLOT") {
     if (!want(6)) return Fail(error, "SLOT wants four fields");
-    if (!ParseU64(fields[2], &out->seq)) return Fail(error, "bad slot seq");
-    if (!ParsePage(fields[3], &out->page)) return Fail(error, "bad page");
+    if (const char* why = ParseU64(fields[2], &out->seq)) {
+      return Fail(error, "bad slot seq", why);
+    }
+    if (const char* why = ParsePage(fields[3], &out->page)) {
+      return Fail(error, "bad page", why);
+    }
     if (fields[4].size() != 1) return Fail(error, "bad slot kind");
     switch (fields[4][0]) {
       case 'P':
@@ -231,8 +265,8 @@ bool ParseMessage(std::string_view datagram, Message* out,
       default:
         return Fail(error, "bad slot kind");
     }
-    if (!ParseDouble(fields[5], &out->sim_time)) {
-      return Fail(error, "bad slot time");
+    if (const char* why = ParseSlotTime(fields[5], &out->sim_time)) {
+      return Fail(error, "bad slot time", why);
     }
     out->type = MsgType::kSlot;
     return true;
@@ -244,8 +278,8 @@ bool ParseMessage(std::string_view datagram, Message* out,
     PeerStats s;
     const std::string_view* field = fields + 2;
     for (const PeerStatsField& f : kPeerStatsFields) {
-      if (!ParseU64(*field++, &(s.*f.field))) {
-        return Fail(error, "bad STATS fields");
+      if (const char* why = ParseU64(*field++, &(s.*f.field))) {
+        return Fail(error, "bad STATS fields", why);
       }
     }
     out->type = MsgType::kStats;

@@ -126,8 +126,12 @@ void FormatStats(const PeerStats& stats, std::string* out);
 void FormatFin(const std::string& reason, std::string* out);
 
 /// Parses one message (a datagram payload, or a line without its '\n').
-/// Returns false (and sets `error`) on malformed input: wrong magic,
-/// unknown verb, bad field count, or unparsable numbers. A false return
+/// Accepts exactly the bytes the Format* functions write, so formatting an
+/// accepted message gives back its bytes: no leading zeros, no numeric
+/// SLOT page equal to kNoPage (written "-"), and a finite slot time spelt
+/// as %.17g spells it. Returns false (and sets `error` to the field and
+/// the reason) on anything else: wrong magic, unknown verb, bad field
+/// count, or a number the formatters would not write. A false return
 /// leaves `*out` unspecified.
 bool ParseMessage(std::string_view datagram, Message* out, std::string* error);
 

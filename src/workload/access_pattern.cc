@@ -1,8 +1,6 @@
 #include "workload/access_pattern.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "sim/check.h"
@@ -37,15 +35,6 @@ AccessPattern AccessPattern::WithNoise(double noise, sim::Rng& rng) const {
     perturbed[perm[i]] = probs_[i];
   }
   return AccessPattern(std::move(perturbed));
-}
-
-std::vector<PageId> AccessPattern::RankedPages() const {
-  std::vector<PageId> ranked(probs_.size());
-  std::iota(ranked.begin(), ranked.end(), 0U);
-  std::stable_sort(ranked.begin(), ranked.end(), [this](PageId a, PageId b) {
-    return probs_[a] > probs_[b];
-  });
-  return ranked;
 }
 
 }  // namespace bdisk::workload

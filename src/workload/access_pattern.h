@@ -40,9 +40,6 @@ class AccessPattern {
   /// returns an identical pattern.
   AccessPattern WithNoise(double noise, sim::Rng& rng) const;
 
-  /// Page ids sorted hottest-first under this pattern (ties: lower id).
-  std::vector<PageId> RankedPages() const;
-
  private:
   std::vector<double> probs_;
 };

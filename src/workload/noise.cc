@@ -22,13 +22,4 @@ std::vector<std::uint32_t> NoisePermutation(std::size_t n, double noise,
   return perm;
 }
 
-double PermutationDisplacement(const std::vector<std::uint32_t>& perm) {
-  if (perm.empty()) return 0.0;
-  std::size_t moved = 0;
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    if (perm[i] != i) ++moved;
-  }
-  return static_cast<double>(moved) / static_cast<double>(perm.size());
-}
-
 }  // namespace bdisk::workload

@@ -22,10 +22,6 @@ namespace bdisk::workload {
 std::vector<std::uint32_t> NoisePermutation(std::size_t n, double noise,
                                             sim::Rng& rng);
 
-/// Fraction of positions where `perm` differs from identity — a diagnostic
-/// for how much disagreement a permutation induces.
-double PermutationDisplacement(const std::vector<std::uint32_t>& perm);
-
 }  // namespace bdisk::workload
 
 #endif  // BDISK_WORKLOAD_NOISE_H_

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles.h"
 #include "workload/access_generator.h"
 
 namespace bdisk::workload {
@@ -26,7 +27,7 @@ TEST(AccessPatternTest, ExplicitProbabilities) {
 
 TEST(AccessPatternTest, RankedPagesSortedByProbability) {
   const AccessPattern pattern({0.2, 0.5, 0.3});
-  EXPECT_EQ(pattern.RankedPages(), (std::vector<PageId>{1, 2, 0}));
+  EXPECT_EQ(RankedPages(pattern), (std::vector<PageId>{1, 2, 0}));
 }
 
 TEST(AccessPatternTest, NoiseZeroIsIdentity) {

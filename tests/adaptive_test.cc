@@ -8,6 +8,7 @@
 #include "adaptive/client_controller.h"
 #include "adaptive/server_controller.h"
 #include "core/system.h"
+#include "oracles.h"
 
 namespace bdisk::adaptive {
 namespace {
@@ -19,7 +20,7 @@ using server::BroadcastServer;
 
 TEST(ServerControllerTest, LowersPullBwUnderDrops) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1}, 64), 0.5,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1}, 64)), 0.5,
                          /*queue_capacity=*/4, sim::Rng(1));
   ServerControllerOptions options;
   options.control_period = 10.0;
@@ -31,7 +32,7 @@ TEST(ServerControllerTest, LowersPullBwUnderDrops) {
     for (broadcast::PageId p = 2; p < 40; ++p) server.SubmitRequest(p);
     sim.ScheduleAfter(1.0, [&flood] { flood(); });
   };
-  sim.ScheduleAt(0.0, [&flood] { flood(); });
+  sim.ScheduleAfter(0.0, [&flood] { flood(); });
   sim.RunUntil(100.0);
   EXPECT_LT(server.pull_bw(), 0.5);
   EXPECT_GT(controller.Adjustments(), 0U);
@@ -39,7 +40,7 @@ TEST(ServerControllerTest, LowersPullBwUnderDrops) {
 
 TEST(ServerControllerTest, RaisesPullBwWhenIdle) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1}, 8), 0.3, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1}, 8)), 0.3, 10,
                          sim::Rng(1));
   ServerControllerOptions options;
   options.control_period = 10.0;
@@ -52,7 +53,7 @@ TEST(ServerControllerTest, RaisesPullBwWhenIdle) {
 
 TEST(ServerControllerTest, RespectsClampRange) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1}, 8), 0.9, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1}, 8)), 0.9, 10,
                          sim::Rng(1));
   ServerControllerOptions options;
   options.control_period = 5.0;
@@ -66,7 +67,7 @@ TEST(ServerControllerTest, RespectsClampRange) {
 
 TEST(ServerControllerTest, CountsDecisions) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0}, 4), 0.5, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0}, 4)), 0.5, 10,
                          sim::Rng(1));
   ServerControllerOptions options;
   options.control_period = 10.0;
@@ -78,7 +79,7 @@ TEST(ServerControllerTest, CountsDecisions) {
 
 TEST(ServerControllerDeathTest, RejectsBadOptions) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0}, 4), 0.5, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0}, 4)), 0.5, 10,
                          sim::Rng(1));
   ServerControllerOptions options;
   options.control_period = 0.0;
@@ -92,8 +93,8 @@ TEST(ServerControllerDeathTest, RejectsBadOptions) {
 
 TEST(ClientControllerTest, NoSignalMeansNoAdjustment) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.5, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.5,
+                         10, sim::Rng(1));
   client::MeasuredClientOptions mc_options;
   mc_options.cache_size = 2;
   mc_options.think_time = 5.0;
@@ -113,7 +114,7 @@ TEST(ClientControllerTest, NoSignalMeansNoAdjustment) {
 
 TEST(ClientControllerDeathTest, RejectsBadOptions) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0}, 4), 0.5, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0}, 4)), 0.5, 10,
                          sim::Rng(1));
   client::MeasuredClientOptions mc_options;
   mc_options.cache_size = 2;

@@ -54,26 +54,6 @@ TEST(AirIndexTest, IndexingCostsLatencyVsNoIndex) {
   EXPECT_GT(ExpectedLatency(config), UnindexedLatency(1600));
 }
 
-TEST(AirIndexTest, SegmentStartsEvenlySpaced) {
-  const AirIndexConfig config{100, 2, 4};
-  const auto starts = IndexSegmentStarts(config);
-  ASSERT_EQ(starts.size(), 4U);
-  EXPECT_EQ(starts[0], 0U);
-  // Each super-segment: 2 index + 25 data = 27 slots.
-  EXPECT_EQ(starts[1], 27U);
-  EXPECT_EQ(starts[2], 54U);
-  EXPECT_EQ(starts[3], 81U);
-}
-
-TEST(AirIndexTest, SegmentStartsHandleNonDivisibleData) {
-  const AirIndexConfig config{10, 1, 3};  // Data shares 4,3,3.
-  const auto starts = IndexSegmentStarts(config);
-  ASSERT_EQ(starts.size(), 3U);
-  EXPECT_EQ(starts[0], 0U);
-  EXPECT_EQ(starts[1], 5U);  // 1 index + 4 data.
-  EXPECT_EQ(starts[2], 9U);  // + 1 index + 3 data.
-}
-
 TEST(AirIndexDeathTest, RejectsBadShapes) {
   EXPECT_DEATH(IndexedCycleLength({0, 1, 1}), "data slot");
   EXPECT_DEATH(IndexedCycleLength({10, 0, 1}), "index slot");

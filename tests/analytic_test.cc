@@ -1,4 +1,4 @@
-#include "core/analytic.h"
+#include "analytic.h"
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles.h"
+
 namespace bdisk::broadcast {
 namespace {
 
@@ -32,36 +34,36 @@ TEST(BroadcastProgramTest, ContainsAndNeverBroadcast) {
   EXPECT_TRUE(program.Contains(0));
   EXPECT_TRUE(program.Contains(1));
   EXPECT_FALSE(program.Contains(2));
-  EXPECT_EQ(program.DistanceToNext(0, 2), BroadcastProgram::kNeverBroadcast);
+  EXPECT_EQ(DistanceToNext(program, 0, 2), BroadcastProgram::kNeverBroadcast);
 }
 
 TEST(BroadcastProgramTest, DistanceZeroAtOwnSlot) {
   const BroadcastProgram program = Figure1Program();
-  EXPECT_EQ(program.DistanceToNext(0, 0), 0U);
-  EXPECT_EQ(program.DistanceToNext(2, 3), 0U);
+  EXPECT_EQ(DistanceToNext(program, 0, 0), 0U);
+  EXPECT_EQ(DistanceToNext(program, 2, 3), 0U);
 }
 
 TEST(BroadcastProgramTest, DistanceForward) {
   const BroadcastProgram program = Figure1Program();
   // From slot 1 (page b): page e (4) is at slot 5 -> distance 4.
-  EXPECT_EQ(program.DistanceToNext(1, 4), 4U);
+  EXPECT_EQ(DistanceToNext(program, 1, 4), 4U);
   // Page a (0) next at slot 3 from slot 1 -> 2.
-  EXPECT_EQ(program.DistanceToNext(1, 0), 2U);
+  EXPECT_EQ(DistanceToNext(program, 1, 0), 2U);
 }
 
 TEST(BroadcastProgramTest, DistanceWrapsAround) {
   const BroadcastProgram program = Figure1Program();
   // From slot 11 (page g): page d (3) is at slot 2 -> 12 - 11 + 2 = 3.
-  EXPECT_EQ(program.DistanceToNext(11, 3), 3U);
+  EXPECT_EQ(DistanceToNext(program, 11, 3), 3U);
   // From slot 3, page d already passed -> wraps: 12 - 3 + 2 = 11.
-  EXPECT_EQ(program.DistanceToNext(3, 3), 11U);
+  EXPECT_EQ(DistanceToNext(program, 3, 3), 11U);
 }
 
 TEST(BroadcastProgramTest, DistanceNeverExceedsCycle) {
   const BroadcastProgram program = Figure1Program();
   for (std::uint32_t pos = 0; pos < program.Length(); ++pos) {
     for (PageId p = 0; p < 7; ++p) {
-      EXPECT_LT(program.DistanceToNext(pos, p), program.Length());
+      EXPECT_LT(DistanceToNext(program, pos, p), program.Length());
     }
   }
 }
@@ -72,7 +74,7 @@ TEST(BroadcastProgramTest, DistanceIsCorrectByBruteForce) {
     for (PageId p = 0; p < 7; ++p) {
       std::uint32_t brute = 0;
       while (program.PageAt((pos + brute) % program.Length()) != p) ++brute;
-      EXPECT_EQ(program.DistanceToNext(pos, p), brute)
+      EXPECT_EQ(DistanceToNext(program, pos, p), brute)
           << "pos=" << pos << " page=" << p;
     }
   }
@@ -97,7 +99,7 @@ TEST(BroadcastProgramTest, PaddingSlotsIgnoredInIndex) {
   EXPECT_EQ(program.Length(), 4U);
   EXPECT_EQ(program.Frequency(0), 1U);
   EXPECT_EQ(program.Frequency(1), 1U);
-  EXPECT_EQ(program.DistanceToNext(1, 1), 1U);
+  EXPECT_EQ(DistanceToNext(program, 1, 1), 1U);
 }
 
 TEST(BroadcastProgramTest, ToStringRendersPagesAndPadding) {

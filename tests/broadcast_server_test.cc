@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles.h"
 #include "sim/simulator.h"
 
 namespace bdisk::server {
@@ -29,7 +30,7 @@ class RecordingListener : public BroadcastListener {
 TEST(BroadcastServerTest, PurePushFollowsTheSchedule) {
   sim::Simulator sim;
   BroadcastProgram program({0, 1, 2}, 3);
-  BroadcastServer server(&sim, std::move(program), /*pull_bw=*/0.0,
+  BroadcastServer server(&sim, Share(std::move(program)), /*pull_bw=*/0.0,
                          /*queue_capacity=*/10, sim::Rng(1));
   RecordingListener listener;
   server.AddListener(&listener);
@@ -48,7 +49,7 @@ TEST(BroadcastServerTest, PurePushFollowsTheSchedule) {
 
 TEST(BroadcastServerTest, DeliveryHappensOneUnitAfterSlotChoice) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({5}, 6), 0.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({5}, 6)), 0.0, 10,
                          sim::Rng(1));
   RecordingListener listener;
   server.AddListener(&listener);
@@ -59,8 +60,8 @@ TEST(BroadcastServerTest, DeliveryHappensOneUnitAfterSlotChoice) {
 
 TEST(BroadcastServerTest, PurePullServesQueueFifo) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 10), /*pull_bw=*/1.0, 10,
-                         sim::Rng(2));
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 10)), /*pull_bw=*/1.0,
+                         10, sim::Rng(2));
   RecordingListener listener;
   server.AddListener(&listener);
 
@@ -76,7 +77,7 @@ TEST(BroadcastServerTest, PurePullServesQueueFifo) {
 
 TEST(BroadcastServerTest, PurePullIdlesWhenQueueEmpty) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 10), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 10)), 1.0, 10,
                          sim::Rng(3));
   RecordingListener listener;
   server.AddListener(&listener);
@@ -90,7 +91,7 @@ TEST(BroadcastServerTest, UnusedPullSlotsGoBackToPush) {
   // IPP with PullBW=100% but an empty queue: the schedule continues — the
   // paper's "unused pull slots are given back to the push program".
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1}, 2), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1}, 2)), 1.0, 10,
                          sim::Rng(4));
   RecordingListener listener;
   server.AddListener(&listener);
@@ -105,7 +106,7 @@ TEST(BroadcastServerTest, IppInterleavesPullAndPushByCoin) {
   // PullBW = 1 with a non-empty queue: the queued page preempts the
   // schedule exactly once, then the schedule resumes where it left off.
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2}, 4), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2}, 4)), 1.0, 10,
                          sim::Rng(5));
   RecordingListener listener;
   server.AddListener(&listener);
@@ -127,7 +128,7 @@ TEST(BroadcastServerTest, PullBwFractionControlsServiceShare) {
   // Keep the queue always full; with PullBW=0.3 about 30% of slots serve
   // pulls.
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 100), 0.3,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 100)), 0.3,
                          100, sim::Rng(6));
   RecordingListener listener;
   server.AddListener(&listener);
@@ -140,7 +141,7 @@ TEST(BroadcastServerTest, PullBwFractionControlsServiceShare) {
     }
     sim.ScheduleAfter(1.0, [&refill] { refill(); });
   };
-  sim.ScheduleAt(0.0, [&refill] { refill(); });
+  sim.ScheduleAfter(0.0, [&refill] { refill(); });
   sim.RunUntil(10000.0);
   const double pull_frac =
       static_cast<double>(server.PullSlots()) /
@@ -150,8 +151,8 @@ TEST(BroadcastServerTest, PullBwFractionControlsServiceShare) {
 
 TEST(BroadcastServerTest, SchedulePositionAndDistanceTrackPushOnly) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 1.0, 10,
-                         sim::Rng(7));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 1.0,
+                         10, sim::Rng(7));
   // At construction the server chose slot 0 contents; position is 1.
   EXPECT_EQ(server.SchedulePosition(), 1U);
   EXPECT_EQ(server.DistanceToNextPush(1), 0U);
@@ -165,7 +166,7 @@ TEST(BroadcastServerTest, SchedulePositionAndDistanceTrackPushOnly) {
 TEST(BroadcastServerTest, PaddingSlotsDeliverNothing) {
   sim::Simulator sim;
   BroadcastServer server(&sim,
-                         BroadcastProgram({0, broadcast::kNoPage, 1}, 2),
+                         Share(BroadcastProgram({0, broadcast::kNoPage, 1}, 2)),
                          0.0, 10, sim::Rng(8));
   RecordingListener listener;
   server.AddListener(&listener);
@@ -178,7 +179,7 @@ TEST(BroadcastServerTest, PaddingSlotsDeliverNothing) {
 
 TEST(BroadcastServerTest, MultipleListenersAllNotified) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0}, 1), 0.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0}, 1)), 0.0, 10,
                          sim::Rng(9));
   RecordingListener a, b;
   server.AddListener(&a);
@@ -190,7 +191,7 @@ TEST(BroadcastServerTest, MultipleListenersAllNotified) {
 
 TEST(BroadcastServerTest, SetPullBwRetunesTheMux) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 100), 0.0,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 100)), 0.0,
                          100, sim::Rng(6));
   EXPECT_EQ(server.pull_bw(), 0.0);
   // With PullBW 0, queued requests are never served.
@@ -205,7 +206,7 @@ TEST(BroadcastServerTest, SetPullBwRetunesTheMux) {
 
 TEST(BroadcastServerDeathTest, SetPullBwRejectsBadValues) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0}, 1), 0.5, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0}, 1)), 0.5, 10,
                          sim::Rng(1));
   EXPECT_DEATH(server.SetPullBw(-0.1), "PullBW");
   EXPECT_DEATH(server.SetPullBw(1.1), "PullBW");
@@ -213,14 +214,14 @@ TEST(BroadcastServerDeathTest, SetPullBwRejectsBadValues) {
 
 TEST(BroadcastServerDeathTest, RejectsNoProgramNoPull) {
   sim::Simulator sim;
-  EXPECT_DEATH(BroadcastServer(&sim, BroadcastProgram({}, 10), 0.0, 10,
+  EXPECT_DEATH(BroadcastServer(&sim, Share(BroadcastProgram({}, 10)), 0.0, 10,
                                sim::Rng(1)),
                "never broadcast");
 }
 
 TEST(BroadcastServerDeathTest, RejectsBadPullBw) {
   sim::Simulator sim;
-  EXPECT_DEATH(BroadcastServer(&sim, BroadcastProgram({0}, 1), 1.5, 10,
+  EXPECT_DEATH(BroadcastServer(&sim, Share(BroadcastProgram({0}, 1)), 1.5, 10,
                                sim::Rng(1)),
                "PullBW");
 }

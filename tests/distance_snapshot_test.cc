@@ -12,6 +12,7 @@
 
 #include "broadcast/broadcast_program.h"
 #include "broadcast/span_table.h"
+#include "oracles.h"
 #include "sim/rng.h"
 
 namespace bdisk::broadcast {
@@ -30,7 +31,7 @@ TEST(DistanceSnapshotTest, MatchesProgramExhaustively) {
     snapshot.Freeze(pos);
     EXPECT_EQ(snapshot.Position(), pos);
     for (PageId page = 0; page < program.DbSize(); ++page) {
-      EXPECT_EQ(snapshot.Distance(page), program.DistanceToNext(pos, page))
+      EXPECT_EQ(snapshot.Distance(page), DistanceToNext(program, pos, page))
           << "pos " << pos << " page " << page;
     }
   }
@@ -45,7 +46,7 @@ TEST(DistanceSnapshotTest, MemoSurvivesRepeatedQueriesAndRefreeze) {
   snapshot.Freeze(3);                      // No-op: position unchanged.
   EXPECT_EQ(snapshot.Distance(0), first);
   snapshot.Freeze(4);  // New position invalidates the memo.
-  EXPECT_EQ(snapshot.Distance(0), program.DistanceToNext(4, 0));
+  EXPECT_EQ(snapshot.Distance(0), DistanceToNext(program, 4, 0));
 }
 
 TEST(DistanceSnapshotTest, UnscheduledPageIsNeverBroadcast) {
@@ -84,7 +85,7 @@ TEST(DistanceSnapshotTest, RandomizedProgramsMatchProgram) {
     for (std::uint32_t pos = 0; pos < program.Length(); ++pos) {
       snapshot.Freeze(pos);
       for (PageId page = 0; page < db; ++page) {
-        ASSERT_EQ(snapshot.Distance(page), program.DistanceToNext(pos, page))
+        ASSERT_EQ(snapshot.Distance(page), DistanceToNext(program, pos, page))
             << "trial " << trial << " pos " << pos << " page " << page;
       }
     }
@@ -100,7 +101,7 @@ TEST(CycleSpanTableTest, BitsMatchThresholdDecisionExhaustively) {
     for (std::uint32_t pos = 0; pos < program.Length(); ++pos) {
       for (PageId page = 0; page < program.DbSize(); ++page) {
         EXPECT_EQ(table->ShouldPull(page, pos),
-                  program.DistanceToNext(pos, page) > threshold)
+                  DistanceToNext(program, pos, page) > threshold)
             << "threshold " << threshold << " pos " << pos << " page "
             << page;
       }
@@ -129,7 +130,7 @@ TEST(CycleSpanTableTest, RandomizedProgramsMatchThresholdDecision) {
     for (std::uint32_t pos = 0; pos < len; ++pos) {
       for (PageId page = 0; page < db; ++page) {
         ASSERT_EQ(table->ShouldPull(page, pos),
-                  program.DistanceToNext(pos, page) > threshold)
+                  DistanceToNext(program, pos, page) > threshold)
             << "trial " << trial << " threshold " << threshold << " pos "
             << pos << " page " << page;
       }

@@ -115,15 +115,6 @@ TEST(EventQueueTest, DoubleCancelIsHarmless) {
   EXPECT_TRUE(queue.Empty());
 }
 
-TEST(EventQueueTest, ClearDropsEverything) {
-  EventQueue queue;
-  queue.Schedule(1.0, [] {});
-  queue.Schedule(2.0, [] {});
-  queue.Clear();
-  EXPECT_TRUE(queue.Empty());
-  EXPECT_EQ(queue.NextTime(), kTimeNever);
-}
-
 TEST(EventQueueTest, InterleavedScheduleAndPop) {
   EventQueue queue;
   std::vector<double> times;
@@ -279,7 +270,7 @@ struct CountingHandler : EventHandler {
 TEST(EventQueueTest, PeriodicFiresEveryIntervalWhenRearmed) {
   EventQueue queue;
   CountingHandler handler;
-  const PeriodicId timer = queue.SchedulePeriodic(1.0, 1.0, &handler);
+  queue.SchedulePeriodic(1.0, 1.0, &handler);
   EXPECT_FALSE(queue.Empty());
   EXPECT_EQ(queue.Size(), 1U);
   for (int i = 1; i <= 5; ++i) {
@@ -287,24 +278,21 @@ TEST(EventQueueTest, PeriodicFiresEveryIntervalWhenRearmed) {
     EventQueue::Fired fired;
     ASSERT_TRUE(queue.Pop(&fired));
     EXPECT_EQ(fired.when, static_cast<double>(i));
-    EXPECT_EQ(fired.periodic, timer);
+    EXPECT_TRUE(fired.periodic);
     fired.fn();
-    queue.Rearm(fired.periodic);
+    queue.Rearm();
   }
   EXPECT_EQ(handler.count, 5);
   EXPECT_EQ(queue.Size(), 1U);  // Still armed.
 }
 
-TEST(EventQueueTest, CancelPeriodicStopsFiring) {
+TEST(EventQueueDeathTest, RefusesASecondPeriodicTimer) {
   EventQueue queue;
-  CountingHandler handler;
-  const PeriodicId timer = queue.SchedulePeriodic(1.0, 1.0, &handler);
-  queue.CancelPeriodic(timer);
-  EXPECT_TRUE(queue.Empty());
-  EXPECT_EQ(queue.NextTime(), kTimeNever);
-  queue.CancelPeriodic(timer);  // Double cancel: harmless.
-  queue.Rearm(timer);           // Re-arming a dead timer: harmless.
-  EXPECT_TRUE(queue.Empty());
+  CountingHandler first;
+  CountingHandler second;
+  queue.SchedulePeriodic(1.0, 1.0, &first);
+  EXPECT_DEATH(queue.SchedulePeriodic(0.5, 2.0, &second),
+               "one periodic timer");
 }
 
 TEST(EventQueueTest, PeriodicAndOneShotsInterleaveFifo) {
@@ -327,9 +315,7 @@ TEST(EventQueueTest, PeriodicAndOneShotsInterleaveFifo) {
     EventQueue::Fired fired;
     ASSERT_TRUE(queue.Pop(&fired));
     fired.fn();
-    if (fired.periodic != EventQueue::kNotPeriodic) {
-      queue.Rearm(fired.periodic);
-    }
+    if (fired.periodic) queue.Rearm();
     if (fired.when >= 2.0) break;
   }
   // t=1: periodic (seq 1) then one-shot (seq 2); t=2: one-shot (seq 3)
@@ -547,38 +533,30 @@ TEST(EventQueueTest, StaleEntriesRetiredExactlyOnce) {
 TEST(EventQueueTest, PeriodicSpanRequiresSoleTimerStrictlyBeforeBarrier) {
   EventQueue queue;
   CountingHandler handler;
-  PeriodicId id = EventQueue::kNotPeriodic;
   EventHandler* out_handler = nullptr;
   SimTime barrier = 0.0;
-  EXPECT_FALSE(queue.PeriodicSpan(&id, &out_handler, &barrier));  // No timer.
+  EXPECT_FALSE(queue.PeriodicSpan(&out_handler, &barrier));  // No timer.
 
-  const PeriodicId timer = queue.SchedulePeriodic(1.0, 1.0, &handler);
-  ASSERT_TRUE(queue.PeriodicSpan(&id, &out_handler, &barrier));
-  EXPECT_EQ(id, timer);
+  queue.SchedulePeriodic(1.0, 1.0, &handler);
+  ASSERT_TRUE(queue.PeriodicSpan(&out_handler, &barrier));
   EXPECT_EQ(out_handler, &handler);
   EXPECT_EQ(barrier, kTimeNever);  // No one-shots at all.
 
   // A one-shot strictly after the next occurrence: span holds, barrier is
   // its time.
   const EventId later = queue.Schedule(5.5, [] {});
-  ASSERT_TRUE(queue.PeriodicSpan(&id, &out_handler, &barrier));
+  ASSERT_TRUE(queue.PeriodicSpan(&out_handler, &barrier));
   EXPECT_EQ(barrier, 5.5);
 
   // A one-shot tied with the next occurrence: the seq tie-break must go
   // through Pop(), so no span.
   const EventId tie = queue.Schedule(1.0, [] {});
-  EXPECT_FALSE(queue.PeriodicSpan(&id, &out_handler, &barrier));
+  EXPECT_FALSE(queue.PeriodicSpan(&out_handler, &barrier));
   queue.Cancel(tie);
-  ASSERT_TRUE(queue.PeriodicSpan(&id, &out_handler, &barrier));
-
-  // A second live periodic timer disables spans entirely.
-  CountingHandler other;
-  const PeriodicId second = queue.SchedulePeriodic(0.5, 2.0, &other);
-  EXPECT_FALSE(queue.PeriodicSpan(&id, &out_handler, &barrier));
-  queue.CancelPeriodic(second);
-  ASSERT_TRUE(queue.PeriodicSpan(&id, &out_handler, &barrier));
+  ASSERT_TRUE(queue.PeriodicSpan(&out_handler, &barrier));
+  EXPECT_EQ(barrier, 5.5);
   queue.Cancel(later);
-  ASSERT_TRUE(queue.PeriodicSpan(&id, &out_handler, &barrier));
+  ASSERT_TRUE(queue.PeriodicSpan(&out_handler, &barrier));
   EXPECT_EQ(barrier, kTimeNever);
 }
 
@@ -594,16 +572,14 @@ TEST(EventQueueTest, MutationEpochTracksLiveSetChanges) {
   const std::uint64_t e2 = queue.MutationEpoch();
   queue.Cancel(id);                      // Stale cancel: no-op.
   EXPECT_EQ(queue.MutationEpoch(), e2);
-  const PeriodicId timer = queue.SchedulePeriodic(1.0, 1.0, &handler);
+  queue.SchedulePeriodic(1.0, 1.0, &handler);
   const std::uint64_t e3 = queue.MutationEpoch();
   EXPECT_NE(e3, e2);
   // Pop + Rearm are the span's own steady state: no bump.
   EventQueue::Fired fired;
   ASSERT_TRUE(queue.Pop(&fired));
-  queue.Rearm(fired.periodic);
+  queue.Rearm();
   EXPECT_EQ(queue.MutationEpoch(), e3);
-  queue.CancelPeriodic(timer);
-  EXPECT_NE(queue.MutationEpoch(), e3);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "client/measured_client.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "oracles.h"
 #include "server/broadcast_server.h"
 #include "sim/simulator.h"
 
@@ -45,7 +46,7 @@ MeasuredClientOptions PullOptions() {
 
 TEST(RobustClientTest, TimeoutsBackOffExponentiallyThenAbandon) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 4), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 4)), 1.0, 10,
                          sim::Rng(1));
   FaultInjector injector = LossyBackchannel();
   server.SetFaultInjector(&injector);
@@ -79,7 +80,7 @@ TEST(RobustClientTest, TimeoutsBackOffExponentiallyThenAbandon) {
 
 TEST(RobustClientTest, BackoffCapBoundsEveryArmedTimeout) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 4), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 4)), 1.0, 10,
                          sim::Rng(1));
   FaultInjector injector = LossyBackchannel();
   server.SetFaultInjector(&injector);
@@ -108,7 +109,7 @@ TEST(RobustClientTest, BackoffCapBoundsEveryArmedTimeout) {
 TEST(RobustClientTest, JitterIsDeterministicPerRetryStream) {
   const auto run_once = [](std::uint64_t retry_seed) {
     sim::Simulator sim;
-    BroadcastServer server(&sim, BroadcastProgram({}, 4), 1.0, 10,
+    BroadcastServer server(&sim, Share(BroadcastProgram({}, 4)), 1.0, 10,
                            sim::Rng(1));
     FaultInjector injector = LossyBackchannel();
     server.SetFaultInjector(&injector);
@@ -141,7 +142,7 @@ TEST(RobustClientTest, JitterIsDeterministicPerRetryStream) {
 
 TEST(RobustClientTest, DeliveryCancelsTheTimeoutForGood) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 4), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 4)), 1.0, 10,
                          sim::Rng(1));  // Healthy backchannel.
   MeasuredClient mc(&sim, &server, AlwaysPage(4, 2), PullOptions(),
                     sim::Rng(2));
@@ -168,8 +169,8 @@ TEST(RobustClientTest, ScheduledPageFallsBackToTheBroadcast) {
   // Page 2 is on the schedule (delivered at t=3), but the backchannel is
   // dead to the world; with a sub-slot timeout the retry budget burns out
   // first and the client falls back to waiting on the push.
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.5, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.5,
+                         10, sim::Rng(1));
   FaultInjector injector = LossyBackchannel();
   server.SetFaultInjector(&injector);
 
@@ -202,8 +203,8 @@ TEST(RobustClientTest, DeadBackchannelIsDeclaredAndRevivedBySnoop) {
   sim::Simulator sim;
   // Page 4 is unscheduled: pulls are its only path, so every fully-failed
   // request is a consecutive backchannel failure.
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 6), 1.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 6)), 1.0,
+                         10, sim::Rng(1));
   FaultInjector injector = LossyBackchannel();
   server.SetFaultInjector(&injector);
 
@@ -234,8 +235,8 @@ TEST(RobustClientTest, DeadBackchannelIsDeclaredAndRevivedBySnoop) {
 
   // Heal the channel mid-run; the next probe reaches the queue, the pull
   // slot answers, and snooping that pull-kind delivery revives the
-  // backchannel.
-  sim.ScheduleAt(17.0, [&server] { server.SetFaultInjector(nullptr); });
+  // backchannel. The clock rests at 15, so this fires at t=17.
+  sim.ScheduleAfter(2.0, [&server] { server.SetFaultInjector(nullptr); });
   sim.RunUntil(30.0);
   EXPECT_FALSE(mc.BackchannelDead());
   EXPECT_EQ(mc.BackchannelRecoveries(), 1U);
@@ -243,7 +244,7 @@ TEST(RobustClientTest, DeadBackchannelIsDeclaredAndRevivedBySnoop) {
 
 TEST(RobustClientTest, BackoffCapHitExactlyAtTheBoundaryAttempt) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 4), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 4)), 1.0, 10,
                          sim::Rng(1));
   FaultInjector injector = LossyBackchannel();
   server.SetFaultInjector(&injector);
@@ -282,8 +283,8 @@ TEST(RobustClientTest, SnoopedPushDeliveryCancelsAnArmedRetransmit) {
   // already been sent and its follow-up timer is armed for t=5 when the
   // snooped push delivery lands at t=3 — the delivery must win, cancel
   // the timer, and no later timeout may fire for the completed request.
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.5, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.5,
+                         10, sim::Rng(1));
   FaultInjector injector = LossyBackchannel();
   server.SetFaultInjector(&injector);
 
@@ -327,7 +328,7 @@ TEST(DegradedModeTest, HysteresisEntersHighExitsLow) {
   sim::Simulator sim;
   std::vector<PageId> schedule(10);
   for (PageId p = 0; p < 10; ++p) schedule[p] = p;
-  BroadcastServer server(&sim, BroadcastProgram(std::move(schedule), 20),
+  BroadcastServer server(&sim, Share(BroadcastProgram(std::move(schedule), 20)),
                          1.0, 10, sim::Rng(1));
   FaultPlan plan;
   plan.shed_hi = 0.5;  // Enter at depth 5; exit at 2 (auto lo = 0.25).
@@ -362,15 +363,15 @@ TEST(DegradedModeTest, HysteresisEntersHighExitsLow) {
 
 TEST(OutageTest, BlackoutIdlesSlotsAndDropsArrivals) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 6), 0.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 6)), 0.0,
+                         10, sim::Rng(1));
   FaultPlan plan;
   plan.outage_start = 10.0;
   plan.outage_duration = 5.0;
   FaultInjector injector(plan, sim::Rng(2));
   server.SetFaultInjector(&injector);
 
-  sim.ScheduleAt(12.5, [&server] { server.SubmitRequest(4); });
+  sim.ScheduleAfter(12.5, [&server] { server.SubmitRequest(4); });
   sim.RunUntil(20.0);
   EXPECT_EQ(server.OutagesStarted(), 1U);
   EXPECT_EQ(server.OutageSlots(), 5U);
@@ -381,8 +382,8 @@ TEST(OutageTest, BlackoutIdlesSlotsAndDropsArrivals) {
 
 TEST(OutageTest, BrownoutKeepsPushingButSuspendsPull) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 6), 1.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 6)), 1.0,
+                         10, sim::Rng(1));
   FaultPlan plan;
   plan.outage_start = 10.0;
   plan.outage_duration = 5.0;
@@ -393,7 +394,7 @@ TEST(OutageTest, BrownoutKeepsPushingButSuspendsPull) {
   // Two pulls queued just before the window: a healthy server would serve
   // them at t=10 and t=11; the brownout pushes through the window instead
   // and serves them the moment it lifts.
-  sim.ScheduleAt(9.5, [&server] {
+  sim.ScheduleAfter(9.5, [&server] {
     server.SubmitRequest(4);
     server.SubmitRequest(5);
   });

@@ -107,10 +107,48 @@ WindowStats QuietWindow(double start) {
   return w;
 }
 
-TEST(FlightRecorderTest, FiresOnceOnThresholdCrossingAndRearms) {
+/// A file name prefix in the test's scratch directory.
+std::string Prefix(const std::string& name) {
+  return ::testing::TempDir() + name;
+}
+
+/// The whole file at `path`; "" when it cannot be read.
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path);
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+bool Exists(const std::string& path) { return std::ifstream(path).good(); }
+
+void RemoveDump(const std::string& stem) {
+  std::remove((stem + ".json").c_str());
+  std::remove((stem + ".jsonl").c_str());
+}
+
+/// The dump's snapshot, parsed; fails the test unless it is a
+/// bdisk-metrics-v1 document.
+JsonValue ReadSnapshot(const std::string& stem) {
+  JsonValue root;
+  std::string error;
+  EXPECT_TRUE(ParseJson(ReadFile(stem + ".json"), &root, &error)) << error;
+  const JsonValue* schema = root.Find("schema");
+  EXPECT_TRUE(schema != nullptr && schema->string == "bdisk-metrics-v1");
+  return root;
+}
+
+double Gauge(const JsonValue& snapshot, const std::string& name) {
+  const JsonValue* gauges = snapshot.Find("gauges");
+  const JsonValue* value = gauges == nullptr ? nullptr : gauges->Find(name);
+  EXPECT_NE(value, nullptr) << name;
+  return value == nullptr ? -1.0 : value->number;
+}
+
+TEST(FlightRecorderTest, FiresOnceOnThresholdCrossing) {
   FlightTriggers triggers;
   triggers.drop_rate = 0.25;
-  FlightRecorder recorder(triggers, "unused-prefix-");
+  FlightRecorder recorder(triggers, Prefix("flight_once_"));
 
   recorder.OnWindow(QuietWindow(0.0));
   EXPECT_FALSE(recorder.Fired());
@@ -122,8 +160,9 @@ TEST(FlightRecorderTest, FiresOnceOnThresholdCrossingAndRearms) {
   recorder.OnWindow(bad);
   EXPECT_TRUE(recorder.Fired());
   EXPECT_EQ(recorder.FireCount(), 1U);
+  EXPECT_EQ(recorder.DumpStem(), Prefix("flight_once_t200-drop_rate"));
 
-  // One-shot: later (worse) windows do not fire again...
+  // One-shot: later (worse) windows do not fire again.
   bad.start = 200.0;
   bad.end = 300.0;
   bad.dropped = 9;
@@ -131,17 +170,14 @@ TEST(FlightRecorderTest, FiresOnceOnThresholdCrossingAndRearms) {
   recorder.OnWindow(bad);
   EXPECT_EQ(recorder.FireCount(), 1U);
   EXPECT_EQ(recorder.WindowsEvaluated(), 3U);
-
-  // ...until explicitly re-armed.
-  recorder.Rearm();
-  recorder.OnWindow(bad);
-  EXPECT_EQ(recorder.FireCount(), 2U);
+  RemoveDump(recorder.DumpStem());
 }
 
 TEST(FlightRecorderTest, MultiShotRearmsItselfUntilDumpBudgetSpent) {
   FlightTriggers triggers;
   triggers.drop_rate = 0.25;
-  FlightRecorder recorder(triggers, "flight_multi_test_", /*max_dumps=*/3);
+  FlightRecorder recorder(triggers, Prefix("flight_multi_"),
+                          /*max_dumps=*/3);
   EXPECT_EQ(recorder.MaxDumps(), 3U);
 
   WindowStats bad = QuietWindow(0.0);
@@ -149,13 +185,13 @@ TEST(FlightRecorderTest, MultiShotRearmsItselfUntilDumpBudgetSpent) {
   bad.accepted = 5;
   bad.dropped = 5;  // Drop rate 0.5 > 0.25 on every window below.
 
-  std::vector<std::string> dump_paths;
+  std::vector<std::string> stems;
   for (int shot = 1; shot <= 3; ++shot) {
     recorder.OnWindow(bad);
     EXPECT_EQ(recorder.FireCount(), static_cast<std::uint64_t>(shot));
     // Self re-arms between dumps; disarmed only once the budget is spent.
     EXPECT_EQ(recorder.Fired(), shot == 3);
-    dump_paths.push_back(recorder.DumpPath());
+    stems.push_back(recorder.DumpStem());
     bad.start += 100.0;
     bad.end += 100.0;
   }
@@ -163,75 +199,113 @@ TEST(FlightRecorderTest, MultiShotRearmsItselfUntilDumpBudgetSpent) {
   recorder.OnWindow(bad);
   EXPECT_EQ(recorder.FireCount(), 3U);
 
-  // Each shot wrote its own file (distinct window-end timestamps).
-  EXPECT_NE(dump_paths[0], dump_paths[1]);
-  EXPECT_NE(dump_paths[1], dump_paths[2]);
-  for (const std::string& path : dump_paths) {
-    std::ifstream file(path);
-    EXPECT_TRUE(file.good()) << path;
-    std::remove(path.c_str());
+  // Each shot wrote its own snapshot (distinct window-end times).
+  EXPECT_NE(stems[0], stems[1]);
+  EXPECT_NE(stems[1], stems[2]);
+  for (const std::string& stem : stems) {
+    EXPECT_TRUE(Exists(stem + ".json")) << stem;
+    RemoveDump(stem);
   }
+}
 
-  // Rearm() still grants one more fire after the budget is spent.
-  recorder.Rearm();
-  bad.start += 100.0;
-  bad.end += 100.0;
-  recorder.OnWindow(bad);
-  EXPECT_EQ(recorder.FireCount(), 4U);
-  EXPECT_TRUE(recorder.Fired());
-  std::remove(recorder.DumpPath().c_str());
+// Windows of fractional width end at times that round to the same
+// integer; each dump still gets files of its own.
+TEST(FlightRecorderTest, FractionalWindowEndsNameDistinctDumps) {
+  FlightTriggers triggers;
+  triggers.queue_depth = 0.0;
+  FlightRecorder recorder(triggers, Prefix("flight_frac_"), /*max_dumps=*/4);
+  std::vector<std::string> stems;
+  for (int i = 0; i < 4; ++i) {
+    WindowStats w;
+    w.start = 279.0 + 0.25 * i;
+    w.end = w.start + 0.25;
+    w.queue_depth_max = 1;
+    recorder.OnWindow(w);
+    EXPECT_EQ(recorder.LastError(), "");
+    stems.push_back(recorder.DumpStem());
+  }
+  EXPECT_EQ(stems[0], Prefix("flight_frac_t279.25-queue_depth"));
+  EXPECT_EQ(stems[1], Prefix("flight_frac_t279.5-queue_depth"));
+  EXPECT_EQ(stems[2], Prefix("flight_frac_t279.75-queue_depth"));
+  EXPECT_EQ(stems[3], Prefix("flight_frac_t280-queue_depth"));
+  for (const std::string& stem : stems) {
+    EXPECT_TRUE(Exists(stem + ".json")) << stem;
+    RemoveDump(stem);
+  }
 }
 
 TEST(FlightRecorderTest, DumpCarriesWindowTriggerMetricsAndTrace) {
   FlightTriggers triggers;
   triggers.queue_depth = 3.0;
-  FlightRecorder recorder(triggers, "unused-prefix-");
+  FlightRecorder recorder(triggers, Prefix("flight_dump_"));
 
   TraceSink sink;
   sink.Record(40.0, SpanEvent::kRequest, kMeasuredClientId, 7);   // Before.
   sink.Record(120.0, SpanEvent::kSlotPull, kNoClient, 7);         // Inside.
   sink.Record(121.0, SpanEvent::kDelivery, kMeasuredClientId, 7, 2.0);
   recorder.SetTraceSink(&sink);
-  recorder.SetSnapshot([] {
-    return std::string("{\"schema\":\"bdisk-metrics-v1\",\"counters\":{}}");
+  recorder.SetSnapshot([](MetricsRegistry* registry) {
+    registry->GetCounter("server.slots_total")->Set(42);
   });
 
   WindowStats w = QuietWindow(100.0);
   w.queue_depth_max = 8;
-  const std::string dump = recorder.BuildDump(w, "queue_depth", 3.0, 8.0);
+  recorder.OnWindow(w);
+  ASSERT_EQ(recorder.LastError(), "");
+  const std::string stem = recorder.DumpStem();
+  EXPECT_EQ(stem, Prefix("flight_dump_t200-queue_depth"));
 
-  JsonValue root;
-  std::string error;
-  ASSERT_TRUE(ParseJson(dump, &root, &error)) << error;
-  EXPECT_EQ(root.Find("schema")->string, "bdisk-flight-v1");
-  EXPECT_EQ(root.Find("trigger")->string, "queue_depth");
-  EXPECT_DOUBLE_EQ(root.Find("threshold")->number, 3.0);
-  EXPECT_DOUBLE_EQ(root.Find("value")->number, 8.0);
-  const JsonValue* window = root.Find("window");
-  ASSERT_NE(window, nullptr);
-  EXPECT_DOUBLE_EQ(window->Find("start")->number, 100.0);
-  EXPECT_DOUBLE_EQ(window->Find("queue_depth_max")->number, 8.0);
-  EXPECT_EQ(root.Find("metrics")->Find("schema")->string,
-            "bdisk-metrics-v1");
-  // Only the trailing window's trace records are dumped.
-  const JsonValue* trace = root.Find("trace");
-  ASSERT_NE(trace, nullptr);
-  ASSERT_EQ(trace->array.size(), 2U);
-  EXPECT_DOUBLE_EQ(trace->array[0].Find("t")->number, 120.0);
-  EXPECT_EQ(trace->array[1].Find("ev")->string, "delivery");
+  // The snapshot: the owner's metrics plus the trigger's gauges.
+  const JsonValue snapshot = ReadSnapshot(stem);
+  EXPECT_DOUBLE_EQ(Gauge(snapshot, "flight.fired_at"), 200.0);
+  EXPECT_DOUBLE_EQ(Gauge(snapshot, "flight.window_start"), 100.0);
+  EXPECT_DOUBLE_EQ(Gauge(snapshot, "flight.threshold"), 3.0);
+  EXPECT_DOUBLE_EQ(Gauge(snapshot, "flight.value"), 8.0);
+  EXPECT_DOUBLE_EQ(
+      snapshot.Find("counters")->Find("server.slots_total")->number, 42.0);
+
+  // The trace slice: only the trailing window's records, in the trace's
+  // own JSONL encoding.
+  const std::string slice = ReadFile(stem + ".jsonl");
+  EXPECT_EQ(slice, sink.ToJsonl(100.0));
+  std::vector<SpanRecord> records;
+  std::istringstream lines(slice);
+  for (std::string line; std::getline(lines, line);) {
+    SpanRecord r;
+    ASSERT_TRUE(ParseTraceJsonlLine(line, &r)) << line;
+    records.push_back(r);
+  }
+  ASSERT_EQ(records.size(), 2U);
+  EXPECT_DOUBLE_EQ(records[0].time, 120.0);
+  EXPECT_EQ(records[1].event, SpanEvent::kDelivery);
+  RemoveDump(stem);
 }
 
 TEST(FlightRecorderTest, DumpWithoutSourcesIsStillWellFormed) {
   FlightTriggers triggers;
   triggers.p99 = 1.0;
-  FlightRecorder recorder(triggers, "unused-prefix-");
-  const std::string dump = recorder.BuildDump(QuietWindow(0.0), "p99", 1.0,
-                                              2.0);
-  JsonValue root;
-  std::string error;
-  ASSERT_TRUE(ParseJson(dump, &root, &error)) << error;
-  EXPECT_EQ(root.Find("metrics")->kind, JsonValue::Kind::kNull);
-  EXPECT_TRUE(root.Find("trace")->array.empty());
+  FlightRecorder recorder(triggers, Prefix("flight_bare_"));
+  WindowStats w = QuietWindow(0.0);
+  w.response_p99 = 2.0;
+  recorder.OnWindow(w);
+  ASSERT_EQ(recorder.LastError(), "");
+  const std::string stem = recorder.DumpStem();
+  const JsonValue snapshot = ReadSnapshot(stem);
+  EXPECT_DOUBLE_EQ(Gauge(snapshot, "flight.value"), 2.0);
+  EXPECT_FALSE(Exists(stem + ".jsonl"));  // No trace attached.
+  RemoveDump(stem);
+}
+
+TEST(FlightRecorderTest, UnwritablePrefixReportsTheError) {
+  FlightTriggers triggers;
+  triggers.p99 = 1.0;
+  FlightRecorder recorder(triggers, Prefix("no_such_dir/flight_"));
+  WindowStats w = QuietWindow(0.0);
+  w.response_p99 = 2.0;
+  recorder.OnWindow(w);
+  EXPECT_EQ(recorder.FireCount(), 1U);
+  EXPECT_EQ(recorder.DumpStem(), "");
+  EXPECT_NE(recorder.LastError().find("cannot open"), std::string::npos);
 }
 
 // ------------------------------------------------------- full-system runs
@@ -262,7 +336,7 @@ TEST(FlightRecorderIntegrationTest, SaturatedRunFiresAndWritesDump) {
   WindowedCollector collector(/*window=*/50.0);
   FlightTriggers triggers;
   triggers.queue_depth = 1.0;
-  FlightRecorder recorder(triggers, "flight_recorder_test_");
+  FlightRecorder recorder(triggers, Prefix("flight_system_"));
   system.AttachMetrics(&registry);
   system.AttachTrace(&sink);
   system.AttachWindowedCollector(&collector);
@@ -271,22 +345,38 @@ TEST(FlightRecorderIntegrationTest, SaturatedRunFiresAndWritesDump) {
 
   ASSERT_TRUE(recorder.Fired());
   EXPECT_EQ(recorder.LastError(), "");
-  ASSERT_FALSE(recorder.DumpPath().empty());
+  const std::string stem = recorder.DumpStem();
+  ASSERT_FALSE(stem.empty());
 
-  std::ifstream file(recorder.DumpPath());
-  ASSERT_TRUE(file.good());
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  JsonValue root;
-  std::string error;
-  ASSERT_TRUE(ParseJson(buffer.str(), &root, &error)) << error;
-  EXPECT_EQ(root.Find("schema")->string, "bdisk-flight-v1");
-  EXPECT_EQ(root.Find("trigger")->string, "queue_depth");
-  // The dump embeds a live registry snapshot and a non-empty trace tail.
-  EXPECT_EQ(root.Find("metrics")->Find("schema")->string,
-            "bdisk-metrics-v1");
-  EXPECT_GT(root.Find("trace")->array.size(), 0U);
-  std::remove(recorder.DumpPath().c_str());
+  // The snapshot is the run's own bdisk-metrics-v1 document at the firing
+  // window: its window.* series end with that window, whose queue high
+  // water crossed the trigger.
+  const JsonValue snapshot = ReadSnapshot(stem);
+  const double fired_at = Gauge(snapshot, "flight.fired_at");
+  const double window_start = Gauge(snapshot, "flight.window_start");
+  EXPECT_DOUBLE_EQ(fired_at - window_start, 50.0);
+  EXPECT_GT(Gauge(snapshot, "flight.value"), 1.0);
+  const JsonValue* queue_max =
+      snapshot.Find("time_series")->Find("window.queue_max");
+  ASSERT_NE(queue_max, nullptr);
+  ASSERT_FALSE(queue_max->array.empty());
+  const JsonValue& last = queue_max->array.back();
+  EXPECT_DOUBLE_EQ(last.array[0].number, window_start);
+  EXPECT_DOUBLE_EQ(last.array[1].number, Gauge(snapshot, "flight.value"));
+
+  // The slice is a contiguous run of the run's own trace lines — one
+  // encoder — starting at the firing window.
+  const std::string slice = ReadFile(stem + ".jsonl");
+  ASSERT_FALSE(slice.empty());
+  const std::string whole = sink.ToJsonl();
+  const std::size_t at = whole.find(slice);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_TRUE(at == 0 || whole[at - 1] == '\n');
+  SpanRecord first;
+  ASSERT_TRUE(
+      ParseTraceJsonlLine(slice.substr(0, slice.find('\n')), &first));
+  EXPECT_GE(first.time, window_start);
+  RemoveDump(stem);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Virtual-client event fusion: the lazy-source drain must be invisible to
 // the simulated trajectory. These tests pin the kernel-level drain
-// semantics (timestamp-ordered merge, end-of-run barrier) and the
+// semantics (drain up to the clock, end-of-run barrier, one source) and the
 // system-level guarantee: one config run fused vs. unfused produces the
 // identical RunResult trajectory, with only the heap-event accounting
 // moved into the fused-arrival counters.
@@ -23,16 +23,12 @@ namespace bdisk {
 namespace {
 
 // A lazy source with a fixed arrival script; drained arrivals are appended
-// to a shared log so tests can check the global interleaving.
+// to a log so tests can check when they were drained.
 class ScriptedSource : public sim::LazySource {
  public:
   ScriptedSource(int id, std::vector<sim::SimTime> times,
                  std::vector<std::pair<int, sim::SimTime>>* log)
       : id_(id), times_(std::move(times)), log_(log) {}
-
-  sim::SimTime NextArrivalTime() const override {
-    return next_ < times_.size() ? times_[next_] : sim::kTimeNever;
-  }
 
   std::uint64_t CatchUp(sim::SimTime horizon) override {
     std::uint64_t processed = 0;
@@ -57,7 +53,7 @@ TEST(LazySourceTest, DrainStopsAtNow) {
   ScriptedSource source(0, {1.0, 2.0, 7.5}, &log);
   sim.RegisterLazySource(&source);
 
-  sim.ScheduleAt(5.0, [&sim] { sim.CatchUpLazySources(); });
+  sim.ScheduleAfter(5.0, [&sim] { sim.CatchUpLazySources(); });
   sim.RunUntil(5.0);
   // The mid-run barrier drained up to 5.0; RunUntil's final barrier does
   // not reach past the deadline.
@@ -72,20 +68,13 @@ TEST(LazySourceTest, DrainStopsAtNow) {
   EXPECT_EQ(sim.LazyArrivalsFused(), 3U);
 }
 
-TEST(LazySourceTest, MultipleSourcesDrainInGlobalTimestampOrder) {
+TEST(LazySourceDeathTest, RefusesASecondSource) {
   sim::Simulator sim;
   std::vector<std::pair<int, sim::SimTime>> log;
-  ScriptedSource a(0, {1.0, 4.0, 5.0, 9.0}, &log);
-  ScriptedSource b(1, {2.0, 3.0, 6.0}, &log);
+  ScriptedSource a(0, {1.0}, &log);
+  ScriptedSource b(1, {2.0}, &log);
   sim.RegisterLazySource(&a);
-  sim.RegisterLazySource(&b);
-
-  sim.RunUntil(10.0);  // Final barrier drains everything.
-  const std::vector<std::pair<int, sim::SimTime>> expected = {
-      {0, 1.0}, {1, 2.0}, {1, 3.0}, {0, 4.0}, {0, 5.0}, {1, 6.0}, {0, 9.0}};
-  EXPECT_EQ(log, expected);
-  EXPECT_EQ(sim.LazyArrivalsFused(), 7U);
-  EXPECT_EQ(sim.LazyDrains(), 1U);
+  EXPECT_DEATH(sim.RegisterLazySource(&b), "one lazy source");
 }
 
 TEST(LazySourceTest, UnregisteredSourceIsNotDrained) {

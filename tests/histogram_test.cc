@@ -124,16 +124,6 @@ TEST(HistogramTest, ResetPreservesShapeAndReusesBuffer) {
   EXPECT_EQ(h.Count(), 1U);
 }
 
-TEST(HistogramTest, AsciiRenderingMentionsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.Add(0.5);
-  h.Add(0.6);
-  h.Add(1.5);
-  const std::string art = h.ToAscii(10);
-  EXPECT_NE(art.find("##"), std::string::npos);
-  EXPECT_NE(art.find('\n'), std::string::npos);
-}
-
 TEST(HistogramDeathTest, RejectsEmptyRange) {
   EXPECT_DEATH(Histogram(5.0, 5.0, 3), "non-empty");
 }

@@ -29,6 +29,7 @@
 #include "obs/telemetry_bus.h"
 #include "obs/trace_sink.h"
 #include "obs/windowed_collector.h"
+#include "oracles.h"
 
 namespace bdisk {
 namespace {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles.h"
 #include "sim/simulator.h"
 
 namespace bdisk::client {
@@ -21,8 +22,8 @@ AccessPattern AlwaysPage(std::size_t db_size, PageId page) {
 
 TEST(MeasuredClientTest, PushOnlyWaitsForScheduledPage) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.0,
+                         10, sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 5.0;
@@ -40,8 +41,8 @@ TEST(MeasuredClientTest, PushOnlyWaitsForScheduledPage) {
 
 TEST(MeasuredClientTest, CacheHitCostsZeroAndCounts) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.0,
+                         10, sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 5.0;
@@ -62,7 +63,7 @@ TEST(MeasuredClientTest, PurePullResponseIsAboutTwoUnits) {
   // The paper's lightly loaded Pure-Pull floor: request at t, service in
   // slot [t+1, t+2), delivery at t+2.
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 4), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 4)), 1.0, 10,
                          sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;
@@ -81,8 +82,8 @@ TEST(MeasuredClientTest, PurePullResponseIsAboutTwoUnits) {
 
 TEST(MeasuredClientTest, ThresholdSuppressesNearbyPulls) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.5, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.5,
+                         10, sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 5.0;
@@ -98,8 +99,8 @@ TEST(MeasuredClientTest, ThresholdSuppressesNearbyPulls) {
 
 TEST(MeasuredClientTest, ZeroThresholdPullsDistantPage) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.5, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.5,
+                         10, sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 5.0;
@@ -112,7 +113,7 @@ TEST(MeasuredClientTest, ZeroThresholdPullsDistantPage) {
 TEST(MeasuredClientTest, SnoopsPagesPulledByOthers) {
   sim::Simulator sim;
   // Pure pull; MC has no way to get page 2 by push.
-  BroadcastServer server(&sim, BroadcastProgram({}, 4), 1.0, 1,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 4)), 1.0, 1,
                          sim::Rng(1));
   // Fill the queue with page 2 "from another client" BEFORE the MC asks;
   // the MC's own request coalesces, and the snooped response serves it.
@@ -133,7 +134,7 @@ TEST(MeasuredClientTest, SnoopsPagesPulledByOthers) {
 TEST(MeasuredClientTest, RetriesDroppedRequestForUnscheduledPage) {
   sim::Simulator sim;
   // Queue capacity 1, already full of page 3: MC's request is dropped.
-  BroadcastServer server(&sim, BroadcastProgram({0, 1}, 4), 0.5, 1,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1}, 4)), 0.5, 1,
                          sim::Rng(1));
   server.SubmitRequest(3);
   MeasuredClientOptions options;
@@ -154,8 +155,8 @@ TEST(MeasuredClientTest, RetriesDroppedRequestForUnscheduledPage) {
 
 TEST(MeasuredClientTest, WarmupTrackerWiredThroughCache) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.0,
+                         10, sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 1.0;
@@ -171,8 +172,8 @@ TEST(MeasuredClientTest, WarmupTrackerWiredThroughCache) {
 
 TEST(MeasuredClientTest, OnAccessCompleteCallbackFires) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.0,
+                         10, sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 5.0;
@@ -190,8 +191,8 @@ TEST(MeasuredClientTest, OnAccessCompleteCallbackFires) {
 TEST(MeasuredClientTest, PullWaitRatioLowWhenPullsAreFast) {
   // Pulls served in ~2 units against a 4-slot push gap: ratio well < 1.
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 1.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 1.0,
+                         10, sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 1;
   options.think_time = 5.0;
@@ -211,8 +212,8 @@ TEST(MeasuredClientTest, PullWaitRatioHighWhenRequestsDrop) {
   // A queue permanently jammed by an unserviceable competing load: the
   // MC's pulls drop and it always ends up waiting for the push.
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 8), 0.01, 1,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 8)), 0.01,
+                         1, sim::Rng(1));
   server.SubmitRequest(7);  // Fills the 1-slot queue; pull_bw=1% barely
                             // ever serves it, so MC requests drop.
   MeasuredClientOptions options;
@@ -234,8 +235,8 @@ TEST(MeasuredClientTest, PullWaitRatioHighWhenRequestsDrop) {
 
 TEST(MeasuredClientTest, SetThresPercTakesEffect) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.5, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.5,
+                         10, sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 5.0;
@@ -250,7 +251,7 @@ TEST(MeasuredClientTest, SetThresPercTakesEffect) {
 
 TEST(MeasuredClientDeathTest, PushOnlyCannotRequestUnscheduledPage) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1}, 4), 0.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1}, 4)), 0.0, 10,
                          sim::Rng(1));
   MeasuredClientOptions options;
   options.cache_size = 2;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "client/measured_client.h"
+#include "oracles.h"
 #include "server/broadcast_server.h"
 #include "sim/simulator.h"
 #include "sim/zipf.h"
@@ -37,7 +38,7 @@ std::unique_ptr<Fleet> MakeFleet(int n, double pull_bw,
   std::vector<broadcast::PageId> schedule;
   for (broadcast::PageId p = 0; p < 50; ++p) schedule.push_back(p);
   fleet->server = std::make_unique<BroadcastServer>(
-      &fleet->sim, BroadcastProgram(std::move(schedule), 50), pull_bw,
+      &fleet->sim, Share(BroadcastProgram(std::move(schedule), 50)), pull_bw,
       queue_capacity, sim::Rng(1));
 
   const AccessPattern base = AccessPattern::Zipf(50, 0.95);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles.h"
+
 namespace bdisk::workload {
 namespace {
 

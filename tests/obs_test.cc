@@ -12,6 +12,7 @@
 #include "obs/json.h"
 #include "obs/progress.h"
 #include "obs/trace_sink.h"
+#include "oracles.h"
 #include "server/broadcast_server.h"
 #include "sim/simulator.h"
 
@@ -37,10 +38,9 @@ TEST(JsonTest, WriterBuildsNestedDocument) {
   w.BeginArray();
   w.Value(1.5);
   w.Value(false);
-  w.Null();
   w.EndArray();
   w.EndObject();
-  EXPECT_EQ(w.str(), "{\"n\":3,\"xs\":[1.5,false,null]}");
+  EXPECT_EQ(w.str(), "{\"n\":3,\"xs\":[1.5,false]}");
 }
 
 TEST(JsonTest, NonFiniteDoublesBecomeNull) {
@@ -115,10 +115,6 @@ TEST(MetricsRegistryTest, ResolveOrCreateReturnsStablePointers) {
   Gauge* g = registry.GetGauge("a.gauge");
   g->Set(1.5);
   EXPECT_EQ(registry.GetGauge("a.gauge")->Value(), 1.5);
-
-  LatencyHistogram* h = registry.GetHistogram("a.hist", 0.0, 10.0, 10);
-  // Re-resolving ignores the (different) shape parameters.
-  EXPECT_EQ(registry.GetHistogram("a.hist", 0.0, 99.0, 3), h);
 }
 
 TEST(MetricsRegistryTest, LatencyHistogramPercentilesAndReset) {
@@ -157,7 +153,9 @@ TEST(MetricsRegistryTest, ToJsonCarriesEverySection) {
   registry.GetCounter("server.slots_total")->Set(42);
   registry.GetGauge("server.pull_bw")->Set(0.5);
   registry.GetStats("cache.evict_value")->Add(2.0);
-  registry.GetHistogram("client.response", 0.0, 10.0, 10)->Add(3.0);
+  LatencyHistogram response(0.0, 10.0, 10);
+  response.Add(3.0);
+  registry.ExportHistogram("client.response", response);
   registry.GetTimeSeries("server.queue_depth")->Add(1.0, 4.0);
 
   const std::string json = registry.ToJson();
@@ -184,9 +182,6 @@ TEST(TraceSinkTest, RingInvariantHoldsUnderOverflow) {
   EXPECT_EQ(sink.DroppedEvents(), 16U);
   EXPECT_EQ(sink.Events().front().page, 16U);
   EXPECT_EQ(sink.Events().back().page, 19U);
-  // Per-kind lifetime counts are exact even after overwrite.
-  EXPECT_EQ(sink.Count(SpanEvent::kRequest), 20U);
-  EXPECT_EQ(sink.Count(SpanEvent::kDelivery), 0U);
 }
 
 TEST(TraceSinkTest, JsonlUsesSignedSentinels) {
@@ -272,7 +267,8 @@ TEST(TraceSinkTest, EventNamesAreStable) {
 TEST(ServerTraceTest, SlotAndRequestEventsRecorded) {
   sim::Simulator sim;
   server::BroadcastServer server(
-      &sim, broadcast::BroadcastProgram({0, 1}, 4), 0.5, 1, sim::Rng(1));
+      &sim, Share(broadcast::BroadcastProgram({0, 1}, 4)), 0.5, 1,
+      sim::Rng(1));
   TraceSink sink;
   server.SetTraceSink(&sink);
 
@@ -281,18 +277,18 @@ TEST(ServerTraceTest, SlotAndRequestEventsRecorded) {
   server.SubmitRequest(2);  // Dropped (capacity 1).
   sim.RunUntil(10.0);
 
-  EXPECT_EQ(sink.Count(SpanEvent::kSubmitAccepted), 1U);
-  EXPECT_EQ(sink.Count(SpanEvent::kSubmitCoalesced), 1U);
-  EXPECT_EQ(sink.Count(SpanEvent::kSubmitDropped), 1U);
+  EXPECT_EQ(CountOf(sink, SpanEvent::kSubmitAccepted), 1U);
+  EXPECT_EQ(CountOf(sink, SpanEvent::kSubmitCoalesced), 1U);
+  EXPECT_EQ(CountOf(sink, SpanEvent::kSubmitDropped), 1U);
   // Slot decisions after attach: pushes plus exactly one pull (page 3).
-  EXPECT_EQ(sink.Count(SpanEvent::kSlotPull), 1U);
-  EXPECT_GT(sink.Count(SpanEvent::kSlotPush), 5U);
+  EXPECT_EQ(CountOf(sink, SpanEvent::kSlotPull), 1U);
+  EXPECT_GT(CountOf(sink, SpanEvent::kSlotPush), 5U);
 
   // The trace agrees with the server's own counters (minus the slot
   // chosen at construction, before the sink was attached).
-  EXPECT_EQ(sink.Count(SpanEvent::kSlotPush) +
-                sink.Count(SpanEvent::kSlotPull) +
-                sink.Count(SpanEvent::kSlotIdle) + 1,
+  EXPECT_EQ(CountOf(sink, SpanEvent::kSlotPush) +
+                CountOf(sink, SpanEvent::kSlotPull) +
+                CountOf(sink, SpanEvent::kSlotIdle) + 1,
             server.TotalSlots());
 }
 
@@ -407,11 +403,11 @@ TEST(SystemObservabilityTest, SnapshotAgreesWithComponentCounters) {
             result.response_stats.Count());
 
   // The trace contains the full request life cycle.
-  EXPECT_GT(sink.Count(SpanEvent::kRequest), 0U);
-  EXPECT_GT(sink.Count(SpanEvent::kCacheMiss), 0U);
-  EXPECT_GT(sink.Count(SpanEvent::kSubmitAccepted), 0U);
-  EXPECT_GT(sink.Count(SpanEvent::kSlotPush), 0U);
-  EXPECT_GT(sink.Count(SpanEvent::kDelivery), 0U);
+  EXPECT_GT(CountOf(sink, SpanEvent::kRequest), 0U);
+  EXPECT_GT(CountOf(sink, SpanEvent::kCacheMiss), 0U);
+  EXPECT_GT(CountOf(sink, SpanEvent::kSubmitAccepted), 0U);
+  EXPECT_GT(CountOf(sink, SpanEvent::kSlotPush), 0U);
+  EXPECT_GT(CountOf(sink, SpanEvent::kDelivery), 0U);
 }
 
 TEST(SystemObservabilityTest, QueueDepthHighWaterBoundsAndNonZero) {

@@ -149,11 +149,14 @@ TEST(MakePolicyDeathTest, PixRequiresProgram) {
   EXPECT_DEATH(MakePolicy(PolicyKind::kPix, probs, nullptr), "program");
 }
 
+// Each kind's policy names itself as the paper does.
 TEST(PolicyKindNameTest, AllNames) {
-  EXPECT_STREQ(PolicyKindName(PolicyKind::kPix), "PIX");
-  EXPECT_STREQ(PolicyKindName(PolicyKind::kP), "P");
-  EXPECT_STREQ(PolicyKindName(PolicyKind::kLru), "LRU");
-  EXPECT_STREQ(PolicyKindName(PolicyKind::kLfu), "LFU");
+  const std::vector<double> probs = {1.0};
+  const broadcast::BroadcastProgram program({0}, 1);
+  EXPECT_EQ(MakePolicy(PolicyKind::kPix, probs, &program)->Name(), "PIX");
+  EXPECT_EQ(MakePolicy(PolicyKind::kP, probs, &program)->Name(), "P");
+  EXPECT_EQ(MakePolicy(PolicyKind::kLru, probs, &program)->Name(), "LRU");
+  EXPECT_EQ(MakePolicy(PolicyKind::kLfu, probs, &program)->Name(), "LFU");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "client/measured_client.h"
 #include "core/system.h"
+#include "oracles.h"
 #include "sim/simulator.h"
 
 namespace bdisk {
@@ -16,8 +17,8 @@ using workload::AccessPattern;
 
 TEST(PrefetchTest, FillsColdCacheFromTheBroadcast) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.0,
+                         10, sim::Rng(1));
   client::MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 1000.0;  // Effectively idle: only prefetch acts.
@@ -35,8 +36,8 @@ TEST(PrefetchTest, PrefersHighPtPages) {
   // Flat disk, equal frequencies: p*t reduces to p, so the cache must
   // converge to the two hottest pages.
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 4), 0.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 4)), 0.0,
+                         10, sim::Rng(1));
   client::MeasuredClientOptions options;
   options.cache_size = 2;
   options.think_time = 1000.0;
@@ -55,8 +56,8 @@ TEST(PrefetchTest, AccountsForBroadcastFrequency) {
   // slightly colder but appears once per cycle (high t). With
   // probabilities 0.4 / 0.3, p*t favours page 2: 0.3*4 > 0.4*2.
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({0, 1, 0, 2}, 3), 0.0, 10,
-                         sim::Rng(1));
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 0, 2}, 3)), 0.0,
+                         10, sim::Rng(1));
   client::MeasuredClientOptions options;
   options.cache_size = 1;
   options.think_time = 1000.0;
@@ -122,7 +123,7 @@ TEST(PrefetchTest, DoesNotHurtSteadyStateResponse) {
 
 TEST(PrefetchDeathTest, RequiresAPushProgram) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 4), 1.0, 10,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 4)), 1.0, 10,
                          sim::Rng(1));
   client::MeasuredClientOptions options;
   options.cache_size = 2;

@@ -197,7 +197,10 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, CachePolicyProperty,
                                            cache::PolicyKind::kLru,
                                            cache::PolicyKind::kLfu),
                          [](const auto& param_info) {
-                           return cache::PolicyKindName(param_info.param);
+                           const broadcast::BroadcastProgram program({0}, 1);
+                           return cache::MakePolicy(param_info.param, {1.0},
+                                                    &program)
+                               ->Name();
                          });
 
 // ----------------------------------------------------------------------

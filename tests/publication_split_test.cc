@@ -7,9 +7,18 @@
 namespace bdisk::analysis {
 namespace {
 
+// The evaluation of publishing the `n` hottest pages, as the optimizer
+// reports it; the response bound picks the best split but leaves `all`
+// as it is.
+SplitEvaluation EvaluationAt(const std::vector<double>& probs,
+                             double request_rate, std::uint32_t n) {
+  return OptimizePublicationSplit(probs, request_rate, /*response_bound=*/1.0)
+      .all.at(n);
+}
+
 TEST(PublicationSplitTest, PublishNothingIsPurePull) {
   const auto probs = sim::ZipfPmf(100, 0.95);
-  const SplitEvaluation eval = EvaluateSplit(probs, 0.5, 0);
+  const SplitEvaluation eval = EvaluationAt(probs, 0.5, 0);
   EXPECT_DOUBLE_EQ(eval.on_demand_mass, 1.0);
   EXPECT_DOUBLE_EQ(eval.uplink_rate, 0.5);
   EXPECT_TRUE(eval.stable);
@@ -19,7 +28,7 @@ TEST(PublicationSplitTest, PublishNothingIsPurePull) {
 
 TEST(PublicationSplitTest, PublishEverythingIsPurePush) {
   const auto probs = sim::ZipfPmf(100, 0.95);
-  const SplitEvaluation eval = EvaluateSplit(probs, 0.5, 100);
+  const SplitEvaluation eval = EvaluationAt(probs, 0.5, 100);
   EXPECT_DOUBLE_EQ(eval.on_demand_mass, 0.0);
   EXPECT_DOUBLE_EQ(eval.uplink_rate, 0.0);
   // Flat 100-page cycle: 100/2 + 1.
@@ -30,7 +39,7 @@ TEST(PublicationSplitTest, UplinkRateDecreasesWithPublicationSize) {
   const auto probs = sim::ZipfPmf(100, 0.95);
   double prev = 2.0;
   for (const std::uint32_t n : {0U, 10U, 50U, 90U, 100U}) {
-    const SplitEvaluation eval = EvaluateSplit(probs, 1.5, n);
+    const SplitEvaluation eval = EvaluationAt(probs, 1.5, n);
     EXPECT_LT(eval.uplink_rate, prev) << n;
     prev = eval.uplink_rate;
   }
@@ -39,7 +48,7 @@ TEST(PublicationSplitTest, UplinkRateDecreasesWithPublicationSize) {
 TEST(PublicationSplitTest, InstabilityDetected) {
   const auto probs = sim::ZipfPmf(100, 0.95);
   // Request rate 2/slot with nothing published: lambda = 2 > 1.
-  const SplitEvaluation eval = EvaluateSplit(probs, 2.0, 0);
+  const SplitEvaluation eval = EvaluationAt(probs, 2.0, 0);
   EXPECT_FALSE(eval.stable);
 }
 
@@ -89,9 +98,8 @@ TEST(PublicationSplitTest, EvaluationsSweepWholeRange) {
 
 TEST(PublicationSplitDeathTest, RejectsBadInputs) {
   const auto probs = sim::ZipfPmf(10, 0.95);
-  EXPECT_DEATH(EvaluateSplit({}, 1.0, 0), "empty");
-  EXPECT_DEATH(EvaluateSplit(probs, -1.0, 0), "negative");
-  EXPECT_DEATH(EvaluateSplit(probs, 1.0, 11), "exceeds");
+  EXPECT_DEATH(OptimizePublicationSplit({}, 1.0, 1.0), "empty");
+  EXPECT_DEATH(OptimizePublicationSplit(probs, -1.0, 1.0), "negative");
   EXPECT_DEATH(OptimizePublicationSplit(probs, 1.0, 0.0), "positive");
 }
 

@@ -17,12 +17,15 @@ TEST(SimulatorTest, ClockStartsAtZero) {
   EXPECT_EQ(sim.EventsExecuted(), 0U);
 }
 
+// Now() is 0 until the first RunUntil, so ScheduleAfter(t) schedules at
+// absolute time t in the setups below.
+
 TEST(SimulatorTest, RunAdvancesClockToEventTimes) {
   Simulator sim;
   std::vector<double> observed;
-  sim.ScheduleAt(2.5, [&] { observed.push_back(sim.Now()); });
-  sim.ScheduleAt(1.0, [&] { observed.push_back(sim.Now()); });
-  sim.Run();
+  sim.ScheduleAfter(2.5, [&] { observed.push_back(sim.Now()); });
+  sim.ScheduleAfter(1.0, [&] { observed.push_back(sim.Now()); });
+  sim.RunUntil(2.5);
   EXPECT_EQ(observed, (std::vector<double>{1.0, 2.5}));
   EXPECT_EQ(sim.Now(), 2.5);
   EXPECT_EQ(sim.EventsExecuted(), 2U);
@@ -31,19 +34,19 @@ TEST(SimulatorTest, RunAdvancesClockToEventTimes) {
 TEST(SimulatorTest, ScheduleAfterIsRelative) {
   Simulator sim;
   double fired_at = -1.0;
-  sim.ScheduleAt(10.0, [&] {
+  sim.ScheduleAfter(10.0, [&] {
     sim.ScheduleAfter(5.0, [&] { fired_at = sim.Now(); });
   });
-  sim.Run();
+  sim.RunUntil(100.0);
   EXPECT_EQ(fired_at, 15.0);
 }
 
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;
-  sim.ScheduleAt(1.0, [&] { ++fired; });
-  sim.ScheduleAt(2.0, [&] { ++fired; });
-  sim.ScheduleAt(3.0, [&] { ++fired; });
+  sim.ScheduleAfter(1.0, [&] { ++fired; });
+  sim.ScheduleAfter(2.0, [&] { ++fired; });
+  sim.ScheduleAfter(3.0, [&] { ++fired; });
   sim.RunUntil(2.0);
   EXPECT_EQ(fired, 2);  // Events at exactly the deadline run.
   EXPECT_EQ(sim.Now(), 2.0);
@@ -59,16 +62,17 @@ TEST(SimulatorTest, RunUntilAdvancesClockToDeadlineWhenIdle) {
 TEST(SimulatorTest, StopFromInsideCallback) {
   Simulator sim;
   int fired = 0;
-  sim.ScheduleAt(1.0, [&] {
+  sim.ScheduleAfter(1.0, [&] {
     ++fired;
     sim.Stop();
   });
-  sim.ScheduleAt(2.0, [&] { ++fired; });
-  sim.Run();
+  sim.ScheduleAfter(2.0, [&] { ++fired; });
+  sim.RunUntil(10.0);
   EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.Now(), 1.0);  // The clock rests where Stop() was called.
   EXPECT_EQ(sim.PendingEvents(), 1U);
-  // Run can be resumed afterwards.
-  sim.Run();
+  // The run can be resumed afterwards.
+  sim.RunUntil(10.0);
   EXPECT_EQ(fired, 2);
 }
 
@@ -82,17 +86,18 @@ TEST(SimulatorTest, SelfReschedulingEventChain) {
     ++count;
     if (count < 100) sim.ScheduleAfter(1.0, [&tick] { tick(); });
   };
-  sim.ScheduleAt(0.0, [&tick] { tick(); });
-  sim.Run();
+  sim.ScheduleAfter(0.0, [&tick] { tick(); });
+  sim.RunUntil(99.0);
   EXPECT_EQ(count, 100);
   EXPECT_EQ(sim.Now(), 99.0);
+  EXPECT_EQ(sim.PendingEvents(), 0U);  // The chain ended on its own.
 }
 
 TEST(SimulatorTest, StepExecutesExactlyOne) {
   Simulator sim;
   int fired = 0;
-  sim.ScheduleAt(1.0, [&] { ++fired; });
-  sim.ScheduleAt(2.0, [&] { ++fired; });
+  sim.ScheduleAfter(1.0, [&] { ++fired; });
+  sim.ScheduleAfter(2.0, [&] { ++fired; });
   EXPECT_TRUE(sim.Step());
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.Step());
@@ -103,9 +108,9 @@ TEST(SimulatorTest, StepExecutesExactlyOne) {
 TEST(SimulatorTest, CancelledEventDoesNotRun) {
   Simulator sim;
   bool fired = false;
-  const EventId id = sim.ScheduleAt(1.0, [&] { fired = true; });
+  const EventId id = sim.ScheduleAfter(1.0, [&] { fired = true; });
   sim.Cancel(id);
-  sim.Run();
+  sim.RunUntil(10.0);
   EXPECT_FALSE(fired);
 }
 
@@ -130,16 +135,12 @@ TEST(SimulatorTest, SchedulePeriodicFiresEveryInterval) {
   EXPECT_EQ(sim.PendingEvents(), 1U);  // Still armed for t=8.
 }
 
-TEST(SimulatorTest, CancelPeriodicStopsTheTimer) {
+TEST(SimulatorDeathTest, RefusesASecondSlotClock) {
   Simulator sim;
-  PeriodicCounter counter(&sim);
-  const PeriodicId id = sim.SchedulePeriodic(2.0, &counter);
-  sim.RunUntil(5.0);
-  EXPECT_EQ(counter.fire_times.size(), 2U);
-  sim.CancelPeriodic(id);
-  EXPECT_EQ(sim.PendingEvents(), 0U);
-  sim.RunUntil(20.0);
-  EXPECT_EQ(counter.fire_times.size(), 2U);
+  PeriodicCounter first(&sim);
+  PeriodicCounter second(&sim);
+  sim.SchedulePeriodic(1.0, &first);
+  EXPECT_DEATH(sim.SchedulePeriodic(2.0, &second), "one periodic timer");
 }
 
 TEST(SimulatorTest, PeriodicInterleavesWithOneShotsDeterministically) {
@@ -153,8 +154,8 @@ TEST(SimulatorTest, PeriodicInterleavesWithOneShotsDeterministically) {
   // Periodic armed before the same-time one-shot: FIFO puts it first at
   // t=1; the one-shot scheduled later lands second.
   sim.SchedulePeriodic(1.0, &tagger);
-  sim.ScheduleAt(1.0, [&order] { order.push_back(1); });
-  sim.ScheduleAt(2.0, [&order] { order.push_back(2); });
+  sim.ScheduleAfter(1.0, [&order] { order.push_back(1); });
+  sim.ScheduleAfter(2.0, [&order] { order.push_back(2); });
   sim.RunUntil(2.0);
   // t=2: the one-shot was scheduled (seq drawn) before the periodic's
   // re-arm, so it precedes the second periodic fire.
@@ -242,7 +243,7 @@ TEST(SimulatorTest, BatchedSpanHonoursStopAndDeadline) {
   } stopper;
   stopper.sim = &sim;
   sim.SchedulePeriodic(1.0, &stopper);
-  sim.Run();
+  sim.RunUntil(100.0);
   EXPECT_EQ(stopper.fires, 3);
   EXPECT_EQ(sim.Now(), 3.0);
   // Resuming with a deadline mid-interval: the span must not overshoot.
@@ -251,35 +252,19 @@ TEST(SimulatorTest, BatchedSpanHonoursStopAndDeadline) {
   EXPECT_EQ(sim.Now(), 5.5);
 }
 
-TEST(SimulatorTest, BatchedSpanStopsWhenHandlerCancelsTheTimer) {
-  Simulator sim;
-  struct SelfCancel : EventHandler {
-    Simulator* sim;
-    PeriodicId id = 0;
-    int fires = 0;
-    void OnEvent() override {
-      if (++fires == 4) sim->CancelPeriodic(id);
-    }
-  } handler;
-  handler.sim = &sim;
-  handler.id = sim.SchedulePeriodic(1.0, &handler);
-  sim.RunUntil(100.0);
-  EXPECT_EQ(handler.fires, 4);
-  EXPECT_EQ(sim.PendingEvents(), 0U);
-}
-
 // A minimal Process subclass exercising the wakeup machinery.
 class CountingProcess : public Process {
  public:
   explicit CountingProcess(Simulator* s) : Process(s) {}
   void Go(SimTime delay) { ScheduleWakeup(delay); }
   void Abort() { CancelWakeup(); }
-  bool Pending() const { return WakeupPending(); }
   int wakeups = 0;
+  std::vector<SimTime> woke_at;
 
  protected:
   void OnWakeup() override {
     ++wakeups;
+    woke_at.push_back(Now());
     if (wakeups < 3) ScheduleWakeup(2.0);
   }
 };
@@ -288,11 +273,11 @@ TEST(ProcessTest, WakeupChainRuns) {
   Simulator sim;
   CountingProcess p(&sim);
   p.Go(1.0);
-  EXPECT_TRUE(p.Pending());
-  sim.Run();
+  EXPECT_EQ(sim.PendingEvents(), 1U);
+  sim.RunUntil(100.0);
   EXPECT_EQ(p.wakeups, 3);
-  EXPECT_EQ(sim.Now(), 5.0);  // 1 + 2 + 2.
-  EXPECT_FALSE(p.Pending());
+  EXPECT_EQ(p.woke_at, (std::vector<SimTime>{1.0, 3.0, 5.0}));  // 1 + 2 + 2.
+  EXPECT_EQ(sim.PendingEvents(), 0U);
 }
 
 TEST(ProcessTest, ReschedulingReplacesPendingWakeup) {
@@ -302,9 +287,9 @@ TEST(ProcessTest, ReschedulingReplacesPendingWakeup) {
   p.Go(1.0);  // Replaces the 10.0 wakeup.
   sim.RunUntil(2.0);
   EXPECT_EQ(p.wakeups, 1);  // The 1.0 wakeup fired; the 10.0 one never will.
-  sim.Run();
+  sim.RunUntil(100.0);
   EXPECT_EQ(p.wakeups, 3);  // Chain continues at 3.0 and 5.0 only.
-  EXPECT_EQ(sim.Now(), 5.0);
+  EXPECT_EQ(p.woke_at, (std::vector<SimTime>{1.0, 3.0, 5.0}));
 }
 
 TEST(ProcessTest, CancelWakeupPreventsFiring) {
@@ -312,7 +297,7 @@ TEST(ProcessTest, CancelWakeupPreventsFiring) {
   CountingProcess p(&sim);
   p.Go(1.0);
   p.Abort();
-  sim.Run();
+  sim.RunUntil(100.0);
   EXPECT_EQ(p.wakeups, 0);
 }
 

@@ -48,64 +48,6 @@ TEST(RunningStatsTest, NumericallyStableForShiftedData) {
   EXPECT_NEAR(s.Variance(), 1.0, 1e-6);
 }
 
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10.0;
-    all.Add(x);
-    (i < 37 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.Count(), all.Count());
-  EXPECT_NEAR(a.Mean(), all.Mean(), 1e-12);
-  EXPECT_NEAR(a.Variance(), all.Variance(), 1e-9);
-  EXPECT_EQ(a.Min(), all.Min());
-  EXPECT_EQ(a.Max(), all.Max());
-}
-
-TEST(RunningStatsTest, MergeOfSplitsEqualsWholeAtEverySplitPoint) {
-  // The parallel-merge identity must hold wherever the stream is cut,
-  // including the degenerate one-sided splits (0 and n).
-  std::vector<double> xs;
-  for (int i = 0; i < 50; ++i) xs.push_back(std::cos(i) * 100.0 + i);
-  RunningStats whole;
-  for (const double x : xs) whole.Add(x);
-
-  for (std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{25},
-                            std::size_t{49}, std::size_t{50}}) {
-    RunningStats a, b;
-    for (std::size_t i = 0; i < xs.size(); ++i) (i < split ? a : b).Add(xs[i]);
-    a.Merge(b);
-    EXPECT_EQ(a.Count(), whole.Count()) << "split=" << split;
-    EXPECT_NEAR(a.Mean(), whole.Mean(), 1e-9) << "split=" << split;
-    EXPECT_NEAR(a.Variance(), whole.Variance(), 1e-6) << "split=" << split;
-    EXPECT_EQ(a.Min(), whole.Min()) << "split=" << split;
-    EXPECT_EQ(a.Max(), whole.Max()) << "split=" << split;
-  }
-}
-
-TEST(RunningStatsTest, MergeBothEmptyStaysEmpty) {
-  RunningStats a, b;
-  a.Merge(b);
-  EXPECT_EQ(a.Count(), 0U);
-  EXPECT_EQ(a.Mean(), 0.0);
-  EXPECT_EQ(a.Variance(), 0.0);
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.Add(1.0);
-  a.Add(3.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.Count(), 2U);
-  EXPECT_EQ(a.Mean(), 2.0);
-
-  RunningStats b;
-  b.Merge(a);
-  EXPECT_EQ(b.Count(), 2U);
-  EXPECT_EQ(b.Mean(), 2.0);
-}
-
 TEST(RunningStatsTest, ResetClears) {
   RunningStats s;
   s.Add(1.0);

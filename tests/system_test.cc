@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analytic.h"
 #include "cache/value_functions.h"
-#include "core/analytic.h"
 
 namespace bdisk::core {
 namespace {

@@ -24,6 +24,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/windowed_collector.h"
+#include "oracles.h"
 
 namespace bdisk::obs {
 namespace {

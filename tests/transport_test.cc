@@ -44,6 +44,7 @@
 #include "core/server_stack.h"
 #include "core/system.h"
 #include "obs/trace_sink.h"
+#include "oracles.h"
 #include "server/broadcast_server.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -345,7 +346,7 @@ class DatagramTransportTest : public ::testing::Test {
 
 TEST_F(DatagramTransportTest, BindRejectsOversizedSocketPath) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   DatagramServerOptions options = server_options_;
@@ -365,7 +366,7 @@ TEST_F(DatagramTransportTest, ConnectRejectsBadClientIdUpFront) {
 
 TEST_F(DatagramTransportTest, LoopbackHandshakePullAndSlotFanOut) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -405,7 +406,7 @@ TEST_F(DatagramTransportTest, LoopbackHandshakePullAndSlotFanOut) {
 
 TEST_F(DatagramTransportTest, HeartbeatDeadlineEvictsSilentPeers) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   server_options_.heartbeat_deadline = 5.0;
@@ -440,7 +441,7 @@ TEST_F(DatagramTransportTest, HeartbeatDeadlineEvictsSilentPeers) {
 
 TEST_F(DatagramTransportTest, CrashReconnectKeepsCountersAndResetsEpoch) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -486,7 +487,7 @@ TEST_F(DatagramTransportTest, CrashReconnectKeepsCountersAndResetsEpoch) {
 
 TEST_F(DatagramTransportTest, ByeReturnsStatsThatReconcileExactly) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -525,7 +526,7 @@ TEST_F(DatagramTransportTest, ByeReturnsStatsThatReconcileExactly) {
 
 TEST_F(DatagramTransportTest, MaxPeersCapRefusesExtraHellosWithFinFull) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   server_options_.max_peers = 1;
@@ -555,7 +556,7 @@ TEST_F(DatagramTransportTest, MaxPeersCapRefusesExtraHellosWithFinFull) {
 
 TEST_F(DatagramTransportTest, ShutdownSendsFinAndUnlinksTheSocket) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -580,7 +581,7 @@ TEST_F(DatagramTransportTest, ShutdownSendsFinAndUnlinksTheSocket) {
 
 TEST_F(DatagramTransportTest, CounterSamplesMirrorSnapshotKeys) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -608,7 +609,7 @@ TEST_F(DatagramTransportTest, PullsPastTheDatabaseAreRefusedAndCounted) {
   // 4000000000 is far past it; before the refusal, the first went on to
   // index the mask and the second crashed the server.
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 1000), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 1000)), 1.0, 16,
                          sim::Rng(1));
   server_options_.db_size = 1000;
   DatagramServerTransport transport;
@@ -648,7 +649,7 @@ TEST_F(DatagramTransportTest, PullsPastTheDatabaseAreRefusedAndCounted) {
 
 TEST_F(DatagramTransportTest, StrangersCannotSpeakForAConnectedPeer) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   server_options_.heartbeat_deadline = 5.0;
@@ -703,7 +704,7 @@ TEST_F(DatagramTransportTest, StrangersCannotSpeakForAConnectedPeer) {
 
 TEST_F(DatagramTransportTest, DuplicateHelloHandsOverAFreshPipe) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -742,7 +743,7 @@ TEST_F(DatagramTransportTest, DuplicateHelloHandsOverAFreshPipe) {
 
 TEST_F(DatagramTransportTest, StalledReaderAbsorbsPastQlenAndStarvesNoOne) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -797,7 +798,7 @@ TEST_F(DatagramTransportTest, StalledReaderAbsorbsPastQlenAndStarvesNoOne) {
 
 TEST_F(DatagramTransportTest, EarlyEpochSlotsWaitOnThePipe) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -830,7 +831,7 @@ TEST_F(DatagramTransportTest, EarlyEpochSlotsWaitOnThePipe) {
 
 TEST_F(DatagramTransportTest, ReHelloEndsTheOldPipeAfterItsLastSlot) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -870,7 +871,7 @@ TEST_F(DatagramTransportTest, ReHelloEndsTheOldPipeAfterItsLastSlot) {
 
 TEST_F(DatagramTransportTest, StrayBeforeWelcomeIsRefusedByTheKernel) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -912,7 +913,7 @@ TEST_F(DatagramTransportTest, StrayBeforeWelcomeIsRefusedByTheKernel) {
 
 TEST_F(DatagramTransportTest, StrangersAtTheReplySocketAreRefusedByTheKernel) {
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   std::string error;
@@ -956,7 +957,7 @@ TEST_F(DatagramTransportTest, AnySpellingOfTheServingPathConnects) {
   // Each spelling reaches the same socket, so each must get its WELCOME.
   const ScopedChdir cwd(dir_);
   sim::Simulator sim;
-  BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+  BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                          sim::Rng(1));
   DatagramServerTransport transport;
   server_options_.socket_path = "serve.sock";
@@ -989,7 +990,7 @@ TEST_F(DatagramTransportTest, DownlinkPipesNeverOutliveTheirPeers) {
   const std::size_t before = OpenFdCount();
   {
     sim::Simulator sim;
-    BroadcastServer server(&sim, BroadcastProgram({}, 8), 1.0, 16,
+    BroadcastServer server(&sim, Share(BroadcastProgram({}, 8)), 1.0, 16,
                            sim::Rng(1));
     DatagramServerTransport transport;
     server_options_.heartbeat_deadline = 5.0;

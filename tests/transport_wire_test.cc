@@ -175,6 +175,60 @@ TEST(WireParseTest, RejectsBadNumbersAndKinds) {
   EXPECT_FALSE(ParseMessage("bdw1 STATS 1 2 3 4 5 6 x", &msg, nullptr));
 }
 
+// The parser accepts only the bytes the formatters write, so Format∘Parse
+// is the identity: each spelling below parses, under a lax reading, to a
+// value the formatters would spell otherwise, and each refusal names its
+// reason.
+TEST(WireParseTest, RefusesSpellingsTheFormattersNeverWrite) {
+  const struct {
+    const char* bytes;
+    const char* error;
+  } kCases[] = {
+      {"bdw1 PULL mc 007", "bad page: leading zero"},
+      {"bdw1 PULL mc 00", "bad page: leading zero"},
+      {"bdw1 WELCOME 1000 01600 200", "bad WELCOME fields: leading zero"},
+      {"bdw1 SLOT 07 13 P 8", "bad slot seq: leading zero"},
+      {"bdw1 SLOT 7 013 P 8", "bad page: leading zero"},
+      {"bdw1 SLOT 7 4294967295 I 8", "bad page: no page is written as -"},
+      {"bdw1 STATS 1 2 3 4 5 6 07", "bad STATS fields: leading zero"},
+      {"bdw1 SLOT 81234 17 P 81234.",
+       "bad slot time: not as the formatter writes it"},
+      {"bdw1 SLOT 9 3 Q .9", "bad slot time: not as the formatter writes it"},
+      {"bdw1 SLOT 9 3 Q 0x1p3",
+       "bad slot time: not as the formatter writes it"},
+      {"bdw1 SLOT 9 3 Q \t9", "bad slot time: not as the formatter writes it"},
+      {"bdw1 SLOT 9 3 Q 09", "bad slot time: not as the formatter writes it"},
+      {"bdw1 SLOT 9 3 Q +9", "bad slot time: not as the formatter writes it"},
+      {"bdw1 SLOT 9 3 Q 9.0", "bad slot time: not as the formatter writes it"},
+      {"bdw1 SLOT 9 3 Q 0.1", "bad slot time: not as the formatter writes it"},
+      {"bdw1 SLOT 9 3 Q nan", "bad slot time: not finite"},
+      {"bdw1 SLOT 9 3 Q 1e999", "bad slot time: not finite"},
+      {"bdw1 SLOT 9 3 Q -inf", "bad slot time: not finite"},
+  };
+  for (const auto& c : kCases) {
+    Message msg;
+    std::string error;
+    EXPECT_FALSE(ParseMessage(c.bytes, &msg, &error)) << c.bytes;
+    EXPECT_EQ(error, c.error) << c.bytes;
+  }
+  // The formatters' own spellings of the same values still parse.
+  for (const char* bytes :
+       {"bdw1 PULL mc 0", "bdw1 PULL mc 4294967295", "bdw1 SLOT 0 - I 0",
+        "bdw1 SLOT 9 3 Q 0.10000000000000001", "bdw1 SLOT 9 3 Q -0",
+        "bdw1 SLOT 9 3 Q 1.0000000000000001e+300"}) {
+    Message msg;
+    std::string error;
+    ASSERT_TRUE(ParseMessage(bytes, &msg, &error)) << bytes << ": " << error;
+    std::string out;
+    if (msg.type == MsgType::kPull) {
+      FormatPull(msg.client_id, msg.page, &out);
+    } else {
+      FormatSlot(msg.seq, msg.page, msg.kind, msg.sim_time, &out);
+    }
+    EXPECT_EQ(out, bytes);
+  }
+}
+
 TEST(WireParseTest, RejectsBadClientIds) {
   Message msg;
   EXPECT_FALSE(ValidClientId(""));

@@ -323,9 +323,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "flight recorder fired but dump failed: %s\n",
                      recorder->LastError().c_str());
       } else {
-        std::fprintf(stderr, "flight recorder fired %llu time(s), last: %s\n",
+        std::fprintf(stderr,
+                     "flight recorder fired %llu time(s), last: %s.json "
+                     "and .jsonl\n",
                      static_cast<unsigned long long>(recorder->FireCount()),
-                     recorder->DumpPath().c_str());
+                     recorder->DumpStem().c_str());
       }
     }
     if (bus && bus->FramesDropped() > 0) {
