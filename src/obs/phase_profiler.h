@@ -59,15 +59,25 @@ struct RequestSpan;
 /// schedules no events, and touches only its own memory.
 ///
 /// Cost model. An *untimed* Enter/Exit pair — the overwhelmingly common
-/// case — is a call-counter increment and the sampling test: no
+/// case — is a call-counter increment and a countdown decrement: no
 /// timestamp, no stack frame, no state to unwind, a nanosecond or two.
 /// Timestamps (rdtsc on x86-64, steady_clock elsewhere) and frame
 /// bookkeeping are reserved for *sampled* frames: a frame is timed when
-/// its phase's deterministic stride hits ((calls & mask) == 0) or when it
-/// sits inside a timed frame's subtree (tracked by a force counter) — so
-/// a sampled window captures its complete subtree and self-times are
-/// exact within it. Per-phase totals are scaled back up by
-/// calls/timed_calls at export. The root `run` frame is always timed but
+/// its phase's sampling countdown runs out or when it sits inside a timed
+/// frame's subtree (tracked by a force counter) — so a sampled window
+/// captures its complete subtree and self-times are exact within it.
+/// Per-phase totals are scaled back up by calls/timed_calls at export.
+///
+/// Sampling schedule. Each phase has a mean stride; a countdown that runs
+/// out is re-armed with a draw, uniform on [1, 2·stride − 1], from a
+/// generator private to the profiler (a fixed-seed splitmix64 — no
+/// simulation stream is touched). A fixed power-of-two stride would
+/// alias with the model's own periodic work: the server samples metrics
+/// every 256 slots and the windowed collector closes a window every
+/// obs_window slots, so a `(calls & mask) == 0` test lands on those slow
+/// slots at a fixed rate and scales them up by the stride. With a random
+/// stride every call is sampled with the same long-run probability
+/// 1/stride, whatever its position in a period. The root `run` frame is always timed but
 /// does not force its children, otherwise everything would be. Because
 /// untimed frames keep no stack, call paths (folded stacks) name the
 /// chain of *timed* ancestors; inside a forced subtree that is the full
@@ -111,11 +121,14 @@ class PhaseProfiler {
   /// Enters a phase frame and reports whether it is timed. The caller
   /// (PhaseScope) calls ExitTimed() iff this returned true — an untimed
   /// frame has no state to unwind. Untimed path: one counter increment
-  /// and the sampling test.
+  /// and a countdown decrement. Forced frames leave the countdown alone.
   bool Enter(Phase ph) {
     PhaseStats& s = stats_[static_cast<std::size_t>(ph)];
     ++s.calls;
-    if (force_depth_ == 0 && (s.calls & s.sample_mask) != 0) return false;
+    if (force_depth_ == 0) {
+      if (--s.countdown != 0) return false;
+      s.countdown = NextCountdown(s.stride_span);
+    }
     return EnterTimed(ph);
   }
 
@@ -241,7 +254,8 @@ class PhaseProfiler {
     std::uint64_t total_ticks = 0;  // Instrumentation-compensated.
     std::uint64_t self_ticks = 0;   // Likewise.
     std::uint64_t desc_frames = 0;  // Timed frames closed in my windows.
-    std::uint64_t sample_mask = 0;  // Timed when (calls & mask) == 0.
+    std::uint64_t countdown = 1;    // Unforced calls until the next sample.
+    std::uint64_t stride_span = 1;  // 2·stride − 1: countdown draw range.
   };
 
   // A timed frame. Untimed frames never materialize — Enter just bumps
@@ -277,6 +291,21 @@ class PhaseProfiler {
 #endif
   }
 
+  /// Next sampling countdown, uniform on [1, span]: splitmix64 on the
+  /// profiler's own state, scaled by a multiply-shift. Runs only on
+  /// sampled calls, which take two tick reads anyway.
+  std::uint64_t NextCountdown(std::uint64_t span) {
+    std::uint64_t z = (sample_state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    return 1 + static_cast<std::uint64_t>(
+                   (static_cast<__uint128_t>(z) * span) >> 64);
+  }
+
+  /// Sets every phase's mean stride and draws its first countdown.
+  void ArmSampling();
+
   /// Slow half of Enter: pushes a timed frame, measuring its own prologue
   /// with a bracket read so the enclosing window can be compensated.
   /// Returns false (frame degrades to untimed) when the timed stack is
@@ -308,6 +337,7 @@ class PhaseProfiler {
   std::array<Frame, kMaxDepth> frames_{};  // Timed frames only.
   int tdepth_ = 0;       // Open timed frames (frames_ occupancy).
   int force_depth_ = 0;  // Open timed non-run frames: >0 forces timing.
+  std::uint64_t sample_state_ = 0x2545f4914f6cdd1dULL;  // Countdown draws.
   std::uint64_t depth_overflow_ = 0;
   std::uint64_t tick_read_ticks_ = 0;      // Cost of one ReadTicks call.
   std::uint64_t frame_residual_ticks_ = 0;  // Unbracketed per-frame cost.

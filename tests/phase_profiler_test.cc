@@ -2,6 +2,9 @@
 // depth overflow), ops attribution, the scaled exports, and the prof.*
 // metrics / folded / Chrome-trace serializations.
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,38 +27,104 @@ void ExitFrame(PhaseProfiler& profiler, bool timed) {
 
 TEST(PhaseProfilerTest, CountsEveryCallButTimesOnlySampled) {
   PhaseProfiler profiler;
-  // server.slot samples 1-in-128 ((calls & 127) == 0): of 256 top-level
-  // calls, exactly the 128th and 256th are timed.
-  for (int i = 0; i < 256; ++i) {
-    ExitFrame(profiler, profiler.Enter(Phase::kServerSlot));
+  // server.slot samples with a mean stride of 128: each sampled call
+  // re-arms a countdown uniform on [1, 255], so of 128,000 top-level calls
+  // about 1,000 are timed and no two timed calls are more than 255 apart.
+  constexpr int kCalls = 128 * 1000;
+  int since_timed = 0;
+  int longest_gap = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    const bool timed = profiler.Enter(Phase::kServerSlot);
+    ++since_timed;
+    if (timed) {
+      longest_gap = std::max(longest_gap, since_timed);
+      since_timed = 0;
+    }
+    ExitFrame(profiler, timed);
   }
-  EXPECT_EQ(profiler.Calls(Phase::kServerSlot), 256U);
-  EXPECT_EQ(profiler.TimedCalls(Phase::kServerSlot), 2U);
+  EXPECT_EQ(profiler.Calls(Phase::kServerSlot),
+            static_cast<std::uint64_t>(kCalls));
+  EXPECT_GT(profiler.TimedCalls(Phase::kServerSlot), 900U);
+  EXPECT_LT(profiler.TimedCalls(Phase::kServerSlot), 1100U);
+  EXPECT_LE(longest_gap, 255);
   EXPECT_EQ(profiler.OpenDepth(), 0);
 }
 
 TEST(PhaseProfilerTest, TimedParentForcesChildrenButRunDoesNot) {
   PhaseProfiler profiler;
   // run is always timed but must not force its children (it would defeat
-  // sampling for the whole run).
+  // sampling for the whole run): under it server.slot keeps sampling.
   const bool run = profiler.Enter(Phase::kRun);
   EXPECT_TRUE(run);
-  ExitFrame(profiler, profiler.Enter(Phase::kServerSlot));  // (1&127)!=0.
+  for (int i = 0; i < 1280; ++i) {
+    ExitFrame(profiler, profiler.Enter(Phase::kServerSlot));
+  }
   ExitFrame(profiler, run);
   EXPECT_EQ(profiler.TimedCalls(Phase::kRun), 1U);
-  EXPECT_EQ(profiler.TimedCalls(Phase::kServerSlot), 0U);
+  EXPECT_LT(profiler.TimedCalls(Phase::kServerSlot), 30U);
 
   // A timed non-run parent forces every child, so its subtree is
-  // complete. server.queue's own stride (1-in-256) never fires in 128
-  // calls, so its one timed call can only come from forcing.
-  for (int i = 0; i < 128; ++i) {
-    const bool span = profiler.Enter(Phase::kKernelSpan);  // 128th timed.
+  // complete: every timed span times its server.queue child, and a
+  // forced child leaves its own countdown alone.
+  int spans_timed = 0;
+  for (int i = 0; i < 1280; ++i) {
+    const bool span = profiler.Enter(Phase::kKernelSpan);
     const bool queue = profiler.Enter(Phase::kServerQueue);
+    if (span) {
+      EXPECT_TRUE(queue) << "call " << i;
+      ++spans_timed;
+    }
     ExitFrame(profiler, queue);
     ExitFrame(profiler, span);
   }
-  EXPECT_EQ(profiler.TimedCalls(Phase::kKernelSpan), 1U);
-  EXPECT_EQ(profiler.TimedCalls(Phase::kServerQueue), 1U);
+  EXPECT_GT(spans_timed, 0);
+  EXPECT_EQ(profiler.TimedCalls(Phase::kKernelSpan),
+            static_cast<std::uint64_t>(spans_timed));
+  EXPECT_GE(profiler.TimedCalls(Phase::kServerQueue),
+            static_cast<std::uint64_t>(spans_timed));
+}
+
+TEST(PhaseProfilerTest, PeriodicCostlyCallsDoNotAliasTheSampling) {
+  // Every 128th server.mux call spins for 20 us and the rest are empty —
+  // the shape of a slot loop whose metrics sample or window close lands
+  // on every 128th slot. A fixed stride of 128 times every costly call
+  // and none of the others, and scales each up 128-fold; the randomized
+  // countdown samples every call position alike, so about one timed call
+  // in 128 is costly and the estimate stays near the costly calls' own
+  // time. A preemption inside a sampled frame is scaled up by the stride
+  // too, so the best of three trials is judged.
+  constexpr int kPeriod = 128;
+  constexpr int kCalls = kPeriod * 4096;
+  const auto spin = std::chrono::microseconds(20);
+  double best_ratio = 0.0;
+  for (int trial = 0; trial < 3; ++trial) {
+    PhaseProfiler profiler;
+    double costly_ns = 0.0;
+    std::uint64_t timed_costly = 0;
+    for (int i = 1; i <= kCalls; ++i) {
+      const bool timed = profiler.Enter(Phase::kServerMux);
+      if (i % kPeriod == 0) {
+        timed_costly += timed ? 1 : 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        auto t1 = t0;
+        while (t1 - t0 < spin) t1 = std::chrono::steady_clock::now();
+        costly_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+      }
+      ExitFrame(profiler, timed);
+    }
+    // Expected 4096 / 128 = 32 timed costly calls; a fixed stride times
+    // all 4096.
+    EXPECT_GT(timed_costly, 8U);
+    EXPECT_LT(timed_costly, 128U);
+    profiler.Finalize();
+    const double ratio = profiler.EstTotalNs(Phase::kServerMux) / costly_ns;
+    if (trial == 0 || std::abs(std::log(ratio)) <
+                          std::abs(std::log(best_ratio))) {
+      best_ratio = ratio;
+    }
+  }
+  EXPECT_GT(best_ratio, 0.5);
+  EXPECT_LT(best_ratio, 2.0);
 }
 
 TEST(PhaseProfilerTest, OpsAccumulateOnTheOwningScope) {
@@ -130,8 +199,9 @@ TEST(PhaseProfilerTest, MergeIntoPublishesProfMetrics) {
 TEST(PhaseProfilerTest, FoldedStacksCarryFullPaths) {
   PhaseProfiler profiler;
   const bool run = profiler.Enter(Phase::kRun);
-  for (int i = 0; i < 128; ++i) {
-    const bool span = profiler.Enter(Phase::kKernelSpan);  // 128th timed.
+  // No countdown exceeds 255 calls, so at least one span is timed.
+  for (int i = 0; i < 256; ++i) {
+    const bool span = profiler.Enter(Phase::kKernelSpan);
     const bool slot = profiler.Enter(Phase::kServerSlot);  // Forced then.
     ExitFrame(profiler, slot);
     ExitFrame(profiler, span);
