@@ -1,5 +1,6 @@
 #include "client/virtual_client.h"
 
+#include <algorithm>
 #include <span>
 
 #include "sim/check.h"
@@ -21,6 +22,10 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
       warm_cached_(pattern.DbSize(), false),
       ideal_warm_(pattern.DbSize(), false),
       rng_(rng),
+      draws_coin_(options.steady_state_perc > 0.0 &&
+                  options.steady_state_perc < 1.0),
+      fixed_steady_(options.steady_state_perc >= 1.0 ? ~std::uint64_t{0}
+                                                     : 0),
       snapshot_(server->program()) {
   batch_.at[kArrivalBatch] = sim::kTimeNever;
   BDISK_CHECK_MSG(think_mean_ > 0.0, "think time mean must be positive");
@@ -73,23 +78,49 @@ void VirtualClient::OnInvalidate(PageId page, sim::SimTime /*now*/) {
   warm_cached_[page] = false;
 }
 
+template <bool kCoin>
+void VirtualClient::DrawArrivals() {
+  // Pass 1: the whole batch's 64-bit words back to back, per arrival in
+  // the oracle's draw order: bucket (NextBounded), accept (NextDouble),
+  // steady coin (NextBernoulli, only when it draws), think (NextDouble).
+  constexpr std::uint32_t kWords = kCoin ? 4 : 3;
+  constexpr std::uint32_t kBlock = kWords * kArrivalBatch;
+  std::uint64_t* const words = words_.data();
+  sim::Rng local = rng_;
+  for (std::uint32_t j = 0; j < kBlock; ++j) words[j] = local.Next();
+  // Pass 2: map the words with no data-dependent branch. The think
+  // uniform's -u lands in at[i + 1] until the log1p pass.
+  const sim::AliasSampler& sampler = generator_.sampler();
+  const double steady_perc = options_.steady_state_perc;
+  std::uint64_t steady = kCoin ? 0 : fixed_steady_;
+  for (std::uint32_t i = 0; i < kArrivalBatch; ++i) {
+    std::uint64_t* const w = words + kWords * i;
+    while (sampler.Rejects(w[0])) [[unlikely]] {
+      // NextBounded draws the bucket again from the next word of the
+      // same stream: every later word moves down one place and the
+      // block's last word comes from the generator.
+      std::copy(w + 1, words + kBlock, w);
+      words[kBlock - 1] = local.Next();
+    }
+    batch_.page[i] = static_cast<PageId>(sampler.SampleFromWords(w[0], w[1]));
+    if constexpr (kCoin) {
+      steady |= std::uint64_t{sim::Rng::UnitDouble(w[2]) < steady_perc} << i;
+    }
+    batch_.at[i + 1] = -sim::Rng::UnitDouble(w[kWords - 1]);
+  }
+  rng_ = local;
+  batch_.steady = steady;
+}
+
 void VirtualClient::RefillArrivals() {
   obs::PhaseScope prof(simulator_->phase_profiler(), obs::Phase::kVcDraw);
   // The next batch starts at the arrival the last one ended on.
   batch_.at[0] = batch_.at[kArrivalBatch];
-  // Per arrival the oracle's draw order: page, steady coin, then the
-  // think uniform, whose -u lands in at[i + 1] until the log1p pass.
-  // NextBernoulli draws no uniform when SteadyStatePerc is 0 or 1.
-  sim::Rng local = rng_;
-  const double steady_perc = options_.steady_state_perc;
-  std::uint64_t steady = 0;
-  for (std::uint32_t i = 0; i < kArrivalBatch; ++i) {
-    batch_.page[i] = generator_.Next(local);
-    steady |= std::uint64_t{local.NextBernoulli(steady_perc)} << i;
-    batch_.at[i + 1] = -local.NextDouble();
+  if (draws_coin_) {
+    DrawArrivals<true>();
+  } else {
+    DrawArrivals<false>();
   }
-  rng_ = local;
-  batch_.steady = steady;
   const std::span<double> thinks(batch_.at.data() + 1, kArrivalBatch);
   sim::Log1pInPlace(thinks);
   // Rng::NextExponential's arithmetic, one rounding per step.
@@ -107,7 +138,7 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   if (batch_.at[cursor_] > horizon) return 0;
   // The VC arrival hot path (ROADMAP): one frame per non-empty drain,
   // arrivals as ops — never a per-arrival timestamp. Inclusive of the
-  // refills (vc.draw) it runs.
+  // refills (vc.draw) and the submit flushes (server.queue) it runs.
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
   // Barrier-frozen snapshot: the cursor cannot move during a drain (it
@@ -119,11 +150,27 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   const broadcast::CycleSpanTable* table = span_table_.get();
   const std::uint8_t* ideal = ideal_warm_.data();
   std::uint8_t* warm = warm_cached_.data();
+  // Submit buffer: every arrival writes its (page, time), and the count
+  // advances only for a submit (miss & pull), so the classify loop has no
+  // submit branch; 38% of arrivals submit at both of the benchmark's
+  // loads, too many to predict. The buffer is flushed before each refill
+  // (so it never holds more than one batch) and at the end, so submits
+  // reach the server in arrival order, each with its own timestamp.
+  // Deferring them is safe: SubmitRequestsAt never re-enters the VC (it
+  // does not drain lazy sources) and reads nothing this loop writes.
+  PageId* const submit_page = submit_page_.data();
+  sim::SimTime* const submit_at = submit_at_.data();
+  std::uint32_t submits = 0;
+  const auto flush = [&] {
+    if (submits == 0) return;
+    server_->SubmitRequestsAt(submit_page, submit_at, submits,
+                              obs::kVirtualClientId);
+    submitted_ += submits;
+    submits = 0;
+  };
   // Classify pass over the pre-drawn arrivals. Arrivals stay sequential
   // because warm re-fetches are order-dependent: an arrival can re-warm a
-  // page a later arrival in the same drain then hits. Only the rare
-  // submit arrivals (typically a few percent) take the call into the
-  // server, in timestamp order.
+  // page a later arrival in the same drain then hits.
   std::uint32_t i = cursor_;
   sim::SimTime at = batch_.at[i];
   std::uint64_t processed = 0;
@@ -131,6 +178,7 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   std::uint64_t filtered = 0;
   while (at <= horizon) {
     if (i == kArrivalBatch) {
+      flush();
       RefillArrivals();
       i = 0;
     }
@@ -151,15 +199,13 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
     // caches iff it belongs to the warm set. (warm ⊆ ideal always, so
     // OR-ing the re-fetch bit equals the oracle's assignment.)
     warm[page] = static_cast<std::uint8_t>(w | (miss & s & ideal[page]));
-    if ((miss & pull) != 0U) {
-      // SubmitRequestAt never re-enters the VC (it does not drain lazy
-      // sources), so the batch cannot change under this loop.
-      server_->SubmitRequestAt(page, obs::kVirtualClientId, at);
-      ++submitted_;
-    }
+    submit_page[submits] = page;
+    submit_at[submits] = at;
+    submits += miss & pull;
     ++processed;
     at = batch_.at[i];
   }
+  flush();
   cursor_ = i;
   generated_ += processed;
   cache_hits_ += hits;

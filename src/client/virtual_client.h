@@ -122,6 +122,13 @@ class VirtualClient : public sim::LazySource,
   /// oracle's per-arrival order (page, steady coin, think).
   void RefillArrivals();
 
+  /// RefillArrivals' draw: the batch's raw generator words first, then a
+  /// branch-free map of them to pages, steady coins and -u think
+  /// uniforms. `kCoin`: whether NextBernoulli draws a word (SteadyStatePerc
+  /// strictly between 0 and 1).
+  template <bool kCoin>
+  void DrawArrivals();
+
   sim::Simulator* simulator_;
   server::BroadcastServer* server_;
   workload::AccessGenerator generator_;
@@ -131,6 +138,10 @@ class VirtualClient : public sim::LazySource,
   sim::ByteMask warm_cached_;  // Currently valid warm copies.
   sim::ByteMask ideal_warm_;   // The warm set itself (never changes).
   sim::Rng rng_;
+  // Fused path: whether each arrival's steady coin draws a word, and the
+  // coin mask when it does not (all ones at SteadyStatePerc 1, else 0).
+  bool draws_coin_;
+  std::uint64_t fixed_steady_;
 
   bool registered_ = false;                       // Fused path.
   sim::EventId wakeup_ = sim::kInvalidEventId;    // Unfused oracle.
@@ -149,6 +160,12 @@ class VirtualClient : public sim::LazySource,
   static_assert(kArrivalBatch == 64, "one steady-coin bit per arrival");
   ArrivalBatch batch_;
   std::uint32_t cursor_ = kArrivalBatch;
+  // Scratch of the fused path, kept here so no refill or drain pays to
+  // clear it: DrawArrivals' raw words (up to 4 per arrival) and CatchUp's
+  // submit buffer, both written before they are read.
+  std::array<std::uint64_t, 4 * kArrivalBatch> words_{};
+  std::array<PageId, kArrivalBatch> submit_page_{};
+  std::array<sim::SimTime, kArrivalBatch> submit_at_{};
 
   // Fused-drain state: the barrier-frozen distance snapshot and the
   // optional whole-cycle threshold-decision table (null → fall back to the

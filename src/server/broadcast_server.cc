@@ -160,13 +160,34 @@ SubmitResult BroadcastServer::SubmitRequestAt(PageId page,
   return SubmitArrived(page, client, at);
 }
 
+void BroadcastServer::SubmitRequestsAt(const PageId* pages,
+                                       const sim::SimTime* at, std::size_t n,
+                                       std::uint32_t client) {
+  if (injector_ != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) SubmitRequestAt(pages[i], client, at[i]);
+    return;
+  }
+  // No injector: no transit faults, no outages and no degraded mode
+  // (shed_enter_depth_ is 0), so each request is the queue submit and its
+  // record.
+  obs::PhaseScope prof(profiler_, obs::Phase::kServerQueue);
+  prof.AddOps(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    RecordSubmit(queue_.Submit(pages[i]), pages[i], client, at[i]);
+  }
+}
+
 SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
                                             sim::SimTime at) {
   obs::PhaseScope prof(profiler_, obs::Phase::kServerQueue);
+  prof.AddOps(1);
   if (injector_ != nullptr) {
     // Outage windows discard arrivals outright (blackout and brownout
-    // alike: the request processor is what is down).
-    if (injector_->InOutage(simulator_->Now())) {
+    // alike: the request processor is what is down). Judged at the
+    // request's own time: a fused arrival is submitted at a later drain
+    // barrier, and the barrier's clock may already sit in (or past) a
+    // window the arrival preceded.
+    if (injector_->InOutage(at)) {
       queue_.NoteOutageDrop();
       RecordSubmit(SubmitResult::kDroppedOutage, page, client, at);
       return SubmitResult::kDroppedOutage;
@@ -191,7 +212,7 @@ SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
   }
   const SubmitResult result = queue_.Submit(page);
   RecordSubmit(result, page, client, at);
-  if (shed_enter_depth_ > 0) UpdateDegraded();
+  if (shed_enter_depth_ > 0) UpdateDegraded(at);
   return result;
 }
 
@@ -206,29 +227,27 @@ void BroadcastServer::RecordSubmit(SubmitResult result, PageId page,
   if (collector_ != nullptr) collector_->OnSubmit(at, ev, depth);
 }
 
-void BroadcastServer::UpdateDegraded() {
+void BroadcastServer::UpdateDegraded(sim::SimTime now) {
   const std::uint32_t depth = queue_.Size();
   if (!degraded_ && depth >= shed_enter_depth_) {
     degraded_ = true;
     ++degraded_enters_;
     if (sink_ != nullptr) {
-      sink_->Record(simulator_->Now(), obs::SpanEvent::kDegradedEnter,
-                    obs::kNoClient, obs::kNoTracePage,
-                    static_cast<double>(depth));
+      sink_->Record(now, obs::SpanEvent::kDegradedEnter, obs::kNoClient,
+                    obs::kNoTracePage, static_cast<double>(depth));
     }
     if (telemetry_bus_ != nullptr) {
-      telemetry_bus_->OnDegraded(simulator_->Now(), /*entering=*/true, depth);
+      telemetry_bus_->OnDegraded(now, /*entering=*/true, depth);
     }
   } else if (degraded_ && depth <= shed_exit_depth_) {
     degraded_ = false;
     ++degraded_exits_;
     if (sink_ != nullptr) {
-      sink_->Record(simulator_->Now(), obs::SpanEvent::kDegradedExit,
-                    obs::kNoClient, obs::kNoTracePage,
-                    static_cast<double>(depth));
+      sink_->Record(now, obs::SpanEvent::kDegradedExit, obs::kNoClient,
+                    obs::kNoTracePage, static_cast<double>(depth));
     }
     if (telemetry_bus_ != nullptr) {
-      telemetry_bus_->OnDegraded(simulator_->Now(), /*entering=*/false, depth);
+      telemetry_bus_->OnDegraded(now, /*entering=*/false, depth);
     }
   }
 }
@@ -324,7 +343,7 @@ void BroadcastServer::ChooseNextSlot() {
     in_flight_page_ = queue_.PopFront();
     in_flight_kind_ = SlotKind::kPull;
     ++pull_slots_;
-    if (shed_enter_depth_ > 0) UpdateDegraded();
+    if (shed_enter_depth_ > 0) UpdateDegraded(simulator_->Now());
   } else if (cursor_) {
     in_flight_page_ = cursor_->Advance();
     if (in_flight_page_ != broadcast::kNoPage) {

@@ -107,9 +107,9 @@ class BroadcastServer : public sim::EventHandler {
 
   /// Attaches the wall-clock phase profiler (not owned; null detaches).
   /// Frames: server.slot around each slot boundary, server.mux around the
-  /// push/pull decision, server.queue around each queue submit, and
-  /// fault.judge around injector judgements. Same cost discipline as the
-  /// trace sink.
+  /// push/pull decision, server.queue around each single submit and each
+  /// batched flush (ops = submits either way), and fault.judge around
+  /// injector judgements. Same cost discipline as the trace sink.
   void SetPhaseProfiler(obs::PhaseProfiler* profiler) {
     profiler_ = profiler;
   }
@@ -155,6 +155,16 @@ class BroadcastServer : public sim::EventHandler {
   SubmitResult SubmitRequestAt(PageId page, std::uint32_t client,
                                sim::SimTime at);
 
+  /// SubmitRequestAt for `n` requests in order: `pages[i]` arrived at
+  /// `at[i]`, and the timestamps are non-decreasing. The fused virtual
+  /// client's flush: with no fault injector it is one tight loop over the
+  /// queue (one server.queue frame per call), and with one each request
+  /// goes through the fault pipeline at its own time. Outcomes are not
+  /// returned; clients must not branch on them. Does not itself drain
+  /// lazy sources.
+  void SubmitRequestsAt(const PageId* pages, const sim::SimTime* at,
+                        std::size_t n, std::uint32_t client);
+
   /// The periodic program (empty for Pure-Pull).
   const broadcast::BroadcastProgram& program() const { return *program_; }
 
@@ -190,8 +200,9 @@ class BroadcastServer : public sim::EventHandler {
   /// Fault pipeline: the request reached the server (post loss/delay).
   SubmitResult SubmitArrived(PageId page, std::uint32_t client,
                              sim::SimTime at);
-  /// Re-evaluates the degraded-mode watermarks after a depth change.
-  void UpdateDegraded();
+  /// Re-evaluates the degraded-mode watermarks after a depth change at
+  /// time `now` (the submit's own time, or the slot boundary's).
+  void UpdateDegraded(sim::SimTime now);
   /// Feeds one submit outcome, queue and fault outcomes alike, to the
   /// attached trace sink and windowed collector.
   void RecordSubmit(SubmitResult result, PageId page, std::uint32_t client,

@@ -9,27 +9,6 @@ PullQueue::PullQueue(std::uint32_t capacity, std::uint32_t db_size)
   BDISK_CHECK_MSG(capacity >= 1, "queue capacity must be positive");
 }
 
-SubmitResult PullQueue::Submit(PageId page) {
-  BDISK_DCHECK(page < queued_.size());
-  ++submitted_;
-  if (queued_[page]) {
-    ++coalesced_;
-    return SubmitResult::kCoalesced;
-  }
-  if (count_ >= capacity_) {
-    ++dropped_;
-    return SubmitResult::kDroppedFull;
-  }
-  std::uint32_t tail = head_ + count_;
-  if (tail >= capacity_) tail -= capacity_;
-  ring_[tail] = page;
-  ++count_;
-  queued_[page] = true;
-  ++accepted_;
-  if (count_ > depth_high_water_) depth_high_water_ = count_;
-  return SubmitResult::kAccepted;
-}
-
 PageId PullQueue::PopFront() {
   BDISK_CHECK_MSG(count_ > 0, "PopFront() on an empty queue");
   const PageId page = ring_[head_];

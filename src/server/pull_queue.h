@@ -6,6 +6,7 @@
 
 #include "broadcast/page.h"
 #include "sim/byte_mask.h"
+#include "sim/check.h"
 
 namespace bdisk::server {
 
@@ -45,8 +46,28 @@ class PullQueue {
   /// `capacity` >= 1; `db_size` bounds valid page ids.
   PullQueue(std::uint32_t capacity, std::uint32_t db_size);
 
-  /// Submits a request for `page`; returns what happened to it.
-  SubmitResult Submit(PageId page);
+  /// Submits a request for `page`; returns what happened to it. Inline:
+  /// the server's batched submit runs it once per virtual-client pull.
+  SubmitResult Submit(PageId page) {
+    BDISK_DCHECK(page < queued_.size());
+    ++submitted_;
+    if (queued_[page]) {
+      ++coalesced_;
+      return SubmitResult::kCoalesced;
+    }
+    if (count_ >= capacity_) {
+      ++dropped_;
+      return SubmitResult::kDroppedFull;
+    }
+    std::uint32_t tail = head_ + count_;
+    if (tail >= capacity_) tail -= capacity_;
+    ring_[tail] = page;
+    ++count_;
+    queued_[page] = true;
+    ++accepted_;
+    if (count_ > depth_high_water_) depth_high_water_ = count_;
+    return SubmitResult::kAccepted;
+  }
 
   /// Removes and returns the oldest queued page. Queue must be non-empty.
   PageId PopFront();

@@ -50,8 +50,12 @@ class Rng {
   }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble() {
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  double NextDouble() { return UnitDouble(Next()); }
+
+  /// The double NextDouble() makes of the raw word `word`, for callers
+  /// that draw a block of words first and transform them after.
+  static double UnitDouble(std::uint64_t word) {
+    return static_cast<double>(word >> 11) * 0x1.0p-53;
   }
 
   /// Uniform integer in [0, bound), bound > 0. Uses Lemire's unbiased

@@ -19,6 +19,10 @@ class AccessGenerator {
     return static_cast<PageId>(sampler_.Sample(rng));
   }
 
+  /// The sampler itself, for callers that draw raw words first
+  /// (sim::AliasSampler::SampleFromWords).
+  const sim::AliasSampler& sampler() const { return sampler_; }
+
  private:
   sim::AliasSampler sampler_;
 };

@@ -1,10 +1,13 @@
 #include "server/broadcast_server.h"
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.h"
+#include "obs/trace_sink.h"
 #include "oracles.h"
 #include "sim/simulator.h"
 
@@ -202,6 +205,93 @@ TEST(BroadcastServerTest, SetPullBwRetunesTheMux) {
   server.SetPullBw(1.0);
   sim.RunUntil(105.0);
   EXPECT_EQ(server.PullSlots(), 1U);
+}
+
+// The submit records `server` traced after `pages` were handed over at
+// `at`, one call per request or one batched call.
+std::vector<obs::SpanRecord> SubmitTrace(bool batched,
+                                         const fault::FaultPlan* plan) {
+  const std::vector<PageId> pages = {1, 2, 1, 3, 4, 5, 6, 2, 7, 8, 9, 1};
+  std::vector<sim::SimTime> at;
+  for (std::size_t i = 0; i < pages.size(); ++i) at.push_back(0.1 + 0.2 * i);
+  sim::Simulator sim;
+  BroadcastServer server(&sim, Share(BroadcastProgram({0, 1, 2, 3}, 10)),
+                         0.5, 4, sim::Rng(2));
+  obs::TraceSink sink;
+  server.SetTraceSink(&sink);
+  std::optional<fault::FaultInjector> injector;
+  if (plan != nullptr) {
+    injector.emplace(*plan, sim::Rng(3));
+    server.SetFaultInjector(&*injector);
+  }
+  sim.RunUntil(3.0);
+  if (batched) {
+    server.SubmitRequestsAt(pages.data(), at.data(), pages.size(), 5);
+  } else {
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      server.SubmitRequestAt(pages[i], 5, at[i]);
+    }
+  }
+  EXPECT_EQ(server.queue().SubmittedCount() +
+                (injector ? injector->RequestsLost() : 0),
+            pages.size());
+  std::vector<obs::SpanRecord> records;  // The submits and degraded edges.
+  for (const obs::SpanRecord& r : sink.Events()) {
+    if (r.client == 5 || r.event == obs::SpanEvent::kDegradedEnter ||
+        r.event == obs::SpanEvent::kDegradedExit) {
+      records.push_back(r);
+    }
+  }
+  return records;
+}
+
+void ExpectSameRecords(const std::vector<obs::SpanRecord>& a,
+                       const std::vector<obs::SpanRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].time, b[i].time) << i;
+    EXPECT_EQ(a[i].event, b[i].event) << i;
+    EXPECT_EQ(a[i].client, b[i].client) << i;
+    EXPECT_EQ(a[i].page, b[i].page) << i;
+    EXPECT_EQ(a[i].value, b[i].value) << i;
+  }
+}
+
+TEST(BroadcastServerTest, BatchedSubmitMatchesOneAtATime) {
+  // Capacity 4: the batch coalesces, accepts and drops, in order, each
+  // record stamped with its own time.
+  const std::vector<obs::SpanRecord> batched = SubmitTrace(true, nullptr);
+  ExpectSameRecords(batched, SubmitTrace(false, nullptr));
+  ASSERT_EQ(batched.size(), 12U);
+  EXPECT_EQ(batched[2].event, obs::SpanEvent::kSubmitCoalesced);
+  EXPECT_EQ(batched[6].event, obs::SpanEvent::kSubmitDropped);
+  EXPECT_EQ(batched[11].time, 0.1 + 0.2 * 11);
+}
+
+TEST(BroadcastServerTest, BatchedSubmitRunsTheFaultPipelinePerRequest) {
+  // Under an injector every request is judged on its own: transit loss
+  // draws in order, an outage window is judged at the request's own time
+  // (requests at 0.9-1.7 fall in [0.8, 1.8)), and a degraded-mode edge is
+  // stamped with the crossing submit's time.
+  fault::FaultPlan plan;
+  plan.request_loss = 0.2;
+  plan.outage_start = 0.8;
+  plan.outage_duration = 1.0;
+  plan.shed_hi = 0.75;
+  const std::vector<obs::SpanRecord> batched = SubmitTrace(true, &plan);
+  ExpectSameRecords(batched, SubmitTrace(false, &plan));
+  bool saw_lost = false, saw_outage = false, saw_enter = false;
+  for (const obs::SpanRecord& r : batched) {
+    saw_lost |= r.event == obs::SpanEvent::kSubmitLost;
+    saw_outage |= r.event == obs::SpanEvent::kSubmitOutage;
+    if (r.event == obs::SpanEvent::kDegradedEnter) {
+      saw_enter = true;
+      EXPECT_LT(r.time, 3.0);
+    }
+  }
+  EXPECT_TRUE(saw_lost);
+  EXPECT_TRUE(saw_outage);
+  EXPECT_TRUE(saw_enter);
 }
 
 TEST(BroadcastServerDeathTest, SetPullBwRejectsBadValues) {

@@ -134,6 +134,35 @@ TEST(FaultInjectionTest, FusedMatchesUnfusedUnderFaults) {
   EXPECT_EQ(unfused.kernel.lazy_arrivals_fused, 0U);
 }
 
+TEST(FaultInjectionTest, FusedMatchesUnfusedUnderOutages) {
+  // A fused arrival reaches the server at the drain barrier after its own
+  // time, so the server must judge the outage window at the arrival's
+  // time, as the oracle does, not at the barrier's clock. Windows that
+  // open on a slot boundary and mid-slot, dark and brown.
+  for (const bool brownout : {false, true}) {
+    for (const double start : {200.0, 200.5}) {
+      core::SystemConfig config = SmallLoadedConfig();
+      config.fault.outage_start = start;
+      config.fault.outage_duration = 25.0;
+      config.fault.outage_period = 400.0;
+      config.fault.brownout = brownout;
+      SCOPED_TRACE(::testing::Message() << (brownout ? "brownout" : "blackout")
+                                        << " from " << start);
+      config.vc_fusion = true;
+      core::System fused_system(config);
+      const core::RunResult fused =
+          fused_system.RunSteadyState(QuickProtocol());
+      config.vc_fusion = false;
+      core::System unfused_system(config);
+      const core::RunResult unfused =
+          unfused_system.RunSteadyState(QuickProtocol());
+      ExpectIdenticalResults(fused, unfused);
+      EXPECT_GT(fused.requests_dropped_outage, 0U);
+      EXPECT_GT(fused.kernel.lazy_arrivals_fused, 0U);
+    }
+  }
+}
+
 TEST(FaultInjectionTest, RequestDelayForcesTheUnfusedPath) {
   // Delayed submissions re-enter through the event heap; the fused batch
   // path cannot re-time them, so System must drop to unfused even when the

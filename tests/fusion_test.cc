@@ -277,5 +277,35 @@ TEST(FusionTraceTest, FusedAndUnfusedRunsEmitIdenticalTraces) {
   }
 }
 
+TEST(FusionTraceTest, FusedAndUnfusedTracesMatchUnderShedding) {
+  // Degraded-mode edges are stamped when a submit crosses the watermark;
+  // a fused submit arrives at the drain barrier after its own time, so
+  // the edge must carry the submit's time, as the oracle's does, or the
+  // trace runs backwards.
+  core::SystemConfig config = SmallLoadedConfig(core::DeliveryMode::kIpp);
+  config.fault.shed_hi = 0.8;
+
+  config.vc_fusion = true;
+  const std::vector<obs::SpanRecord> fused = TraceOfRun(config);
+  config.vc_fusion = false;
+  const std::vector<obs::SpanRecord> unfused = TraceOfRun(config);
+
+  EXPECT_GT(std::count_if(fused.begin(), fused.end(),
+                          [](const obs::SpanRecord& r) {
+                            return r.event == obs::SpanEvent::kDegradedEnter;
+                          }),
+            0);
+  ASSERT_EQ(fused.size(), unfused.size());
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    ASSERT_EQ(fused[i].time, unfused[i].time)
+        << "record " << i << " (" << obs::SpanEventName(fused[i].event)
+        << ")";
+    ASSERT_EQ(fused[i].event, unfused[i].event) << "record " << i;
+    ASSERT_EQ(fused[i].client, unfused[i].client) << "record " << i;
+    ASSERT_EQ(fused[i].page, unfused[i].page) << "record " << i;
+    ASSERT_EQ(fused[i].value, unfused[i].value) << "record " << i;
+  }
+}
+
 }  // namespace
 }  // namespace bdisk

@@ -1,10 +1,46 @@
 #include "oracles.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "sim/check.h"
+
+namespace bdisk::sim {
+
+Rng RngWithWordAt(std::uint64_t seed, std::uint64_t index,
+                  std::uint64_t word) {
+  static_assert(std::is_trivially_copyable_v<Rng> &&
+                sizeof(Rng) == 4 * sizeof(std::uint64_t));
+  const auto rotr = [](std::uint64_t x, int k) {
+    return (x >> k) | (x << (64 - k));
+  };
+  Rng rng(seed);
+  std::uint64_t s[4];
+  std::memcpy(s, &rng, sizeof(s));
+  s[3] = rotr(word - s[0], 23) - s[0];
+  for (std::uint64_t step = 0; step < index; ++step) {
+    // Inverse of Rng::Next's state step, which maps (a, b, c, d) to
+    // (a^b^d, a^b^c, a^c^(b<<17), rotl(b^d, 45)).
+    const std::uint64_t b_xor_d = rotr(s[3], 45);
+    const std::uint64_t a = s[0] ^ b_xor_d;
+    // s2 ^ s1 = b ^ (b << 17); unwind the shifted copies.
+    std::uint64_t b = s[2] ^ s[1];
+    b ^= b << 17;
+    b ^= b << 34;
+    const std::uint64_t c = s[1] ^ a ^ b;
+    s[0] = a;
+    s[1] = b;
+    s[2] = c;
+    s[3] = b_xor_d ^ b;
+  }
+  std::memcpy(&rng, s, sizeof(s));
+  return rng;
+}
+
+}  // namespace bdisk::sim
 
 namespace bdisk::broadcast {
 

@@ -13,7 +13,21 @@
 #include "broadcast/broadcast_program.h"
 #include "obs/frame_sink.h"
 #include "obs/trace_sink.h"
+#include "sim/rng.h"
 #include "workload/access_pattern.h"
+
+namespace bdisk::sim {
+
+/// A generator seeded like Rng(seed) but moved to the state whose
+/// `index`-th word (zero-based, counting every Next() from here) is
+/// `word` — a crafted stream for exercising draws that almost never occur
+/// naturally, such as a bucket word Rng::NextBounded rejects. xoshiro256++
+/// emits rotl(s0 + s3, 23) + s0, so s3 is solved for the word, and the
+/// linear state step is inverted `index` times.
+Rng RngWithWordAt(std::uint64_t seed, std::uint64_t index,
+                  std::uint64_t word);
+
+}  // namespace bdisk::sim
 
 namespace bdisk::broadcast {
 

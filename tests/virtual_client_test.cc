@@ -8,6 +8,7 @@
 #include "obs/trace_sink.h"
 #include "oracles.h"
 #include "sim/simulator.h"
+#include "sim/zipf.h"
 
 namespace bdisk::client {
 namespace {
@@ -129,6 +130,71 @@ TEST(VirtualClientTest, MixedSteadyStateSplitsRoughlyByCoin) {
   const double hit_rate = static_cast<double>(vc.CacheHits()) /
                           static_cast<double>(vc.RequestsGenerated());
   EXPECT_NEAR(hit_rate, 0.95, 0.02);
+}
+
+// One VC run at Zipf(1000, 0.95) over a stream whose word `zero_word` is
+// 0: the trace of its submits and its lifetime counters.
+struct DrawRun {
+  std::vector<obs::SpanRecord> submits;
+  std::uint64_t generated, hits, filtered, submitted;
+};
+
+DrawRun RunOverCraftedStream(bool fused, double steady_state_perc,
+                             std::uint64_t zero_word) {
+  constexpr std::uint32_t kDb = 1000;
+  std::vector<PageId> schedule(200);
+  for (PageId p = 0; p < schedule.size(); ++p) schedule[p] = p;
+  sim::Simulator sim;
+  BroadcastServer server(&sim, Share(BroadcastProgram(schedule, kDb)), 0.5,
+                         50, sim::Rng(1));
+  obs::TraceSink sink(1 << 16);
+  server.SetTraceSink(&sink);
+  VirtualClientOptions options = BaseOptions();
+  options.steady_state_perc = steady_state_perc;
+  options.cache_size = 10;
+  options.fused = fused;
+  VirtualClient vc(&sim, &server, AccessPattern(sim::ZipfPmf(kDb, 0.95)),
+                   {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, options,
+                   sim::RngWithWordAt(11, zero_word, 0));
+  vc.Start();
+  sim.RunUntil(1000.0);
+  EXPECT_EQ(sink.DroppedEvents(), 0U);
+  DrawRun run{{}, vc.RequestsGenerated(), vc.CacheHits(),
+              vc.FilteredByThreshold(), vc.RequestsSubmitted()};
+  for (const obs::SpanRecord& r : sink.Events()) {
+    if (r.client == obs::kVirtualClientId) run.submits.push_back(r);
+  }
+  return run;
+}
+
+TEST(VirtualClientTest, FusedDrawMatchesTheOracleAcrossARejectedBucketWord) {
+  // NextBounded rejects a bucket word of 0 and draws the next word, which
+  // shifts every later word of the fused refill's block by one. Word 0 of
+  // the stream is Start()'s think; arrival j's bucket word is then word
+  // 1 + j * (words per arrival) of the first refill: 4 with a steady coin,
+  // 3 at SteadyStatePerc 1, when the coin draws nothing. Arrival 63's
+  // shift runs past the block's end, into the generator.
+  for (const double steady : {0.5, 1.0}) {
+    const std::uint64_t words = steady < 1.0 ? 4 : 3;
+    for (const std::uint64_t arrival : {0, 1, 62, 63}) {
+      const std::uint64_t zero_word = 1 + words * arrival;
+      const DrawRun fused = RunOverCraftedStream(true, steady, zero_word);
+      const DrawRun oracle = RunOverCraftedStream(false, steady, zero_word);
+      SCOPED_TRACE(::testing::Message()
+                   << "steady " << steady << ", arrival " << arrival);
+      EXPECT_GT(fused.generated, 400U);
+      EXPECT_EQ(fused.generated, oracle.generated);
+      EXPECT_EQ(fused.hits, oracle.hits);
+      EXPECT_EQ(fused.filtered, oracle.filtered);
+      EXPECT_EQ(fused.submitted, oracle.submitted);
+      ASSERT_EQ(fused.submits.size(), oracle.submits.size());
+      for (std::size_t i = 0; i < fused.submits.size(); ++i) {
+        ASSERT_EQ(fused.submits[i].time, oracle.submits[i].time) << i;
+        ASSERT_EQ(fused.submits[i].page, oracle.submits[i].page) << i;
+        ASSERT_EQ(fused.submits[i].event, oracle.submits[i].event) << i;
+      }
+    }
+  }
 }
 
 TEST(VirtualClientDeathTest, RejectsWrongWarmSetSize) {

@@ -330,6 +330,15 @@ int main(int argc, char** argv) {
                      recorder->DumpStem().c_str());
       }
     }
+    if (!trace_path.empty() && sink.DroppedEvents() > 0) {
+      std::fprintf(stderr,
+                   "trace: kept the newest %llu of %llu records (%llu "
+                   "overwritten)\n",
+                   static_cast<unsigned long long>(sink.TotalEvents() -
+                                                   sink.DroppedEvents()),
+                   static_cast<unsigned long long>(sink.TotalEvents()),
+                   static_cast<unsigned long long>(sink.DroppedEvents()));
+    }
     if (bus && bus->FramesDropped() > 0) {
       std::fprintf(stderr,
                    "telemetry: %llu of %llu frames dropped (receiver too "
