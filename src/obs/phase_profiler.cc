@@ -45,37 +45,6 @@ const char* PhaseName(Phase p) {
   return "unknown";
 }
 
-void PhaseProfiler::ArmSampling() {
-  // Mean sampling strides (see the class comment for the schedule). Rare
-  // phases (run, mc.request) are exact. Span and drain windows force
-  // their whole subtree timed, so their strides are the main overhead
-  // lever: a timed span times every slot it covers, a hundred or more
-  // frames per window at light load. The hottest counter-only sites get
-  // the longest strides: whenever a one-shot event breaks a span the next
-  // slot rides queue.pop, whose sampled windows force the whole slot
-  // subtree. vc.draw runs once per 64 arrivals, so a short stride costs
-  // little.
-  static constexpr std::uint64_t kStrides[kPhaseCount] = {
-      /*run*/ 1,
-      /*queue.schedule*/ 256,
-      /*queue.pop*/ 256,
-      /*kernel.span*/ 128,
-      /*kernel.drain*/ 128,
-      /*vc.arrival*/ 128,
-      /*vc.draw*/ 16,
-      /*server.slot*/ 128,
-      /*server.mux*/ 128,
-      /*server.queue*/ 256,
-      /*mc.request*/ 1,
-      /*mc.delivery*/ 128,
-      /*fault.judge*/ 128,
-  };
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    stats_[i].stride_span = 2 * kStrides[i] - 1;
-    stats_[i].countdown = NextCountdown(stats_[i].stride_span);
-  }
-}
-
 PhaseProfiler::PhaseProfiler(std::size_t slice_capacity) {
   slice_capacity_ = slice_capacity;
   slices_.reserve(slice_capacity_);
@@ -113,13 +82,38 @@ PhaseProfiler::PhaseProfiler(std::size_t slice_capacity) {
   frame_residual_ticks_ =
       stats_[static_cast<std::size_t>(Phase::kKernelSpan)].total_ticks /
       (4 * kProbeIters);
-  // Scrub every trace of the probe; real sampling starts from zero.
+  // Scrub every trace of the probe; real sampling starts from zero, each
+  // phase at its mean stride (see the class comment for the schedule).
+  // Rare phases (run, mc.request) are exact. Span and drain windows force
+  // their whole subtree timed, so their strides are the main overhead
+  // lever: a timed span times every slot it covers, a hundred or more
+  // frames per window at light load. The hottest counter-only sites get
+  // the longest strides: whenever a one-shot event breaks a span the next
+  // slot rides queue.pop, whose sampled windows force the whole slot
+  // subtree. vc.draw runs once per 64 arrivals, so a short stride costs
+  // little.
+  static constexpr std::uint64_t kStrides[kPhaseCount] = {
+      /*run*/ 1,
+      /*queue.schedule*/ 256,
+      /*queue.pop*/ 256,
+      /*kernel.span*/ 128,
+      /*kernel.drain*/ 128,
+      /*vc.arrival*/ 128,
+      /*vc.draw*/ 16,
+      /*server.slot*/ 128,
+      /*server.mux*/ 128,
+      /*server.queue*/ 256,
+      /*mc.request*/ 1,
+      /*mc.delivery*/ 128,
+      /*fault.judge*/ 128,
+  };
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     stats_[i] = PhaseStats{};
+    stats_[i].stride_span = 2 * kStrides[i] - 1;
+    stats_[i].countdown = NextCountdown(stats_[i].stride_span);
     folded_memo_[i] = nullptr;
     folded_memo_key_[i] = 0;
   }
-  ArmSampling();
   folded_.clear();
   slices_.clear();
   slices_dropped_ = 0;

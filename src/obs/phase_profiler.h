@@ -55,8 +55,9 @@ struct RequestSpan;
 /// Contract (same as TraceSink, enforced by kernel_matrix_test): attaching
 /// a profiler never changes the simulated trajectory. Instrumentation
 /// sites hold a raw pointer that is null when profiling is off, so the hot
-/// path costs one pointer check; the profiler itself draws no randomness,
-/// schedules no events, and touches only its own memory.
+/// path costs one pointer check; the profiler itself draws from no
+/// simulation stream (its sampling generator is its own), schedules no
+/// events, and touches only its own memory.
 ///
 /// Cost model. An *untimed* Enter/Exit pair — the overwhelmingly common
 /// case — is a call-counter increment and a countdown decrement: no
@@ -67,6 +68,10 @@ struct RequestSpan;
 /// frame's subtree (tracked by a force counter) — so a sampled window
 /// captures its complete subtree and self-times are exact within it.
 /// Per-phase totals are scaled back up by calls/timed_calls at export.
+/// The root `run` frame is always timed but does not force its children,
+/// otherwise everything would be. Because untimed frames keep no stack,
+/// call paths (folded stacks) name the chain of *timed* ancestors; inside
+/// a forced subtree that is the full dynamic path.
 ///
 /// Sampling schedule. Each phase has a mean stride; a countdown that runs
 /// out is re-armed with a draw, uniform on [1, 2·stride − 1], from a
@@ -77,11 +82,7 @@ struct RequestSpan;
 /// obs_window slots, so a `(calls & mask) == 0` test lands on those slow
 /// slots at a fixed rate and scales them up by the stride. With a random
 /// stride every call is sampled with the same long-run probability
-/// 1/stride, whatever its position in a period. The root `run` frame is always timed but
-/// does not force its children, otherwise everything would be. Because
-/// untimed frames keep no stack, call paths (folded stacks) name the
-/// chain of *timed* ancestors; inside a forced subtree that is the full
-/// dynamic path.
+/// 1/stride, whatever its position in a period.
 ///
 /// Observer compensation. A timed window contains the Enter/Exit
 /// instrumentation cost of every timed frame nested in it, and
@@ -302,9 +303,6 @@ class PhaseProfiler {
     return 1 + static_cast<std::uint64_t>(
                    (static_cast<__uint128_t>(z) * span) >> 64);
   }
-
-  /// Sets every phase's mean stride and draws its first countdown.
-  void ArmSampling();
 
   /// Slow half of Enter: pushes a timed frame, measuring its own prologue
   /// with a bracket read so the enclosing window can be compensated.
