@@ -8,9 +8,8 @@ std::unique_ptr<const CycleSpanTable> CycleSpanTable::BuildIfFeasible(
     const BroadcastProgram& program, std::uint32_t threshold_slots,
     std::size_t max_bytes) {
   if (program.Empty()) return nullptr;
-  const std::size_t words_per_row = (program.Length() + 63) / 64;
-  const std::size_t bytes =
-      words_per_row * program.DbSize() * sizeof(std::uint64_t);
+  const std::size_t columns = (program.Length() + 63) / 64;
+  const std::size_t bytes = columns * program.DbSize() * sizeof(std::uint64_t);
   if (bytes > max_bytes) return nullptr;
   return std::unique_ptr<const CycleSpanTable>(
       new CycleSpanTable(program, threshold_slots));
@@ -20,8 +19,8 @@ CycleSpanTable::CycleSpanTable(const BroadcastProgram& program,
                                std::uint32_t threshold_slots)
     : length_(program.Length()),
       threshold_(threshold_slots),
-      words_per_row_((length_ + 63) / 64),
-      bits_(words_per_row_ * program.DbSize(), ~std::uint64_t{0}) {
+      db_size_(program.DbSize()),
+      bits_((length_ + 63) / 64 * db_size_, ~std::uint64_t{0}) {
   // All-ones = pull everywhere (the unscheduled-page answer); each
   // occurrence then clears its "near" span. distance(pos, p) <= T exactly
   // when pos lies in the cyclic span [occ - T, occ], so the span length is
@@ -43,19 +42,20 @@ CycleSpanTable::CycleSpanTable(const BroadcastProgram& program,
 
 void CycleSpanTable::ClearCyclic(PageId page, std::uint32_t begin,
                                  std::uint32_t count) {
-  std::uint64_t* row = bits_.data() + page * words_per_row_;
   const std::uint32_t tail = length_ - begin;
   if (count <= tail) {
-    ClearLinear(row, begin, count);
+    ClearLinear(page, begin, count);
   } else {
-    ClearLinear(row, begin, tail);
-    ClearLinear(row, 0, count - tail);
+    ClearLinear(page, begin, tail);
+    ClearLinear(page, 0, count - tail);
   }
 }
 
-void CycleSpanTable::ClearLinear(std::uint64_t* row, std::uint32_t begin,
+void CycleSpanTable::ClearLinear(PageId page, std::uint32_t begin,
                                  std::uint32_t count) {
   if (count == 0) return;
+  // Word w of the page's bits is bits_[w * db_size_ + page].
+  std::uint64_t* const bits = bits_.data() + page;
   const std::uint32_t end = begin + count;  // Exclusive; <= length_.
   std::uint32_t word = begin >> 6;
   const std::uint32_t last_word = (end - 1) >> 6;
@@ -63,12 +63,12 @@ void CycleSpanTable::ClearLinear(std::uint64_t* row, std::uint32_t begin,
   const std::uint64_t last_mask =
       ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
   if (word == last_word) {
-    row[word] &= ~(first_mask & last_mask);
+    bits[word * db_size_] &= ~(first_mask & last_mask);
     return;
   }
-  row[word] &= ~first_mask;
-  for (++word; word < last_word; ++word) row[word] = 0;
-  row[last_word] &= ~last_mask;
+  bits[word * db_size_] &= ~first_mask;
+  for (++word; word < last_word; ++word) bits[word * db_size_] = 0;
+  bits[last_word * db_size_] &= ~last_mask;
 }
 
 }  // namespace bdisk::broadcast

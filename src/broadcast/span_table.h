@@ -21,7 +21,10 @@ namespace bdisk::broadcast {
 /// on the cyclic position span [occ - T, occ] around each occurrence, so
 /// the table is built once per (program, threshold) by clearing those
 /// spans out of an all-ones bitset. Afterwards a query is a single bit
-/// test — no occurrence search at all.
+/// test — no occurrence search at all. The bitset is column-major: word
+/// `pos / 64` of every page sits in one contiguous column, so the queries
+/// of one drain (one frozen position, many pages) stay within one
+/// db-size-word column rather than touching a cache line per page.
 ///
 /// Lifecycle: the table is valid for exactly one (program, threshold)
 /// pair. Programs are immutable per System, so "invalidation on program
@@ -45,7 +48,7 @@ class CycleSpanTable {
   /// True iff more than threshold_slots slots are left from `pos` until
   /// `page` is next pushed (pull / beyond the shed horizon). `pos` must be < the program length.
   bool ShouldPull(PageId page, std::uint32_t pos) const {
-    return (bits_[page * words_per_row_ + (pos >> 6)] >> (pos & 63)) & 1U;
+    return (bits_[(pos >> 6) * db_size_ + page] >> (pos & 63)) & 1U;
   }
 
   /// The threshold this table was built for.
@@ -55,14 +58,14 @@ class CycleSpanTable {
   CycleSpanTable(const BroadcastProgram& program,
                  std::uint32_t threshold_slots);
 
-  /// Clears `count` bits of page's row starting at `begin`, cyclically.
+  /// Clears `count` of page's bits starting at position `begin`,
+  /// cyclically.
   void ClearCyclic(PageId page, std::uint32_t begin, std::uint32_t count);
-  void ClearLinear(std::uint64_t* row, std::uint32_t begin,
-                   std::uint32_t count);
+  void ClearLinear(PageId page, std::uint32_t begin, std::uint32_t count);
 
   std::uint32_t length_;
   std::uint32_t threshold_;
-  std::size_t words_per_row_;
+  std::size_t db_size_;              // Words per column.
   std::vector<std::uint64_t> bits_;  // 1 = pull (distance > threshold).
 };
 

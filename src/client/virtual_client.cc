@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "sim/arrival_lanes.h"
 #include "sim/check.h"
 #include "sim/log1p_batch.h"
 
@@ -88,38 +89,51 @@ void VirtualClient::DrawArrivals() {
   std::uint64_t* const words = words_.data();
   sim::Rng local = rng_;
   for (std::uint32_t j = 0; j < kBlock; ++j) words[j] = local.Next();
-  // Pass 2: map the words with no data-dependent branch. The think
-  // uniform's -u lands in at[i + 1] until the log1p pass.
+  // Pass 2: map the words with no data-dependent branch, one steady-coin
+  // mask per 64 arrivals. The think uniform's -u lands in at[i + 1] until
+  // the log1p pass.
   const sim::AliasSampler& sampler = generator_.sampler();
   const double steady_perc = options_.steady_state_perc;
-  std::uint64_t steady = kCoin ? 0 : fixed_steady_;
-  for (std::uint32_t i = 0; i < kArrivalBatch; ++i) {
-    std::uint64_t* const w = words + kWords * i;
-    while (sampler.Rejects(w[0])) [[unlikely]] {
-      // NextBounded draws the bucket again from the next word of the
-      // same stream: every later word moves down one place and the
-      // block's last word comes from the generator.
-      std::copy(w + 1, words + kBlock, w);
-      words[kBlock - 1] = local.Next();
+  for (std::uint32_t lane = 0; lane < kArrivalBatch / 64; ++lane) {
+    std::uint64_t steady = kCoin ? 0 : fixed_steady_;
+    for (std::uint32_t bit = 0; bit < 64; ++bit) {
+      const std::uint32_t i = 64 * lane + bit;
+      std::uint64_t* const w = words + kWords * i;
+      while (sampler.Rejects(w[0])) [[unlikely]] {
+        // NextBounded draws the bucket again from the next word of the
+        // same stream: every later word moves down one place and the
+        // block's last word comes from the generator.
+        std::copy(w + 1, words + kBlock, w);
+        words[kBlock - 1] = local.Next();
+      }
+      batch_.page[i] =
+          static_cast<PageId>(sampler.SampleFromWords(w[0], w[1]));
+      if constexpr (kCoin) {
+        steady |= std::uint64_t{sim::Rng::UnitDouble(w[2]) < steady_perc}
+                  << bit;
+      }
+      batch_.at[i + 1] = -sim::Rng::UnitDouble(w[kWords - 1]);
     }
-    batch_.page[i] = static_cast<PageId>(sampler.SampleFromWords(w[0], w[1]));
-    if constexpr (kCoin) {
-      steady |= std::uint64_t{sim::Rng::UnitDouble(w[2]) < steady_perc} << i;
-    }
-    batch_.at[i + 1] = -sim::Rng::UnitDouble(w[kWords - 1]);
+    batch_.steady[lane] = steady;
   }
   rng_ = local;
-  batch_.steady = steady;
 }
 
 void VirtualClient::RefillArrivals() {
   obs::PhaseScope prof(simulator_->phase_profiler(), obs::Phase::kVcDraw);
   // The next batch starts at the arrival the last one ended on.
   batch_.at[0] = batch_.at[kArrivalBatch];
-  if (draws_coin_) {
-    DrawArrivals<true>();
-  } else {
-    DrawArrivals<false>();
+  const sim::ArrivalDraws draws{batch_.page.data(), batch_.steady.data(),
+                                batch_.at.data() + 1};
+  if (!sim::DrawArrivalLanes(rng_, generator_.sampler(),
+                             options_.steady_state_perc, draws)) {
+    // No AVX2, or a bucket word NextBounded may reject somewhere in the
+    // batch: the one-stream draw, from the state the lanes left as it was.
+    if (draws_coin_) {
+      DrawArrivals<true>();
+    } else {
+      DrawArrivals<false>();
+    }
   }
   const std::span<double> thinks(batch_.at.data() + 1, kArrivalBatch);
   sim::Log1pInPlace(thinks);
@@ -183,7 +197,8 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
       i = 0;
     }
     const PageId page = batch_.page[i];
-    const auto s = static_cast<unsigned>(batch_.steady >> i) & 1U;
+    const auto s =
+        static_cast<unsigned>(batch_.steady[i / 64] >> (i % 64)) & 1U;
     ++i;
     const unsigned w = warm[page];
     const unsigned hit = s & w;

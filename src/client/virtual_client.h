@@ -11,6 +11,7 @@
 #include "client/threshold_filter.h"
 #include "server/broadcast_server.h"
 #include "server/update_generator.h"
+#include "sim/arrival_lanes.h"
 #include "sim/byte_mask.h"
 #include "sim/event_queue.h"
 #include "sim/lazy_source.h"
@@ -96,8 +97,9 @@ class VirtualClient : public sim::LazySource,
   /// A barrier: arrivals up to `now` still see the page as warm.
   void OnInvalidate(PageId page, sim::SimTime now) override;
 
-  /// Arrivals the fused path draws per refill of its batch.
-  static constexpr std::uint32_t kArrivalBatch = 64;
+  /// Arrivals the fused path draws per refill of its batch: four lanes of
+  /// 64 (sim::DrawArrivalLanes).
+  static constexpr std::uint32_t kArrivalBatch = sim::kRefillArrivals;
 
   /// LazySource: processes every arrival with timestamp <= `horizon`.
   std::uint64_t CatchUp(sim::SimTime horizon) override;
@@ -119,13 +121,14 @@ class VirtualClient : public sim::LazySource,
   void OnEvent() override;
 
   /// Fused path: draws the next kArrivalBatch arrivals into batch_, in the
-  /// oracle's per-arrival order (page, steady coin, think).
+  /// oracle's per-arrival order (page, steady coin, think), with
+  /// sim::DrawArrivalLanes or, where that declines, DrawArrivals.
   void RefillArrivals();
 
-  /// RefillArrivals' draw: the batch's raw generator words first, then a
-  /// branch-free map of them to pages, steady coins and -u think
-  /// uniforms. `kCoin`: whether NextBernoulli draws a word (SteadyStatePerc
-  /// strictly between 0 and 1).
+  /// RefillArrivals' one-stream draw: the batch's raw generator words
+  /// first, then a branch-free map of them to pages, steady coins and -u
+  /// think uniforms. `kCoin`: whether NextBernoulli draws a word
+  /// (SteadyStatePerc strictly between 0 and 1).
   template <bool kCoin>
   void DrawArrivals();
 
@@ -148,16 +151,16 @@ class VirtualClient : public sim::LazySource,
 
   // Fused path: pre-drawn arrivals, consumed from `cursor_`; the next
   // arrival is at[cursor_] (kTimeNever before Start()). The draws depend
-  // only on rng_, so they can run ahead of the simulated clock. Bit i of
-  // `steady` is arrival i's steady-state coin, at[i] its time, and
-  // at[kArrivalBatch] the first arrival of the next batch, whose page and
-  // coin are not drawn yet.
+  // only on rng_, so they can run ahead of the simulated clock. Bit i % 64
+  // of steady[i / 64] is arrival i's steady-state coin, at[i] its time,
+  // and at[kArrivalBatch] the first arrival of the next batch, whose page
+  // and coin are not drawn yet.
   struct ArrivalBatch {
     std::array<PageId, kArrivalBatch> page{};
-    std::uint64_t steady = 0;
+    std::array<std::uint64_t, kArrivalBatch / 64> steady{};
     std::array<sim::SimTime, kArrivalBatch + 1> at{};
   };
-  static_assert(kArrivalBatch == 64, "one steady-coin bit per arrival");
+  static_assert(kArrivalBatch % 64 == 0, "one steady-coin bit per arrival");
   ArrivalBatch batch_;
   std::uint32_t cursor_ = kArrivalBatch;
   // Scratch of the fused path, kept here so no refill or drain pays to

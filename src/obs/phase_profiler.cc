@@ -90,7 +90,7 @@ PhaseProfiler::PhaseProfiler(std::size_t slice_capacity) {
   // frames per window at light load. The hottest counter-only sites get
   // the longest strides: whenever a one-shot event breaks a span the next
   // slot rides queue.pop, whose sampled windows force the whole slot
-  // subtree. vc.draw runs once per 64 arrivals, so a short stride costs
+  // subtree. vc.draw runs once per 256 arrivals, so a short stride costs
   // little.
   static constexpr std::uint64_t kStrides[kPhaseCount] = {
       /*run*/ 1,
@@ -99,7 +99,7 @@ PhaseProfiler::PhaseProfiler(std::size_t slice_capacity) {
       /*kernel.span*/ 128,
       /*kernel.drain*/ 128,
       /*vc.arrival*/ 128,
-      /*vc.draw*/ 16,
+      /*vc.draw*/ 4,
       /*server.slot*/ 128,
       /*server.mux*/ 128,
       /*server.queue*/ 256,

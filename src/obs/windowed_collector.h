@@ -110,27 +110,20 @@ class WindowedCollector {
                 std::uint32_t queue_depth) {
     Roll(at);
     ++current_.submits;
-    switch (outcome) {
-      case SpanEvent::kSubmitAccepted:
-        ++current_.accepted;
-        break;
-      case SpanEvent::kSubmitCoalesced:
-        ++current_.coalesced;
-        break;
-      case SpanEvent::kSubmitDropped:
-        ++current_.dropped;
-        break;
-      case SpanEvent::kSubmitShed:
-        ++current_.shed;
-        break;
-      case SpanEvent::kSubmitOutage:
-        ++current_.outage_dropped;
-        break;
-      default:
-        BDISK_DCHECK(outcome == SpanEvent::kSubmitLost);
-        ++current_.lost;
-        break;
-    }
+    // No branch on the outcome: at saturation accepted, coalesced and
+    // dropped submits mix in a pattern no predictor learns.
+    current_.accepted += outcome == SpanEvent::kSubmitAccepted;
+    current_.coalesced += outcome == SpanEvent::kSubmitCoalesced;
+    current_.dropped += outcome == SpanEvent::kSubmitDropped;
+    current_.shed += outcome == SpanEvent::kSubmitShed;
+    current_.outage_dropped += outcome == SpanEvent::kSubmitOutage;
+    current_.lost += outcome == SpanEvent::kSubmitLost;
+    BDISK_DCHECK(outcome == SpanEvent::kSubmitAccepted ||
+                 outcome == SpanEvent::kSubmitCoalesced ||
+                 outcome == SpanEvent::kSubmitDropped ||
+                 outcome == SpanEvent::kSubmitShed ||
+                 outcome == SpanEvent::kSubmitOutage ||
+                 outcome == SpanEvent::kSubmitLost);
     current_.queue_depth = queue_depth;
     if (queue_depth > current_.queue_depth_max) {
       current_.queue_depth_max = queue_depth;

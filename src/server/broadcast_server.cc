@@ -12,22 +12,15 @@ namespace {
 
 // The trace's record kinds are the one vocabulary of the server's
 // observers: the trace sink and the windowed collector both take them.
+// A lookup, not a branch: the batched submit maps every outcome.
 obs::SpanEvent SubmitEvent(SubmitResult result) {
-  switch (result) {
-    case SubmitResult::kAccepted:
-      return obs::SpanEvent::kSubmitAccepted;
-    case SubmitResult::kCoalesced:
-      return obs::SpanEvent::kSubmitCoalesced;
-    case SubmitResult::kDroppedFull:
-      return obs::SpanEvent::kSubmitDropped;
-    case SubmitResult::kShedOverload:
-      return obs::SpanEvent::kSubmitShed;
-    case SubmitResult::kDroppedOutage:
-      return obs::SpanEvent::kSubmitOutage;
-    case SubmitResult::kLostChannel:
-      break;
-  }
-  return obs::SpanEvent::kSubmitLost;
+  static constexpr obs::SpanEvent kEvents[] = {
+      obs::SpanEvent::kSubmitAccepted, obs::SpanEvent::kSubmitCoalesced,
+      obs::SpanEvent::kSubmitDropped,  obs::SpanEvent::kSubmitShed,
+      obs::SpanEvent::kSubmitOutage,   obs::SpanEvent::kSubmitLost,
+  };
+  static_assert(static_cast<int>(SubmitResult::kLostChannel) == 5);
+  return kEvents[static_cast<int>(result)];
 }
 
 obs::SpanEvent SlotEvent(SlotKind kind) {

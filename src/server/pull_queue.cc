@@ -5,7 +5,9 @@
 namespace bdisk::server {
 
 PullQueue::PullQueue(std::uint32_t capacity, std::uint32_t db_size)
-    : capacity_(capacity), ring_(capacity), queued_(db_size, false) {
+    : capacity_(capacity),
+      ring_(std::size_t{capacity} + 1),
+      queued_(db_size, false) {
   BDISK_CHECK_MSG(capacity >= 1, "queue capacity must be positive");
 }
 

@@ -1,6 +1,7 @@
 #ifndef BDISK_SERVER_PULL_QUEUE_H_
 #define BDISK_SERVER_PULL_QUEUE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,10 @@ enum class SubmitResult {
   /// sees it.
   kLostChannel,
 };
+// PullQueue::Submit forms its result as coalesced + 2 * dropped.
+static_assert(static_cast<int>(SubmitResult::kAccepted) == 0 &&
+              static_cast<int>(SubmitResult::kCoalesced) == 1 &&
+              static_cast<int>(SubmitResult::kDroppedFull) == 2);
 
 /// The server's bounded backchannel request queue.
 ///
@@ -46,27 +51,29 @@ class PullQueue {
   /// `capacity` >= 1; `db_size` bounds valid page ids.
   PullQueue(std::uint32_t capacity, std::uint32_t db_size);
 
-  /// Submits a request for `page`; returns what happened to it. Inline:
-  /// the server's batched submit runs it once per virtual-client pull.
+  /// Submits a request for `page`; returns what happened to it (kAccepted,
+  /// kCoalesced or kDroppedFull). Inline: the server's batched submit runs
+  /// it once per virtual-client pull. It has no branch on the outcome: at
+  /// saturation the outcomes mix in a pattern no predictor learns (74%
+  /// dropped, 15% coalesced, 11% accepted at perfbench's sim_saturated).
+  /// A refused page is written to the scratch slot ring_[capacity_]
+  /// instead of the tail.
   SubmitResult Submit(PageId page) {
     BDISK_DCHECK(page < queued_.size());
-    ++submitted_;
-    if (queued_[page]) {
-      ++coalesced_;
-      return SubmitResult::kCoalesced;
-    }
-    if (count_ >= capacity_) {
-      ++dropped_;
-      return SubmitResult::kDroppedFull;
-    }
+    const std::uint32_t coalesced = queued_.data()[page];
+    const std::uint32_t dropped = (count_ >= capacity_) & (coalesced ^ 1U);
+    const std::uint32_t accepted = (coalesced | dropped) ^ 1U;
     std::uint32_t tail = head_ + count_;
-    if (tail >= capacity_) tail -= capacity_;
-    ring_[tail] = page;
-    ++count_;
-    queued_[page] = true;
-    ++accepted_;
-    if (count_ > depth_high_water_) depth_high_water_ = count_;
-    return SubmitResult::kAccepted;
+    tail -= tail >= capacity_ ? capacity_ : 0;
+    ring_[accepted != 0 ? tail : capacity_] = page;
+    queued_.data()[page] = static_cast<std::uint8_t>(coalesced | accepted);
+    count_ += accepted;
+    ++submitted_;
+    accepted_ += accepted;
+    coalesced_ += coalesced;
+    dropped_ += dropped;
+    depth_high_water_ = std::max(depth_high_water_, count_);
+    return static_cast<SubmitResult>(coalesced + 2 * dropped);
   }
 
   /// Removes and returns the oldest queued page. Queue must be non-empty.
@@ -120,7 +127,7 @@ class PullQueue {
   // Fixed-size ring over a flat array: the capacity is bounded
   // (ServerQSize), so a preallocated ring replaces std::deque's chunked
   // indirection with one contiguous, cache-resident block.
-  std::vector<PageId> ring_;  // capacity_ entries.
+  std::vector<PageId> ring_;  // capacity_ entries, then Submit's scratch.
   std::uint32_t head_ = 0;    // Index of the oldest queued page.
   std::uint32_t count_ = 0;   // Queued pages.
   sim::ByteMask queued_;  // Byte-backed: one load per coalescing check.

@@ -61,6 +61,13 @@ class AliasSampler {
   /// The normalized probability of outcome `i` (for tests/diagnostics).
   double Probability(std::size_t i) const { return normalized_[i]; }
 
+  /// The tables SampleFromWords and Rejects read, size() entries each,
+  /// for kernels that gather them (sim/arrival_lanes.h): the acceptance
+  /// threshold and the alias outcome per bucket, and 2^64 mod size().
+  const double* prob_data() const { return prob_.data(); }
+  const std::uint32_t* alias_data() const { return alias_.data(); }
+  std::uint64_t reject_below() const { return reject_below_; }
+
  private:
   std::vector<double> prob_;         // Acceptance threshold per bucket.
   std::vector<std::uint32_t> alias_;  // Fallback outcome per bucket.

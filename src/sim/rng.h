@@ -1,6 +1,7 @@
 #ifndef BDISK_SIM_RNG_H_
 #define BDISK_SIM_RNG_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -26,9 +27,21 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
+  /// The generator's 256-bit state, s0..s3.
+  using State = std::array<std::uint64_t, 4>;
+
   /// Seeds the generator. Distinct seeds give statistically independent
   /// streams (the seed is expanded with SplitMix64 per Vigna's guidance).
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
+
+  /// The generator whose state is `state`, for code that steps copies of
+  /// one stream in vector lanes (sim/arrival_lanes.h) or crafts a stream.
+  /// The state step is linear over GF(2), so any state, even one with a
+  /// single bit set, steps correctly; only the all-zero state is stuck.
+  static Rng FromState(const State& state) { return Rng(state); }
+
+  /// The current state: FromState(state()) continues this stream.
+  State state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
@@ -96,6 +109,9 @@ class Rng {
   Rng Split();
 
  private:
+  explicit Rng(const State& state)
+      : s_{state[0], state[1], state[2], state[3]} {}
+
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -207,11 +207,13 @@ TEST(FusionTest, FusedMatchesUnfusedWithNoClientSteady) {
 
 TEST(FusionTest, FusedMatchesUnfusedWhenADrainSpansSeveralRefills) {
   core::SystemConfig config = SmallLoadedConfig(core::DeliveryMode::kIpp);
-  config.think_time_ratio = 400.0;
+  config.think_time_ratio = 3000.0;
   const core::RunResult fused = ExpectFusionInvariant(config);
-  // The load the case is for: drains longer than the VC's arrival batch.
+  // The load the case is for: drains longer than two of the VC's arrival
+  // batches, so one drain runs several refills back to back.
   EXPECT_GT(fused.kernel.lazy_arrivals_fused,
-            client::VirtualClient::kArrivalBatch * fused.kernel.lazy_drains);
+            2 * client::VirtualClient::kArrivalBatch *
+                fused.kernel.lazy_drains);
 }
 
 // Trace-level pins for the same invariant: the span assembler relies on the

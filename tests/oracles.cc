@@ -1,9 +1,7 @@
 #include "oracles.h"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
-#include <type_traits>
 #include <utility>
 
 #include "sim/check.h"
@@ -12,14 +10,10 @@ namespace bdisk::sim {
 
 Rng RngWithWordAt(std::uint64_t seed, std::uint64_t index,
                   std::uint64_t word) {
-  static_assert(std::is_trivially_copyable_v<Rng> &&
-                sizeof(Rng) == 4 * sizeof(std::uint64_t));
   const auto rotr = [](std::uint64_t x, int k) {
     return (x >> k) | (x << (64 - k));
   };
-  Rng rng(seed);
-  std::uint64_t s[4];
-  std::memcpy(s, &rng, sizeof(s));
+  Rng::State s = Rng(seed).state();
   s[3] = rotr(word - s[0], 23) - s[0];
   for (std::uint64_t step = 0; step < index; ++step) {
     // Inverse of Rng::Next's state step, which maps (a, b, c, d) to
@@ -36,8 +30,7 @@ Rng RngWithWordAt(std::uint64_t seed, std::uint64_t index,
     s[2] = c;
     s[3] = b_xor_d ^ b;
   }
-  std::memcpy(&rng, s, sizeof(s));
-  return rng;
+  return Rng::FromState(s);
 }
 
 }  // namespace bdisk::sim
