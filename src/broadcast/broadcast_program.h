@@ -49,8 +49,8 @@ class BroadcastProgram {
 
   /// The raw CSR occurrence index: page p's sorted slot positions are
   /// OccPositionsData()[OccOffsetsData()[p] .. OccOffsetsData()[p+1]).
-  /// Hot readers (schedule cursor, DistanceSnapshot) cache these two
-  /// pointers once and run the next-occurrence lower_bound inline, with no
+  /// Hot readers (the schedule cursor's next-occurrence search,
+  /// CycleSpanTable's construction) cache these two pointers once, with no
   /// per-query indirection through the program object.
   const std::uint32_t* OccOffsetsData() const { return occ_offsets_.data(); }
   const std::uint32_t* OccPositionsData() const {

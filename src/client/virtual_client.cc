@@ -1,6 +1,5 @@
 #include "client/virtual_client.h"
 
-#include <algorithm>
 #include <span>
 
 #include "sim/arrival_lanes.h"
@@ -22,12 +21,7 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
       filter_(options.thres_perc, server->program().Length()),
       warm_cached_(pattern.DbSize(), false),
       ideal_warm_(pattern.DbSize(), false),
-      rng_(rng),
-      draws_coin_(options.steady_state_perc > 0.0 &&
-                  options.steady_state_perc < 1.0),
-      fixed_steady_(options.steady_state_perc >= 1.0 ? ~std::uint64_t{0}
-                                                     : 0),
-      snapshot_(server->program()) {
+      rng_(rng) {
   batch_.at[kArrivalBatch] = sim::kTimeNever;
   BDISK_CHECK_MSG(think_mean_ > 0.0, "think time mean must be positive");
   BDISK_CHECK_MSG(simulator != nullptr, "client needs a simulator");
@@ -47,8 +41,8 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
   if (options.fused) {
     // Whole-cycle threshold-decision table: one bit test per arrival
     // instead of an occurrence search. Null (empty program, or a
-    // degenerate cycle too large for the bitset) falls back to the
-    // snapshot's memoized per-page search.
+    // degenerate cycle too large for the bitset) leaves CatchUp the
+    // server's own search, the one the oracle runs.
     span_table_ = broadcast::CycleSpanTable::BuildIfFeasible(
         server->program(), filter_.ThresholdSlots());
   }
@@ -79,62 +73,13 @@ void VirtualClient::OnInvalidate(PageId page, sim::SimTime /*now*/) {
   warm_cached_[page] = false;
 }
 
-template <bool kCoin>
-void VirtualClient::DrawArrivals() {
-  // Pass 1: the whole batch's 64-bit words back to back, per arrival in
-  // the oracle's draw order: bucket (NextBounded), accept (NextDouble),
-  // steady coin (NextBernoulli, only when it draws), think (NextDouble).
-  constexpr std::uint32_t kWords = kCoin ? 4 : 3;
-  constexpr std::uint32_t kBlock = kWords * kArrivalBatch;
-  std::uint64_t* const words = words_.data();
-  sim::Rng local = rng_;
-  for (std::uint32_t j = 0; j < kBlock; ++j) words[j] = local.Next();
-  // Pass 2: map the words with no data-dependent branch, one steady-coin
-  // mask per 64 arrivals. The think uniform's -u lands in at[i + 1] until
-  // the log1p pass.
-  const sim::AliasSampler& sampler = generator_.sampler();
-  const double steady_perc = options_.steady_state_perc;
-  for (std::uint32_t lane = 0; lane < kArrivalBatch / 64; ++lane) {
-    std::uint64_t steady = kCoin ? 0 : fixed_steady_;
-    for (std::uint32_t bit = 0; bit < 64; ++bit) {
-      const std::uint32_t i = 64 * lane + bit;
-      std::uint64_t* const w = words + kWords * i;
-      while (sampler.Rejects(w[0])) [[unlikely]] {
-        // NextBounded draws the bucket again from the next word of the
-        // same stream: every later word moves down one place and the
-        // block's last word comes from the generator.
-        std::copy(w + 1, words + kBlock, w);
-        words[kBlock - 1] = local.Next();
-      }
-      batch_.page[i] =
-          static_cast<PageId>(sampler.SampleFromWords(w[0], w[1]));
-      if constexpr (kCoin) {
-        steady |= std::uint64_t{sim::Rng::UnitDouble(w[2]) < steady_perc}
-                  << bit;
-      }
-      batch_.at[i + 1] = -sim::Rng::UnitDouble(w[kWords - 1]);
-    }
-    batch_.steady[lane] = steady;
-  }
-  rng_ = local;
-}
-
 void VirtualClient::RefillArrivals() {
   obs::PhaseScope prof(simulator_->phase_profiler(), obs::Phase::kVcDraw);
   // The next batch starts at the arrival the last one ended on.
   batch_.at[0] = batch_.at[kArrivalBatch];
-  const sim::ArrivalDraws draws{batch_.page.data(), batch_.steady.data(),
-                                batch_.at.data() + 1};
-  if (!sim::DrawArrivalLanes(rng_, generator_.sampler(),
-                             options_.steady_state_perc, draws)) {
-    // No AVX2, or a bucket word NextBounded may reject somewhere in the
-    // batch: the one-stream draw, from the state the lanes left as it was.
-    if (draws_coin_) {
-      DrawArrivals<true>();
-    } else {
-      DrawArrivals<false>();
-    }
-  }
+  sim::DrawArrivals(rng_, generator_.sampler(), options_.steady_state_perc,
+                    {batch_.page.data(), batch_.steady.data(),
+                     batch_.at.data() + 1});
   const std::span<double> thinks(batch_.at.data() + 1, kArrivalBatch);
   sim::Log1pInPlace(thinks);
   // Rng::NextExponential's arithmetic, one rounding per step.
@@ -155,12 +100,10 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   // refills (vc.draw) and the submit flushes (server.queue) it runs.
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
-  // Barrier-frozen snapshot: the cursor cannot move during a drain (it
+  // Barrier-frozen position: the cursor cannot move during a drain (it
   // only advances in the server's slot decision, which runs after the
-  // CatchUpLazySources barrier), so one position serves the whole batch —
-  // and, via the epoch memo, consecutive drains within the same slot.
-  snapshot_.Freeze(server_->SchedulePosition());
-  const std::uint32_t pos = snapshot_.Position();
+  // CatchUpLazySources barrier), so one position serves the whole batch.
+  const std::uint32_t pos = server_->SchedulePosition();
   const broadcast::CycleSpanTable* table = span_table_.get();
   const std::uint8_t* ideal = ideal_warm_.data();
   std::uint8_t* warm = warm_cached_.data();
@@ -207,7 +150,7 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
         table != nullptr
             ? static_cast<unsigned>(table->ShouldPull(page, pos))
             : static_cast<unsigned>(
-                  filter_.ShouldPull(snapshot_.Distance(page)));
+                  filter_.ShouldPull(server_->DistanceToNextPush(page)));
     hits += hit;
     filtered += miss & (pull ^ 1U);
     // Steady misses re-fetch: the page re-enters the represented warm

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "broadcast/distance_snapshot.h"
 #include "broadcast/span_table.h"
 #include "client/threshold_filter.h"
 #include "server/broadcast_server.h"
@@ -46,7 +45,7 @@ struct VirtualClientOptions {
 
   /// Fused (default, the production path): arrivals are drained in
   /// batches through the simulator's lazy-source barrier — a classify pass
-  /// over pre-drawn arrivals against a barrier-frozen distance snapshot —
+  /// over pre-drawn arrivals at the barrier-frozen schedule position —
   /// instead of costing one heap event each. Unfused is the semantic
   /// oracle: a separately written evented path that schedules one heap
   /// event per arrival (SystemConfig::vc_fusion, and forced by
@@ -98,7 +97,7 @@ class VirtualClient : public sim::LazySource,
   void OnInvalidate(PageId page, sim::SimTime now) override;
 
   /// Arrivals the fused path draws per refill of its batch: four lanes of
-  /// 64 (sim::DrawArrivalLanes).
+  /// 64 (sim::DrawArrivals).
   static constexpr std::uint32_t kArrivalBatch = sim::kRefillArrivals;
 
   /// LazySource: processes every arrival with timestamp <= `horizon`.
@@ -122,15 +121,8 @@ class VirtualClient : public sim::LazySource,
 
   /// Fused path: draws the next kArrivalBatch arrivals into batch_, in the
   /// oracle's per-arrival order (page, steady coin, think), with
-  /// sim::DrawArrivalLanes or, where that declines, DrawArrivals.
+  /// sim::DrawArrivals.
   void RefillArrivals();
-
-  /// RefillArrivals' one-stream draw: the batch's raw generator words
-  /// first, then a branch-free map of them to pages, steady coins and -u
-  /// think uniforms. `kCoin`: whether NextBernoulli draws a word
-  /// (SteadyStatePerc strictly between 0 and 1).
-  template <bool kCoin>
-  void DrawArrivals();
 
   sim::Simulator* simulator_;
   server::BroadcastServer* server_;
@@ -141,10 +133,6 @@ class VirtualClient : public sim::LazySource,
   sim::ByteMask warm_cached_;  // Currently valid warm copies.
   sim::ByteMask ideal_warm_;   // The warm set itself (never changes).
   sim::Rng rng_;
-  // Fused path: whether each arrival's steady coin draws a word, and the
-  // coin mask when it does not (all ones at SteadyStatePerc 1, else 0).
-  bool draws_coin_;
-  std::uint64_t fixed_steady_;
 
   bool registered_ = false;                       // Fused path.
   sim::EventId wakeup_ = sim::kInvalidEventId;    // Unfused oracle.
@@ -163,17 +151,13 @@ class VirtualClient : public sim::LazySource,
   static_assert(kArrivalBatch % 64 == 0, "one steady-coin bit per arrival");
   ArrivalBatch batch_;
   std::uint32_t cursor_ = kArrivalBatch;
-  // Scratch of the fused path, kept here so no refill or drain pays to
-  // clear it: DrawArrivals' raw words (up to 4 per arrival) and CatchUp's
-  // submit buffer, both written before they are read.
-  std::array<std::uint64_t, 4 * kArrivalBatch> words_{};
+  // CatchUp's submit buffer, kept here so no drain pays to clear it:
+  // written before it is read.
   std::array<PageId, kArrivalBatch> submit_page_{};
   std::array<sim::SimTime, kArrivalBatch> submit_at_{};
 
-  // Fused-drain state: the barrier-frozen distance snapshot and the
-  // optional whole-cycle threshold-decision table (null → fall back to the
-  // snapshot's memoized search).
-  broadcast::DistanceSnapshot snapshot_;
+  // Fused path: the whole-cycle threshold-decision table, or null where
+  // none is feasible (CatchUp then asks the server, as the oracle does).
   std::unique_ptr<const broadcast::CycleSpanTable> span_table_;
 
   std::uint64_t generated_ = 0;

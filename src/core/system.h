@@ -18,7 +18,6 @@
 #include "core/config.h"
 #include "core/metrics.h"
 #include "core/server_stack.h"
-#include "fault/fault_injector.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/phase_profiler.h"
@@ -203,9 +202,6 @@ class System {
   server::UpdateGenerator* update_generator() {
     return update_generator_.get();
   }
-
-  /// Fault injector; null unless the config's FaultPlan is Enabled().
-  fault::FaultInjector* fault_injector() { return stack_.server_faults(); }
 
  private:
   RunResult CollectResult(bool converged) const;

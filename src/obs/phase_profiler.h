@@ -231,11 +231,6 @@ class PhaseProfiler {
   /// Open *timed* frames (untimed frames keep no stack); 0 when balanced.
   int OpenDepth() const { return tdepth_; }
   double NsPerTick() const { return ns_per_tick_; }
-  /// Calibrated cost of one bracket tick read (the compensation residue).
-  std::uint64_t TickReadTicks() const { return tick_read_ticks_; }
-  /// In-situ per-frame leak (ticks) solved at Finalize from the
-  /// root-window invariant; 0 when no extrapolated phase exceeded it.
-  double LeakTicksPerFrame() const { return leak_ticks_; }
 
   /// Estimated totals after Finalize(): sampled ticks scaled by
   /// calls/timed_calls, converted to ns.

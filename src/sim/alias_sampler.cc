@@ -19,7 +19,6 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   }
   BDISK_CHECK_MSG(total > 0.0, "at least one weight must be positive");
 
-  reject_below_ = (std::uint64_t{0} - n) % n;
   normalized_.resize(n);
   for (std::size_t i = 0; i < n; ++i) normalized_[i] = weights[i] / total;
 

@@ -107,11 +107,11 @@ __attribute__((target("avx2"))) inline __m256i Next(Lanes& s) {
   return result;
 }
 
-// Rng::UnitDouble on four words: (w >> 11) * 2^-53, exactly. AVX2 has no
-// 64-bit integer conversion, so the 53 bits go in as two mantissas: the
-// high 21 as 2^31 + hi * 2^-21, the low 32 as 2^-1 + lo * 2^-53.
-// Subtracting 2^31 + 2^-1 from the first and adding the second rounds
-// nowhere: each result is a multiple of 2^-53 below 1.
+// Rng::NextDouble's double of each of four words: (w >> 11) * 2^-53,
+// exactly. AVX2 has no 64-bit integer conversion, so the 53 bits go in as
+// two mantissas: the high 21 as 2^31 + hi * 2^-21, the low 32 as
+// 2^-1 + lo * 2^-53. Subtracting 2^31 + 2^-1 from the first and adding
+// the second rounds nowhere: each result is a multiple of 2^-53 below 1.
 __attribute__((target("avx2"))) inline __m256d UnitDouble(__m256i w) {
   const __m256i hi = _mm256_or_si256(_mm256_srli_epi64(w, 43),
                                      _mm256_set1_epi64x(0x41e0000000000000));
@@ -137,10 +137,10 @@ __attribute__((target("avx2"))) inline void StoreLanes(double* out,
 // The refill with kWords words per arrival: bucket, accept, the steady
 // coin when it draws, think.
 template <std::uint32_t kWords>
-__attribute__((target("avx2"))) bool DrawLanes(Rng& rng,
-                                               const AliasSampler& sampler,
-                                               double steady_perc,
-                                               const ArrivalDraws& out) {
+__attribute__((target("avx2"))) bool LaneRefill(Rng& rng,
+                                                const AliasSampler& sampler,
+                                                double steady_perc,
+                                                const ArrivalDraws& out) {
   static_assert(kArrivalLanes == 4, "one lane per 64-bit AVX2 word");
   Rng::State start[kArrivalLanes];
   start[0] = rng.state();
@@ -181,8 +181,8 @@ __attribute__((target("avx2"))) bool DrawLanes(Rng& rng,
     const __m256i bucket = _mm256_srli_epi64(sum, 32);
     rejected = _mm256_or_si256(rejected,
                                _mm256_cmpeq_epi32(sum, _mm256_setzero_si256()));
-    // AliasSampler::SampleFromWords: the bucket if its threshold accepts,
-    // else its alias.
+    // AliasSampler::Sample: the bucket if its threshold accepts, else its
+    // alias.
     const __m256d accept = _mm256_cmp_pd(
         UnitDouble(accept_word), _mm256_i64gather_pd(prob, bucket, 8),
         _CMP_LT_OQ);
@@ -227,6 +227,17 @@ __attribute__((target("avx2"))) bool DrawLanes(Rng& rng,
 }
 
 }  // namespace
+
+bool DrawLanes(Rng& rng, const AliasSampler& sampler, double steady_perc,
+               const ArrivalDraws& out) {
+  if (!ArrivalLanesActive()) return false;
+  // NextBernoulli draws a word only strictly between 0 and 1.
+  if (steady_perc > 0.0 && steady_perc < 1.0) {
+    return LaneRefill<4>(rng, sampler, steady_perc, out);
+  }
+  return LaneRefill<3>(rng, sampler, steady_perc, out);
+}
+
 }  // namespace arrival_lanes_detail
 
 bool ArrivalLanesActive() {
@@ -234,14 +245,21 @@ bool ArrivalLanesActive() {
   return active;
 }
 
-bool DrawArrivalLanes(Rng& rng, const AliasSampler& sampler,
-                      double steady_perc, const ArrivalDraws& out) {
-  if (!ArrivalLanesActive()) return false;
-  // NextBernoulli draws a word only strictly between 0 and 1.
-  if (steady_perc > 0.0 && steady_perc < 1.0) {
-    return arrival_lanes_detail::DrawLanes<4>(rng, sampler, steady_perc, out);
+void DrawArrivals(Rng& rng, const AliasSampler& sampler, double steady_perc,
+                  const ArrivalDraws& out) {
+  if (arrival_lanes_detail::DrawLanes(rng, sampler, steady_perc, out)) return;
+  // The lanes declined, leaving `rng` as it was: the same draws, one
+  // arrival at a time.
+  for (std::uint32_t j = 0; j < kArrivalLanes; ++j) {
+    std::uint64_t steady = 0;
+    for (std::uint32_t i = 0; i < kLaneArrivals; ++i) {
+      const std::uint32_t a = j * kLaneArrivals + i;
+      out.page[a] = static_cast<std::uint32_t>(sampler.Sample(rng));
+      steady |= std::uint64_t{rng.NextBernoulli(steady_perc)} << i;
+      out.neg_u[a] = -rng.NextDouble();
+    }
+    out.steady[j] = steady;
   }
-  return arrival_lanes_detail::DrawLanes<3>(rng, sampler, steady_perc, out);
 }
 
 }  // namespace bdisk::sim

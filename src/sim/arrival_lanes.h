@@ -25,37 +25,42 @@ struct ArrivalDraws {
 /// Draws the next kRefillArrivals arrivals of `rng`'s stream as the
 /// one-at-a-time path draws them: per arrival `sampler.Sample(rng)`, the
 /// coin `rng.NextBernoulli(steady_perc)` (steady_perc in [0, 1]; it draws
-/// a word only strictly between), then `-rng.NextDouble()`.
+/// a word only strictly between), then `-rng.NextDouble()`. The results
+/// and the generator state after them are the one-at-a-time path's, bit
+/// for bit, whichever way they were drawn.
 ///
 /// xoshiro256++'s state step is linear over GF(2), so lane j's start, L
 /// words past lane j - 1's (L = 64 arrivals' words), is one 256x256 bit
 /// matrix product away; the matrix is built once per process and L, on
 /// first use. The four lanes then step together, each AVX2 register
 /// holding one state word of every lane, so one step draws the same word
-/// of four arrivals, one per lane. The results and the generator state
-/// after them are the one-at-a-time path's, bit for bit.
-///
-/// Returns false, with `rng` unchanged and `out` unspecified, when the CPU
-/// lacks AVX2 or a bucket word anywhere in the refill may be one that
-/// Rng::NextBounded rejects (it would draw again and shift every later
-/// lane): the caller then draws the refill one at a time. The test is the
-/// high half of the low product word being 0, which every rejected word
-/// (616 in 2^64 at 1000 pages) passes and other words pass once in 2^32.
-bool DrawArrivalLanes(Rng& rng, const AliasSampler& sampler,
-                      double steady_perc, const ArrivalDraws& out);
+/// of four arrivals, one per lane. Where the lanes decline (see
+/// arrival_lanes_detail::DrawLanes) the refill is those same calls, one
+/// arrival at a time.
+void DrawArrivals(Rng& rng, const AliasSampler& sampler, double steady_perc,
+                  const ArrivalDraws& out);
 
-/// Whether DrawArrivalLanes runs in this process.
+/// Whether DrawArrivals runs the lanes in this process.
 bool ArrivalLanesActive();
 
-/// The pieces DrawArrivalLanes is built from, for its tests.
+/// The pieces DrawArrivals is built from, for its tests.
 namespace arrival_lanes_detail {
 
 /// Whether the CPU (and the OS) runs AVX2 code.
 bool CpuHasAvx2();
 
+/// DrawArrivals through the four lanes alone. Returns false, with `rng`
+/// unchanged and `out` unspecified, when the CPU lacks AVX2 or a bucket
+/// word anywhere in the refill may be one that Rng::NextBounded rejects
+/// (it would draw again and shift every later lane). The test is the high
+/// half of the low product word being 0, which every rejected word (616
+/// in 2^64 at 1000 pages) passes and other words pass once in 2^32.
+bool DrawLanes(Rng& rng, const AliasSampler& sampler, double steady_perc,
+               const ArrivalDraws& out);
+
 /// The state `words_per_arrival` * kLaneArrivals Rng::Next() steps after
-/// `state`, through the jump table DrawArrivalLanes uses for that many
-/// words per arrival (3 or 4). Call only when CpuHasAvx2().
+/// `state`, through the jump table DrawLanes uses for that many words per
+/// arrival (3 or 4). Call only when CpuHasAvx2().
 Rng::State JumpLane(const Rng::State& state, std::uint32_t words_per_arrival);
 
 }  // namespace arrival_lanes_detail

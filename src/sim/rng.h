@@ -16,13 +16,13 @@ namespace bdisk::sim {
 /// a given seed, so every experiment in this repo is exactly reproducible.
 /// Satisfies the C++ UniformRandomBitGenerator concept.
 ///
-/// The draw methods are defined inline: the virtual client's batch refill
-/// copies the generator into a local and draws millions of times per run,
-/// and keeping the state in registers across the refill loop is worth more
-/// than any single algorithmic change in that path. That loop draws the
-/// think uniforms itself and turns a whole batch of them into log1p values
-/// with one sim::Log1pInPlace call; NextExponential stays the one-draw
-/// form for everything else (DESIGN.md § "The batched arrival spine").
+/// The draw methods are defined inline, so a loop that draws millions of
+/// times per run (the unfused virtual client, sim::DrawArrivals where its
+/// vector lanes do not run) keeps the state in registers. The virtual
+/// client's batch refill draws the think uniforms itself and turns a whole
+/// batch of them into log1p values with one sim::Log1pInPlace call;
+/// NextExponential stays the one-draw form for everything else (DESIGN.md
+/// § "The batched arrival spine").
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -63,12 +63,8 @@ class Rng {
   }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble() { return UnitDouble(Next()); }
-
-  /// The double NextDouble() makes of the raw word `word`, for callers
-  /// that draw a block of words first and transform them after.
-  static double UnitDouble(std::uint64_t word) {
-    return static_cast<double>(word >> 11) * 0x1.0p-53;
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
   }
 
   /// Uniform integer in [0, bound), bound > 0. Uses Lemire's unbiased

@@ -19,8 +19,8 @@ class AccessGenerator {
     return static_cast<PageId>(sampler_.Sample(rng));
   }
 
-  /// The sampler itself, for callers that draw raw words first
-  /// (sim::AliasSampler::SampleFromWords).
+  /// The sampler itself, for the virtual client's batch refill
+  /// (sim::DrawArrivals).
   const sim::AliasSampler& sampler() const { return sampler_; }
 
  private:

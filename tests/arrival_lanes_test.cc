@@ -1,6 +1,7 @@
-// sim::DrawArrivalLanes must draw what the one-at-a-time path draws, bit
-// for bit and with the same generator state after every refill, or decline
-// and leave the generator as it was.
+// sim::DrawArrivals must draw what the one-at-a-time path draws, bit for
+// bit and with the same generator state after every refill, on every host.
+// Its lanes alone (arrival_lanes_detail::DrawLanes) must do the same or
+// decline and leave the generator as it was.
 
 #include "sim/arrival_lanes.h"
 
@@ -19,10 +20,11 @@
 namespace bdisk::sim {
 namespace {
 
+using arrival_lanes_detail::DrawLanes;
 using arrival_lanes_detail::JumpLane;
 
 const char* const kInactive =
-    "no AVX2 on this host: DrawArrivalLanes declines every refill";
+    "no AVX2 on this host: DrawLanes declines every refill";
 
 /// One refill's outputs, in the layout the virtual client's batch uses.
 struct Refill {
@@ -74,7 +76,7 @@ int MismatchedRefills(const AliasSampler& sampler, double steady_perc,
     const Refill want = OracleRefill(oracle, sampler, steady_perc);
     // A rejected bucket word (616 in 2^64 at 1000 pages) declines; the
     // oracle's state then stands in for the caller's fallback draw.
-    if (!DrawArrivalLanes(lanes, sampler, steady_perc, got.Draws())) {
+    if (!DrawLanes(lanes, sampler, steady_perc, got.Draws())) {
       ADD_FAILURE() << "refill " << r << " declined";
       lanes = oracle;
       ++bad;
@@ -147,7 +149,6 @@ TEST(ArrivalLanesTest, MatchesOneAtATimeDrawsOnSmallTables) {
 TEST(ArrivalLanesTest, RejectedBucketWordDeclinesAndLeavesTheGenerator) {
   if (!ArrivalLanesActive()) GTEST_SKIP() << kInactive;
   const AliasSampler zipf(ZipfPmf(1000, 0.95));
-  ASSERT_TRUE(zipf.Rejects(0));
   // A 0 bucket word at the first and the last arrival of every lane, with
   // the coin (4 words per arrival) and without (3).
   for (const double steady : {0.5, 1.0}) {
@@ -160,14 +161,46 @@ TEST(ArrivalLanesTest, RejectedBucketWordDeclinesAndLeavesTheGenerator) {
         Rng rng = RngWithWordAt(17, words * arrival, 0);
         const Rng::State before = rng.state();
         Refill got;
-        EXPECT_FALSE(DrawArrivalLanes(rng, zipf, steady, got.Draws()));
+        EXPECT_FALSE(DrawLanes(rng, zipf, steady, got.Draws()));
         EXPECT_EQ(rng.state(), before);
         // The same word as the arrival's accept word is no rejection.
         Rng accept = RngWithWordAt(17, words * arrival + 1, 0);
         Rng oracle = accept;
-        ASSERT_TRUE(DrawArrivalLanes(accept, zipf, steady, got.Draws()));
+        ASSERT_TRUE(DrawLanes(accept, zipf, steady, got.Draws()));
         EXPECT_EQ(FirstMismatch(got, OracleRefill(oracle, zipf, steady)), -1);
         EXPECT_EQ(accept.state(), oracle.state());
+      }
+    }
+  }
+}
+
+TEST(ArrivalLanesTest, DrawArrivalsMatchesOneAtATimeDrawsOnEveryHost) {
+  const AliasSampler zipf(ZipfPmf(1000, 0.95));
+  // The crafted stream carries the word where asked, and NextBounded
+  // rejects a 0 bucket word at 1000 pages (its low product word 0 is below
+  // 2^64 mod 1000 = 616), so it takes the word after instead.
+  Rng check = RngWithWordAt(9, 3, 0);
+  for (int i = 0; i < 3; ++i) check.Next();
+  Rng bounded = check;
+  EXPECT_EQ(check.Next(), 0U);
+  check.Next();
+  bounded.NextBounded(zipf.size());
+  EXPECT_EQ(bounded.state(), check.state());
+  // A 0 bucket word at the first, the 64th and the last arrival, which the
+  // lanes decline, then a refill drawn the way this host draws it.
+  for (const double steady : {0.0, 0.5, 1.0}) {
+    const std::uint64_t words = steady > 0.0 && steady < 1.0 ? 4 : 3;
+    for (const std::uint64_t arrival : {0U, 63U, 255U}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "steady " << steady << ", arrival " << arrival);
+      Rng rng = RngWithWordAt(17, words * arrival, 0);
+      Rng oracle = rng;
+      for (int refill = 0; refill < 2; ++refill) {
+        Refill got;
+        DrawArrivals(rng, zipf, steady, got.Draws());
+        EXPECT_EQ(FirstMismatch(got, OracleRefill(oracle, zipf, steady)), -1)
+            << "refill " << refill;
+        EXPECT_EQ(rng.state(), oracle.state()) << "refill " << refill;
       }
     }
   }

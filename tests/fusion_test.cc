@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "broadcast/span_table.h"
+#include "client/threshold_filter.h"
 #include "client/virtual_client.h"
 #include "core/experiment.h"
 #include "core/system.h"
@@ -88,26 +90,31 @@ TEST(LazySourceTest, UnregisteredSourceIsNotDrained) {
   EXPECT_EQ(sim.LazyArrivalsFused(), 0U);
 }
 
-// The system-level pin. Every trajectory field of RunResult must agree to
-// the bit between a fused and an unfused run of the same config; only the
-// kernel accounting may differ, and there the sum events_executed +
-// lazy_arrivals_fused is invariant (each fused arrival is exactly one
-// saved heap event). Returns the fused run's result.
-core::RunResult ExpectFusionInvariant(core::SystemConfig config) {
+// A steady-state run of 500 to 1,500 measured accesses.
+core::SteadyStateProtocol ShortProtocol() {
   core::SteadyStateProtocol protocol;
   protocol.post_fill_accesses = 100;
   protocol.min_measured_accesses = 500;
   protocol.max_measured_accesses = 1500;
   protocol.batch_size = 250;
   protocol.tolerance = 0.1;
+  return protocol;
+}
 
+// The system-level pin. Every trajectory field of RunResult must agree to
+// the bit between a fused and an unfused run of the same config; only the
+// kernel accounting may differ, and there the sum events_executed +
+// lazy_arrivals_fused is invariant (each fused arrival is exactly one
+// saved heap event). Returns the fused run's result.
+core::RunResult ExpectFusionInvariant(core::SystemConfig config) {
   config.vc_fusion = true;
   core::System fused_system(config);
-  const core::RunResult fused = fused_system.RunSteadyState(protocol);
+  const core::RunResult fused = fused_system.RunSteadyState(ShortProtocol());
 
   config.vc_fusion = false;
   core::System unfused_system(config);
-  const core::RunResult unfused = unfused_system.RunSteadyState(protocol);
+  const core::RunResult unfused =
+      unfused_system.RunSteadyState(ShortProtocol());
 
   EXPECT_EQ(fused.mean_response, unfused.mean_response);
   EXPECT_EQ(fused.response_stats.Variance(),
@@ -221,19 +228,12 @@ TEST(FusionTest, FusedMatchesUnfusedWhenADrainSpansSeveralRefills) {
 // not reorder (or re-time) a single record.
 
 std::vector<obs::SpanRecord> TraceOfRun(core::SystemConfig config) {
-  core::SteadyStateProtocol protocol;
-  protocol.post_fill_accesses = 100;
-  protocol.min_measured_accesses = 500;
-  protocol.max_measured_accesses = 1500;
-  protocol.batch_size = 250;
-  protocol.tolerance = 0.1;
-
   core::System system(config);
   // Big enough that the updates-plus-VC-heavy run never wraps: the
   // comparison below needs the complete stream, not the tail.
   obs::TraceSink sink(1 << 21);
   system.AttachTrace(&sink);
-  system.RunSteadyState(protocol);
+  system.RunSteadyState(ShortProtocol());
   EXPECT_EQ(sink.DroppedEvents(), 0U);
   return sink.Events();
 }
@@ -307,6 +307,48 @@ TEST(FusionTraceTest, FusedAndUnfusedTracesMatchUnderShedding) {
     ASSERT_EQ(fused[i].page, unfused[i].page) << "record " << i;
     ASSERT_EQ(fused[i].value, unfused[i].value) << "record " << i;
   }
+}
+
+// The run's trace as bdisk_sim --trace writes it, the sink's default ring
+// of the last 256Ki records as JSONL: its FNV-1a digest and the count of
+// every record.
+std::pair<std::uint64_t, std::uint64_t> TraceDigestOfRun(
+    core::SystemConfig config) {
+  core::System system(config);
+  obs::TraceSink sink;
+  system.AttachTrace(&sink);
+  system.RunSteadyState(ShortProtocol());
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : sink.ToJsonl()) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return {h, sink.TotalEvents()};
+}
+
+TEST(FusionTest, FusedMatchesUnfusedWithoutASpanTable) {
+  // 1,000 pages over a 70,900-slot cycle: the span table would take
+  // 8.45 MiB, past its 8 MiB cap, so the fused drain asks the server for
+  // each arrival's push distance, as the oracle does.
+  core::SystemConfig config;
+  config.disks = broadcast::DiskConfig{{100, 900}, {700, 1}};
+  config.think_time_ratio = 100.0;
+  config.thres_perc = 0.1;
+  config.seed = 20260806;
+  {
+    const core::System system(config);
+    const std::uint32_t length = system.program().Length();
+    ASSERT_EQ(length, 70900U);
+    EXPECT_EQ(broadcast::CycleSpanTable::BuildIfFeasible(
+                  system.program(),
+                  client::ThresholdFilter(config.thres_perc, length)
+                      .ThresholdSlots()),
+              nullptr);
+  }
+  ExpectFusionInvariant(config);
+  config.vc_fusion = true;
+  const auto fused = TraceDigestOfRun(config);
+  config.vc_fusion = false;
+  EXPECT_EQ(TraceDigestOfRun(config), fused);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ std::shared_ptr<const BroadcastProgram> Share(BroadcastProgram program);
 /// Number of slots from position `pos` (inclusive) until `page` is next
 /// broadcast: 0 means slot `pos` itself carries the page. Returns
 /// kNeverBroadcast for pages not on the schedule. The oracle for
-/// ScheduleCursor, DistanceSnapshot and CycleSpanTable.
+/// ScheduleCursor and CycleSpanTable.
 std::uint32_t DistanceToNext(const BroadcastProgram& program,
                              std::uint32_t pos, PageId page);
 

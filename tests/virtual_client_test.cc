@@ -169,13 +169,12 @@ DrawRun RunOverCraftedStream(bool fused, double steady_state_perc,
 
 TEST(VirtualClientTest, FusedDrawMatchesTheOracleAcrossARejectedBucketWord) {
   // NextBounded rejects a bucket word of 0 and draws the next word, which
-  // shifts every later word of the fused refill's block by one, so the
-  // lanes decline the refill and the one-stream draw runs. Word 0 of the
-  // stream is Start()'s think; arrival j's bucket word is then word
-  // 1 + j * (words per arrival) of the first refill: 4 with a steady coin,
-  // 3 at SteadyStatePerc 1, when the coin draws nothing. The arrivals are
-  // the first and last of each 64-arrival lane; arrival 255's shift runs
-  // past the block's end, into the generator.
+  // shifts every later word of the fused refill by one, so the lanes
+  // decline the refill and sim::DrawArrivals draws it one arrival at a
+  // time. Word 0 of the stream is Start()'s think; arrival j's bucket word
+  // is then word 1 + j * (words per arrival) of the first refill: 4 with a
+  // steady coin, 3 at SteadyStatePerc 1, when the coin draws nothing. The
+  // arrivals are the first and last of each 64-arrival lane.
   for (const double steady : {0.5, 1.0}) {
     const std::uint64_t words = steady < 1.0 ? 4 : 3;
     for (const std::uint64_t arrival :
