@@ -1,10 +1,6 @@
 #include "client/virtual_client.h"
 
-#include <span>
-
-#include "sim/arrival_lanes.h"
 #include "sim/check.h"
-#include "sim/log1p_batch.h"
 
 namespace bdisk::client {
 
@@ -21,8 +17,9 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
       filter_(options.thres_perc, server->program().Length()),
       warm_cached_(pattern.DbSize(), false),
       ideal_warm_(pattern.DbSize(), false),
-      rng_(rng) {
-  batch_.at[kArrivalBatch] = sim::kTimeNever;
+      rng_(rng),
+      arrivals_(&rng_, {&generator_.sampler(), options.steady_state_perc,
+                        think_mean_}) {
   BDISK_CHECK_MSG(think_mean_ > 0.0, "think time mean must be positive");
   BDISK_CHECK_MSG(simulator != nullptr, "client needs a simulator");
   BDISK_CHECK_MSG(server != nullptr, "client needs a server");
@@ -58,7 +55,7 @@ void VirtualClient::Start() {
   // consumed at the same point regardless of fusion.
   const sim::SimTime first = rng_.NextExponential(think_mean_);
   if (options_.fused) {
-    batch_.at[kArrivalBatch] = simulator_->Now() + first;
+    next_at_ = simulator_->Now() + first;
     simulator_->RegisterLazySource(this);
     registered_ = true;
   } else {
@@ -73,28 +70,15 @@ void VirtualClient::OnInvalidate(PageId page, sim::SimTime /*now*/) {
   warm_cached_[page] = false;
 }
 
-void VirtualClient::RefillArrivals() {
+const ArrivalRefill& VirtualClient::RefillArrivals(sim::SimTime start) {
+  // Inline, the draw itself; with a producer, the wait for its hand-off.
   obs::PhaseScope prof(simulator_->phase_profiler(), obs::Phase::kVcDraw);
-  // The next batch starts at the arrival the last one ended on.
-  batch_.at[0] = batch_.at[kArrivalBatch];
-  sim::DrawArrivals(rng_, generator_.sampler(), options_.steady_state_perc,
-                    {batch_.page.data(), batch_.steady.data(),
-                     batch_.at.data() + 1});
-  const std::span<double> thinks(batch_.at.data() + 1, kArrivalBatch);
-  sim::Log1pInPlace(thinks);
-  // Rng::NextExponential's arithmetic, one rounding per step.
-  const double mean = think_mean_;
-  sim::SimTime t = batch_.at[0];
-  for (double& slot : thinks) {
-    const double think = -mean * slot;
-    t = t + think;
-    slot = t;
-  }
   prof.AddOps(kArrivalBatch);
+  return arrivals_.Next(start);
 }
 
 std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
-  if (batch_.at[cursor_] > horizon) return 0;
+  if (next_at_ > horizon) return 0;
   // The VC arrival hot path (ROADMAP): one frame per non-empty drain,
   // arrivals as ops — never a per-arrival timestamp. Inclusive of the
   // refills (vc.draw) and the submit flushes (server.queue) it runs.
@@ -128,20 +112,21 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   // Classify pass over the pre-drawn arrivals. Arrivals stay sequential
   // because warm re-fetches are order-dependent: an arrival can re-warm a
   // page a later arrival in the same drain then hits.
+  const ArrivalRefill* batch = batch_;
   std::uint32_t i = cursor_;
-  sim::SimTime at = batch_.at[i];
+  sim::SimTime at = next_at_;
   std::uint64_t processed = 0;
   std::uint64_t hits = 0;
   std::uint64_t filtered = 0;
   while (at <= horizon) {
     if (i == kArrivalBatch) {
       flush();
-      RefillArrivals();
+      batch = &RefillArrivals(at);
       i = 0;
     }
-    const PageId page = batch_.page[i];
+    const PageId page = batch->page[i];
     const auto s =
-        static_cast<unsigned>(batch_.steady[i / 64] >> (i % 64)) & 1U;
+        static_cast<unsigned>(batch->steady[i / 64] >> (i % 64)) & 1U;
     ++i;
     const unsigned w = warm[page];
     const unsigned hit = s & w;
@@ -161,10 +146,12 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
     submit_at[submits] = at;
     submits += miss & pull;
     ++processed;
-    at = batch_.at[i];
+    at = batch->at[i];
   }
   flush();
+  batch_ = batch;
   cursor_ = i;
+  next_at_ = at;
   generated_ += processed;
   cache_hits_ += hits;
   filtered_ += filtered;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "broadcast/span_table.h"
+#include "client/arrival_ring.h"
 #include "client/threshold_filter.h"
 #include "server/broadcast_server.h"
 #include "server/update_generator.h"
@@ -113,16 +114,20 @@ class VirtualClient : public sim::LazySource,
   /// asked for the unfused oracle or fault.request_delay forced it).
   bool Fused() const { return options_.fused; }
 
+  /// The fused path's refills, and whether a producer thread draws them.
+  const ArrivalRing& arrival_ring() const { return arrivals_; }
+
  private:
   /// EventHandler: one unfused arrival (the oracle path): draw the page
   /// and the steady-state coin, route through warm cache / threshold
   /// filter / backchannel, and schedule the next wakeup.
   void OnEvent() override;
 
-  /// Fused path: draws the next kArrivalBatch arrivals into batch_, in the
-  /// oracle's per-arrival order (page, steady coin, think), with
-  /// sim::DrawArrivals.
-  void RefillArrivals();
+  /// Fused path: releases the held refill and returns the next, whose
+  /// first arrival is at `start` and whose arrivals are drawn in the
+  /// oracle's per-arrival order (page, steady coin, think) by FillRefill,
+  /// inline or on the producer thread.
+  const ArrivalRefill& RefillArrivals(sim::SimTime start);
 
   sim::Simulator* simulator_;
   server::BroadcastServer* server_;
@@ -137,20 +142,15 @@ class VirtualClient : public sim::LazySource,
   bool registered_ = false;                       // Fused path.
   sim::EventId wakeup_ = sim::kInvalidEventId;    // Unfused oracle.
 
-  // Fused path: pre-drawn arrivals, consumed from `cursor_`; the next
-  // arrival is at[cursor_] (kTimeNever before Start()). The draws depend
-  // only on rng_, so they can run ahead of the simulated clock. Bit i % 64
-  // of steady[i / 64] is arrival i's steady-state coin, at[i] its time,
-  // and at[kArrivalBatch] the first arrival of the next batch, whose page
-  // and coin are not drawn yet.
-  struct ArrivalBatch {
-    std::array<PageId, kArrivalBatch> page{};
-    std::array<std::uint64_t, kArrivalBatch / 64> steady{};
-    std::array<sim::SimTime, kArrivalBatch + 1> at{};
-  };
-  static_assert(kArrivalBatch % 64 == 0, "one steady-coin bit per arrival");
-  ArrivalBatch batch_;
+  // Fused path: pre-drawn arrivals. The draws depend only on rng_, so
+  // they can run ahead of the simulated clock; from the first refill on
+  // the ring draws from its own copy, and rng_ is not touched again. The
+  // next arrival is at `next_at_` (kTimeNever before Start()), entry
+  // `cursor_` of the held refill `batch_` (null before the first refill).
+  ArrivalRing arrivals_;
+  const ArrivalRefill* batch_ = nullptr;
   std::uint32_t cursor_ = kArrivalBatch;
+  sim::SimTime next_at_ = sim::kTimeNever;
   // CatchUp's submit buffer, kept here so no drain pays to clear it:
   // written before it is read.
   std::array<PageId, kArrivalBatch> submit_page_{};

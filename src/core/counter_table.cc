@@ -126,15 +126,14 @@ bool Present(Source source, S s) {
 
 }  // namespace
 
-std::vector<obs::CounterSample> ProbeCounters(const CounterSources& sources) {
-  std::vector<obs::CounterSample> samples;
-  samples.reserve(std::size(kCounterTable));
+void ProbeCounters(const CounterSources& sources,
+                   std::vector<obs::CounterSample>* out) {
+  out->clear();
   for (const CounterRow& row : kCounterTable) {
     if (row.probe && Present(row.source, sources)) {
-      samples.push_back({row.name, row.read(sources)});
+      out->push_back({row.name, row.read(sources)});
     }
   }
-  return samples;
 }
 
 void SnapshotCounters(const CounterSources& sources,

@@ -31,11 +31,21 @@ struct CounterSources {
 };
 
 /// The lifetime counters the frame probe carries, for every row present
-/// in `sources`, in table order: server, MC, fault, transport. Each name
-/// is also a SnapshotCounters key, so `bdisk_top --check --snapshot`
-/// reconciles a frame stream against the final snapshot without a
-/// mapping table.
-std::vector<obs::CounterSample> ProbeCounters(const CounterSources& sources);
+/// in `sources`, in table order: server, MC, fault, transport, written
+/// over `*out` (a telemetry bus probe's form: no allocation once `*out`
+/// has held them). Each name is also a SnapshotCounters key, so
+/// `bdisk_top --check --snapshot` reconciles a frame stream against the
+/// final snapshot without a mapping table.
+void ProbeCounters(const CounterSources& sources,
+                   std::vector<obs::CounterSample>* out);
+
+/// ProbeCounters into a fresh vector, for one-off readers.
+inline std::vector<obs::CounterSample> ProbeCounters(
+    const CounterSources& sources) {
+  std::vector<obs::CounterSample> samples;
+  ProbeCounters(sources, &samples);
+  return samples;
+}
 
 /// Sets every row present in `sources` as a counter in `registry`.
 void SnapshotCounters(const CounterSources& sources,

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "sim/check.h"
+#include "sim/cpu_budget.h"
 
 namespace bdisk::core {
 
@@ -70,6 +71,10 @@ std::vector<SweepOutcome> RunSweep(const std::vector<SweepPoint>& points,
   if (num_threads == 1) {
     worker();
   } else {
+    // The extra workers hold CPUs that a virtual client's arrival producer
+    // could otherwise claim (sim/cpu_budget.h), so a sweep as wide as the
+    // CPUs starts no producer.
+    const sim::CpuClaims workers(static_cast<int>(num_threads) - 1);
     std::vector<std::thread> threads;
     threads.reserve(num_threads);
     for (unsigned t = 0; t < num_threads; ++t) threads.emplace_back(worker);

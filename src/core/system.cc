@@ -298,7 +298,9 @@ void System::AttachTelemetryBus(obs::TelemetryBus* bus) {
   // zero at attach time. Frames carry deltas from this base, and run_end
   // republishes it so a consumer can reconcile base + sum(deltas) against
   // the final snapshot exactly.
-  bus->SetProbe([this] { return ProbeCounters(counter_sources()); });
+  bus->SetProbe([this](std::vector<obs::CounterSample>* out) {
+    ProbeCounters(counter_sources(), out);
+  });
   collector_->SetTelemetryBus(bus);
   stack_.server().SetTelemetryBus(bus);
   if (recorder_ != nullptr) recorder_->SetTelemetryBus(bus);

@@ -74,24 +74,26 @@ TelemetryBus::TelemetryBus(std::unique_ptr<FrameSink> sink)
 
 TelemetryBus::~TelemetryBus() = default;
 
-void TelemetryBus::SetProbe(
-    std::function<std::vector<CounterSample>()> probe) {
+void TelemetryBus::SetProbe(Probe probe) {
   probe_ = std::move(probe);
   counter_names_.clear();
   base_.clear();
   if (!probe_) return;
-  for (const CounterSample& sample : probe_()) {
+  probe_(&scratch_samples_);
+  for (const CounterSample& sample : scratch_samples_) {
     counter_names_.push_back(sample.name);
     base_.push_back(sample.value);
   }
   credited_ = base_;
 }
 
-void TelemetryBus::Probe(std::vector<std::uint64_t>* out) const {
+void TelemetryBus::ReadCounters(std::vector<std::uint64_t>* out) {
   out->clear();
   if (!probe_) return;
-  out->reserve(counter_names_.size());
-  for (const CounterSample& sample : probe_()) out->push_back(sample.value);
+  probe_(&scratch_samples_);
+  for (const CounterSample& sample : scratch_samples_) {
+    out->push_back(sample.value);
+  }
   BDISK_CHECK_MSG(out->size() == counter_names_.size(),
                   "telemetry probe changed shape between calls");
 }
@@ -129,7 +131,7 @@ void TelemetryBus::EmitRunStart(
 
 void TelemetryBus::OnWindow(const WindowStats& w) {
   ++window_frames_;
-  Probe(&scratch_current_);
+  ReadCounters(&scratch_current_);
   const std::vector<std::uint64_t>& current = scratch_current_;
 
   FrameBuilder frame(this, "window");
@@ -218,7 +220,7 @@ void TelemetryBus::OnFlightFire(sim::SimTime window_end, const char* trigger,
 }
 
 void TelemetryBus::EmitRunEnd(sim::SimTime now) {
-  Probe(&scratch_current_);
+  ReadCounters(&scratch_current_);
   const std::vector<std::uint64_t>& current = scratch_current_;
 
   FrameBuilder frame(this, "run_end");

@@ -56,9 +56,13 @@ class TelemetryBus {
 
   /// Installs the lifetime-counter probe and immediately captures the
   /// base vector (counters may be nonzero before observers attach — the
-  /// server's constructor makes the first slot decision). The probe must
-  /// return the same counters in the same order on every call.
-  void SetProbe(std::function<std::vector<CounterSample>()> probe);
+  /// server's constructor makes the first slot decision). The probe
+  /// replaces the vector's contents with the counters, the same ones in
+  /// the same order on every call. The vector is the bus's own, reused
+  /// from frame to frame, so a probe that only fills it allocates nothing
+  /// after the first frame.
+  using Probe = std::function<void(std::vector<CounterSample>*)>;
+  void SetProbe(Probe probe);
 
   /// Suppresses the wall_ms field for byte-identical frame streams.
   void EnableWallClock(bool on) { wall_clock_ = on; }
@@ -94,12 +98,12 @@ class TelemetryBus {
  private:
   class FrameBuilder;
 
-  void Probe(std::vector<std::uint64_t>* out) const;
+  void ReadCounters(std::vector<std::uint64_t>* out);
   double WallMs() const;
   bool Send(const std::string& frame, bool final_frame);
 
   std::unique_ptr<FrameSink> sink_;
-  std::function<std::vector<CounterSample>()> probe_;
+  Probe probe_;
   std::vector<const char*> counter_names_;
   std::vector<std::uint64_t> base_;
   // Counter values as of the last frame the sink accepted; the next
@@ -109,6 +113,7 @@ class TelemetryBus {
   // Per-frame scratch, reused so the steady-state window path allocates
   // nothing (perfbench's obs.overhead_frac measures the attach cost).
   JsonWriter scratch_writer_;
+  std::vector<CounterSample> scratch_samples_;
   std::vector<std::uint64_t> scratch_current_;
   std::vector<std::uint64_t> scratch_deltas_;
   bool wall_clock_ = true;

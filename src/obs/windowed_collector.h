@@ -129,6 +129,28 @@ class WindowedCollector {
       current_.queue_depth_max = queue_depth;
     }
   }
+  /// The batched form of OnSubmit, for a flush of queue submits (no
+  /// fault outcomes). WindowEnd rolls the window forward to the first
+  /// submit's time `at` and returns the open window's end; one OnSubmits
+  /// call then takes every submit before that end: the counts of its
+  /// outcomes and the queue depth after the last. A flush only adds to
+  /// the queue, so that depth is also the deepest. The windows come out
+  /// as if each submit went through OnSubmit.
+  sim::SimTime WindowEnd(sim::SimTime at) {
+    Roll(at);
+    return current_.end;
+  }
+  void OnSubmits(std::uint64_t accepted, std::uint64_t coalesced,
+                 std::uint64_t dropped, std::uint32_t queue_depth) {
+    current_.submits += accepted + coalesced + dropped;
+    current_.accepted += accepted;
+    current_.coalesced += coalesced;
+    current_.dropped += dropped;
+    current_.queue_depth = queue_depth;
+    if (queue_depth > current_.queue_depth_max) {
+      current_.queue_depth_max = queue_depth;
+    }
+  }
   void OnResponse(sim::SimTime now, double response_time) {
     Roll(now);
     response_hist_.Add(response_time);

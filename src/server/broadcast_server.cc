@@ -165,8 +165,27 @@ void BroadcastServer::SubmitRequestsAt(const PageId* pages,
   // record.
   obs::PhaseScope prof(profiler_, obs::Phase::kServerQueue);
   prof.AddOps(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    RecordSubmit(queue_.Submit(pages[i]), pages[i], client, at[i]);
+  if (sink_ != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      RecordSubmit(queue_.Submit(pages[i]), pages[i], client, at[i]);
+    }
+    return;
+  }
+  // Without a trace sink the collector takes one update per window the
+  // flush reaches, counted off the queue's own counters: the submits from
+  // at[i] up to the first at or past that window's end.
+  for (std::size_t i = 0; i < n;) {
+    const sim::SimTime end =
+        collector_ != nullptr ? collector_->WindowEnd(at[i]) : sim::kTimeNever;
+    const std::uint64_t accepted = queue_.AcceptedCount();
+    const std::uint64_t coalesced = queue_.CoalescedCount();
+    const std::uint64_t dropped = queue_.DroppedCount();
+    for (; i < n && at[i] < end; ++i) queue_.Submit(pages[i]);
+    if (collector_ != nullptr) {
+      collector_->OnSubmits(queue_.AcceptedCount() - accepted,
+                            queue_.CoalescedCount() - coalesced,
+                            queue_.DroppedCount() - dropped, queue_.Size());
+    }
   }
 }
 

@@ -158,10 +158,11 @@ class BroadcastServer : public sim::EventHandler {
   /// SubmitRequestAt for `n` requests in order: `pages[i]` arrived at
   /// `at[i]`, and the timestamps are non-decreasing. The fused virtual
   /// client's flush: with no fault injector it is one tight loop over the
-  /// queue (one server.queue frame per call), and with one each request
-  /// goes through the fault pipeline at its own time. Outcomes are not
-  /// returned; clients must not branch on them. Does not itself drain
-  /// lazy sources.
+  /// queue (one server.queue frame per call) that, unless a trace sink
+  /// records each submit, hands the windowed collector one update per
+  /// window it reaches; with an injector each request goes through the
+  /// fault pipeline at its own time. Outcomes are not returned; clients
+  /// must not branch on them. Does not itself drain lazy sources.
   void SubmitRequestsAt(const PageId* pages, const sim::SimTime* at,
                         std::size_t n, std::uint32_t client);
 

@@ -18,6 +18,12 @@
 
 #include "config_samples.h"
 #include "core/config_io.h"
+#include "core/system.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/telemetry_bus.h"
+#include "obs/windowed_collector.h"
+#include "oracles.h"
 #include "server/pull_queue.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -384,6 +390,79 @@ TEST(WireFuzzTest, MutatedMessagesRoundTripOrFailWithAReason) {
         wire::MsgType::kStats, wire::MsgType::kFin}) {
     EXPECT_GT(accepted[type], 0) << static_cast<int>(type);
   }
+}
+
+// ------------------------------------------------------------ obs::ParseJson
+
+// The documents bdisk_top reads: a run's bdisk-frame-v1 frames (run_start,
+// window, run_end) and its bdisk-metrics-v1 snapshot.
+std::vector<std::string> JsonSeeds() {
+  core::SystemConfig config;
+  config.server_db_size = 100;
+  config.disks = broadcast::DiskConfig{{10, 40, 50}, {3, 2, 1}};
+  config.cache_size = 10;
+  config.server_queue_size = 10;
+  config.think_time_ratio = 25.0;
+  config.obs_window = 500.0;
+  core::SteadyStateProtocol protocol;
+  protocol.post_fill_accesses = 100;
+  protocol.min_measured_accesses = 500;
+  protocol.max_measured_accesses = 1000;
+  protocol.batch_size = 250;
+  core::System system(config);
+  obs::WindowedCollector collector(config.obs_window);
+  auto sink = std::make_unique<obs::CaptureFrameSink>();
+  const obs::CaptureFrameSink* frames = sink.get();
+  obs::TelemetryBus bus(std::move(sink));
+  system.AttachWindowedCollector(&collector);
+  system.AttachTelemetryBus(&bus);
+  system.RunSteadyState(protocol);
+  obs::MetricsRegistry registry;
+  system.SnapshotMetrics(&registry);
+  const std::vector<std::string>& stream = frames->frames();
+  return {stream.front(), stream[1], stream[stream.size() / 2], stream.back(),
+          registry.ToJson()};
+}
+
+TEST(JsonFuzzTest, MutatedFramesAndSnapshotsParseOrFailAtAByteOffset) {
+  const std::vector<std::string> seeds = JsonSeeds();
+  for (const std::string& seed : seeds) {
+    obs::JsonValue value;
+    std::string error;
+    ASSERT_TRUE(obs::ParseJson(seed, &value, &error)) << error << ": " << seed;
+  }
+  sim::Rng rng(20261020);
+  int accepted = 0;
+  int refused = 0;
+  for (int iteration = 0; iteration < 5000; ++iteration) {
+    std::string text = seeds[rng.NextBounded(seeds.size())];
+    for (std::uint64_t n = 1 + rng.NextBounded(4); n > 0; --n) {
+      text = Mutate(std::move(text), rng);
+    }
+    // A copy sized to the text, so ASan reports any read past it.
+    const std::string exact(text);
+    obs::JsonValue value;
+    std::string error;
+    if (obs::ParseJson(exact, &value, &error)) {
+      ++accepted;
+      continue;
+    }
+    // A refusal is "<reason> at byte N", N within the text.
+    ++refused;
+    const std::size_t at = error.rfind(" at byte ");
+    ASSERT_NE(at, std::string::npos) << iteration << ": " << error;
+    ASSERT_GT(at, 0U) << iteration << ": " << error;
+    const char* number = error.data() + at + 9;
+    const char* end = error.data() + error.size();
+    std::size_t offset = 0;
+    const auto [stop, ec] = std::from_chars(number, end, offset);
+    ASSERT_EQ(ec, std::errc()) << iteration << ": " << error;
+    ASSERT_EQ(stop, end) << iteration << ": " << error;
+    ASSERT_LE(offset, text.size()) << iteration << ": " << error;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(refused, 500);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the streaming telemetry bus (obs::TelemetryBus + FrameSink):
 // the delta-credit reconciliation invariant under clean and lossy sinks,
 // trajectory neutrality, byte-identical streams with the wall clock off,
-// the sink-destination grammar, and datagram backpressure (drop-newest,
-// never block).
+// the sink-destination grammar, datagram backpressure (drop-newest,
+// never block), and an allocation-free window path.
 
 #include "obs/telemetry_bus.h"
 
@@ -10,8 +10,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <new>
 #include <memory>
 #include <string>
 #include <utility>
@@ -246,6 +249,67 @@ TEST(TelemetryBusTest, StreamsAreByteIdenticalWithWallClockOff) {
   EXPECT_EQ(capture(config), capture(config));
 }
 
+// ------------------------------------------------- allocation-free windows
+
+// Every operator new in this test binary (the replacements below).
+std::atomic<std::uint64_t> allocations{0};
+
+// Accepts every frame and keeps none, so the sink allocates nothing.
+class CountingFrameSink final : public FrameSink {
+ public:
+  bool Write(const std::string& /*frame*/) override {
+    ++frames_;
+    return true;
+  }
+  std::string Describe() const override { return "<count>"; }
+  std::uint64_t frames() const { return frames_; }
+
+ private:
+  std::uint64_t frames_ = 0;
+};
+
+TEST(TelemetryBusTest, WindowFramesAllocateNothingAfterTheFirst) {
+  const core::SystemConfig config = SmallConfig();
+  core::System system(config);
+  WindowedCollector collector(config.obs_window);
+  auto sink = std::make_unique<CountingFrameSink>();
+  const CountingFrameSink* counted = sink.get();
+  TelemetryBus bus(std::move(sink));
+  // The System installs its own probe, the one a run's frames read.
+  system.AttachWindowedCollector(&collector);
+  system.AttachTelemetryBus(&bus);
+  system.RunSteadyState(QuickProtocol());
+
+  WindowStats w;
+  w.slots_push = 250;
+  w.slots_pull = 200;
+  w.slots_idle = 50;
+  w.submits = 90;
+  w.dropped = 40;
+  w.queue_depth = 7;
+  w.queue_depth_max = 10;
+  w.responses = 30;
+  w.response_mean = 123.456;
+  w.response_p50 = 99.5;
+  w.response_p99 = 480.25;
+  w.response_max = 512.0;
+  const auto next = [&w, &config] {
+    w.start = w.end;
+    w.end = w.start + config.obs_window;
+  };
+  next();
+  bus.OnWindow(w);  // The first frame sizes the bus's scratch buffers.
+  const std::uint64_t frames_before = counted->frames();
+  const std::uint64_t before = allocations.load();
+  for (int i = 0; i < 1000; ++i) {
+    next();
+    bus.OnWindow(w);
+  }
+  EXPECT_EQ(allocations.load() - before, 0U);
+  EXPECT_EQ(counted->frames() - frames_before, 1000U);
+  EXPECT_EQ(bus.WindowFrames(), 1001U + collector.WindowsCompleted());
+}
+
 // ------------------------------------------------------------ sink grammar
 
 TEST(FrameSinkTest, MakeFrameSinkGrammar) {
@@ -323,3 +387,23 @@ TEST(TelemetryBusTest, DatagramBackpressureDropsNewestAndNeverBlocks) {
 
 }  // namespace
 }  // namespace bdisk::obs
+
+// Counted replacements of the global allocation functions, for
+// WindowFramesAllocateNothingAfterTheFirst. The aligned forms keep the
+// library's, which allocate through malloc too. GCC flags free() on what
+// its operator new returned, not knowing this one is malloc.
+void* operator new(std::size_t size) {
+  bdisk::obs::allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop

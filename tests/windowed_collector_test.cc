@@ -9,6 +9,8 @@
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "oracles.h"
+#include "server/broadcast_server.h"
+#include "sim/simulator.h"
 
 namespace bdisk::obs {
 namespace {
@@ -140,6 +142,75 @@ TEST(WindowedCollectorTest, PublishToEmitsSeriesAndGauges) {
   EXPECT_DOUBLE_EQ(push_frac.samples()[1].value, 0.0);
   EXPECT_EQ(registry.time_series().at("window.drop_rate").size(), 2U);
   EXPECT_EQ(registry.time_series().at("window.response_p99").size(), 2U);
+}
+
+// ------------------------------------------------ the server's batched flush
+
+// The windows of a width-100 collector on a capacity-4 server after one
+// flush of submits whose times cross the window ends at 100 and 200 and
+// skip [300, 400): handed over in one SubmitRequestsAt call, which with no
+// trace sink feeds the collector once per window, or one SubmitRequestAt
+// call, and so one OnSubmit, per submit.
+std::vector<WindowStats> FlushWindows(bool batched) {
+  const std::vector<broadcast::PageId> pages = {1, 2, 1, 3, 4, 5,
+                                                2, 6, 7, 4, 8};
+  const std::vector<sim::SimTime> at = {97.5,  98.0,  99.0,  99.5,
+                                        100.0, 100.5, 150.0, 199.9,
+                                        200.0, 420.0, 420.0};
+  sim::Simulator sim;
+  server::BroadcastServer server(
+      &sim, broadcast::Share(broadcast::BroadcastProgram({0, 1, 2, 3}, 10)),
+      0.5, 4, sim::Rng(2));
+  WindowedCollector collector(100.0);
+  server.SetWindowedCollector(&collector);
+  sim.RunUntil(3.0);
+  if (batched) {
+    server.SubmitRequestsAt(pages.data(), at.data(), pages.size(), 5);
+  } else {
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      server.SubmitRequestAt(pages[i], 5, at[i]);
+    }
+  }
+  collector.Finish();
+  return collector.Windows();
+}
+
+TEST(WindowedCollectorTest, BatchedFlushMatchesOneSubmitAtATime) {
+  const std::vector<WindowStats> batched = FlushWindows(true);
+  const std::vector<WindowStats> single = FlushWindows(false);
+  ASSERT_EQ(batched.size(), single.size());
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(batched[i].start, single[i].start);
+    EXPECT_EQ(batched[i].end, single[i].end);
+    EXPECT_EQ(batched[i].slots_push, single[i].slots_push);
+    EXPECT_EQ(batched[i].slots_pull, single[i].slots_pull);
+    EXPECT_EQ(batched[i].slots_idle, single[i].slots_idle);
+    EXPECT_EQ(batched[i].submits, single[i].submits);
+    EXPECT_EQ(batched[i].accepted, single[i].accepted);
+    EXPECT_EQ(batched[i].coalesced, single[i].coalesced);
+    EXPECT_EQ(batched[i].dropped, single[i].dropped);
+    EXPECT_EQ(batched[i].queue_depth, single[i].queue_depth);
+    EXPECT_EQ(batched[i].queue_depth_max, single[i].queue_depth_max);
+  }
+  // [0, 100) holds the slots and 97.5-99.5; the submit at exactly 100.0
+  // opens [100, 200); [300, 400) is empty; 420 lands in [400, 500).
+  ASSERT_EQ(batched.size(), 5U);
+  EXPECT_EQ(batched[0].submits, 4U);
+  EXPECT_EQ(batched[0].accepted, 3U);
+  EXPECT_EQ(batched[0].coalesced, 1U);
+  EXPECT_EQ(batched[1].start, 100.0);
+  EXPECT_EQ(batched[1].submits, 4U);
+  EXPECT_EQ(batched[1].accepted, 1U);
+  EXPECT_EQ(batched[1].coalesced, 1U);
+  EXPECT_EQ(batched[1].dropped, 2U);
+  EXPECT_EQ(batched[1].queue_depth, 4U);
+  EXPECT_EQ(batched[1].queue_depth_max, 4U);
+  EXPECT_EQ(batched[2].submits, 1U);
+  EXPECT_EQ(batched[3].submits, 0U);
+  EXPECT_EQ(batched[4].submits, 2U);
+  EXPECT_EQ(batched[4].coalesced, 1U);
+  EXPECT_EQ(batched[4].dropped, 1U);
 }
 
 // ------------------------------------------------------- full-system runs

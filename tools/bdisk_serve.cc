@@ -240,7 +240,9 @@ int main(int argc, char** argv) {
     collector.emplace(config.obs_window);
     server.SetWindowedCollector(&*collector);
     bus.emplace(std::move(sink));
-    bus->SetProbe([&sources] { return core::ProbeCounters(sources); });
+    bus->SetProbe([&sources](std::vector<obs::CounterSample>* out) {
+      core::ProbeCounters(sources, out);
+    });
     collector->SetTelemetryBus(&*bus);
     server.SetTelemetryBus(&*bus);
     bus->EmitRunStart(stack.simulator().Now(),
