@@ -389,21 +389,34 @@ TEST(TelemetryBusTest, DatagramBackpressureDropsNewestAndNeverBlocks) {
 }  // namespace bdisk::obs
 
 // Counted replacements of the global allocation functions, for
-// WindowFramesAllocateNothingAfterTheFirst. The aligned forms keep the
-// library's, which allocate through malloc too. GCC flags free() on what
-// its operator new returned, not knowing this one is malloc.
-void* operator new(std::size_t size) {
+// WindowFramesAllocateNothingAfterTheFirst: every unaligned form, plain and
+// nothrow, allocates with malloc and frees with free. The aligned forms
+// keep the library's pair. GCC flags free() on what its operator new
+// returned, not knowing this one is malloc.
+void* operator new(std::size_t size, const std::nothrow_t& /*tag*/) noexcept {
   bdisk::obs::allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(std::size_t size) {
+  if (void* p = operator new(size, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t& /*tag*/) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t& /*tag*/) noexcept {
   std::free(p);
 }
 #pragma GCC diagnostic pop
